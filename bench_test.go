@@ -5,7 +5,6 @@
 package accelwall_test
 
 import (
-	"fmt"
 	"testing"
 
 	accelwall "accelwall"
@@ -98,8 +97,9 @@ func BenchmarkTable3(b *testing.B) {
 		}
 	}
 }
+
 // benchGridDesigns enumerates the raw Table III lattice (3,640 points) for
-// the batch-evaluator benches, mirroring the sweep's axis nesting.
+// BenchmarkBatch, mirroring the sweep's axis nesting.
 func benchGridDesigns(p sweep.Params) []aladdin.Design {
 	var designs []aladdin.Design
 	for _, n := range p.Nodes {
@@ -114,11 +114,11 @@ func benchGridDesigns(p sweep.Params) []aladdin.Design {
 	return designs
 }
 
-// BenchmarkBatch contrasts the per-call and the batch evaluation paths over
-// the full Table III lattice on S3D: a warm sequential Simulate loop, warm
-// SimulateBatchInto at lane counts 1/8/32, and the cold path (fresh Compile
-// each iteration) that additionally reports the incremental schedule-reuse
-// rate a from-scratch sweep achieves.
+// BenchmarkBatch measures per-design evaluation over the full Table III
+// lattice on S3D: a warm sequential Simulate loop, whose schedule-class
+// cache serves every design, and the cold path (fresh Compile each
+// iteration) that additionally reports the incremental schedule-reuse rate
+// a from-scratch sweep achieves.
 func BenchmarkBatch(b *testing.B) {
 	spec, err := workloads.ByAbbrev("S3D")
 	if err != nil {
@@ -129,12 +129,11 @@ func BenchmarkBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	designs := benchGridDesigns(sweep.Default())
-	results := make([]aladdin.Result, len(designs))
-	errs := make([]error, len(designs))
-	chunks := func(c *aladdin.Compiled, k int) {
-		for lo := 0; lo < len(designs); lo += k {
-			hi := min(lo+k, len(designs))
-			c.SimulateBatchInto(designs[lo:hi], results[lo:hi], errs[lo:hi])
+	simulateAll := func(b *testing.B, c *aladdin.Compiled) {
+		for _, d := range designs {
+			if _, err := c.Simulate(d); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 	reportPoints := func(b *testing.B) {
@@ -146,41 +145,13 @@ func BenchmarkBatch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, d := range designs { // warm the schedule cache
-			if _, err := c.Simulate(d); err != nil {
-				b.Fatal(err)
-			}
-		}
+		simulateAll(b, c) // warm the schedule cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, d := range designs {
-				if _, err := c.Simulate(d); err != nil {
-					b.Fatal(err)
-				}
-			}
+			simulateAll(b, c)
 		}
 		reportPoints(b)
 	})
-	for _, k := range []int{1, 8, 32} {
-		k := k
-		b.Run(fmt.Sprintf("batched/K=%d", k), func(b *testing.B) {
-			c, err := aladdin.Compile(g)
-			if err != nil {
-				b.Fatal(err)
-			}
-			chunks(c, k) // warm the schedule cache
-			for _, e := range errs {
-				if e != nil {
-					b.Fatal(e)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				chunks(c, k)
-			}
-			reportPoints(b)
-		})
-	}
 	b.Run("cold", func(b *testing.B) {
 		var walks, hits uint64
 		for i := 0; i < b.N; i++ {
@@ -188,15 +159,10 @@ func BenchmarkBatch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			chunks(c, 32)
+			simulateAll(b, c)
 			w, h := c.ScheduleCacheStats()
 			walks += w
 			hits += h
-		}
-		for _, e := range errs {
-			if e != nil {
-				b.Fatal(e)
-			}
 		}
 		reportPoints(b)
 		if walks+hits > 0 {

@@ -136,12 +136,12 @@ type Compiled struct {
 
 	pool sync.Pool // of *scratch
 
-	// Schedule-class cache (see batch.go): the scheduling walk depends on
-	// the design only through its schedKey, and the saturation argument in
-	// schedSummary.matches lets one walk stand in for every lane-capacity
-	// plateau above its high-water occupancy. Summaries are immutable once
-	// stored; the slice is guarded by schedMu and bounded by
-	// maxSchedSummaries with round-robin replacement.
+	// Schedule-class cache (see schedcache.go): the scheduling walk
+	// depends on the design only through its schedKey, and the saturation
+	// argument in schedSummary.matches lets one walk stand in for every
+	// lane-capacity plateau above its high-water occupancy. Summaries are
+	// immutable once stored; the slice is guarded by schedMu and bounded
+	// by maxSchedSummaries with round-robin replacement.
 	schedMu    sync.RWMutex
 	scheds     []*schedSummary
 	schedClock int
@@ -230,21 +230,18 @@ func Compile(g *dfg.Graph) (*Compiled, error) {
 	if c.stats.VCmp > 0 {
 		c.mixArea = g.TotalArea() / float64(c.stats.VCmp)
 	}
-	c.pool.New = func() any { return c.newScratch() }
-	return c, nil
-}
-
-// newScratch allocates a fresh walk scratch for the compiled graph. It is
-// the pool's New hook and the replacement path when a panicking lane
-// abandons a possibly mid-schedule scratch (see simulateLane).
-func (c *Compiled) newScratch() *scratch {
-	return &scratch{
-		start:     make([]int, c.n),
-		finish:    make([]int, c.n),
-		chain:     make([]int, c.n),
-		pending:   make([]int, c.n),
-		scheduled: make([]bool, c.n),
+	// A fresh walk scratch for the compiled graph; Simulate drops a
+	// panicking walk's scratch instead of re-pooling it.
+	c.pool.New = func() any {
+		return &scratch{
+			start:     make([]int, c.n),
+			finish:    make([]int, c.n),
+			chain:     make([]int, c.n),
+			pending:   make([]int, c.n),
+			scheduled: make([]bool, c.n),
+		}
 	}
+	return c, nil
 }
 
 // Name returns the compiled graph's name.

@@ -83,103 +83,84 @@ func snapshotDims() (nNodes, nDomains int) {
 // so restoring "failed" is as faithful as recomputing it.
 func encodeSnapshot(cfg Config, outs []replicateOut, n int) []byte {
 	nNodes, nDomains := snapshotDims()
-	buf := make([]byte, 0, 26+n*(1+8*(2+2*nNodes+4*nDomains)))
-	u16 := func(v uint16) { buf = binary.LittleEndian.AppendUint16(buf, v) }
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
+	w := checkpoint.NewWriter(26 + n*recordBytes(nNodes, nDomains))
+	w.U16(snapshotVersion)
+	w.U64(configDigest(cfg))
+	w.U32(uint32(cfg.Replicates))
+	w.U32(uint32(nNodes))
+	w.U32(uint32(nDomains))
+	w.U32(uint32(n))
+	for _, o := range outs[:n] {
+		putReplicate(w, o)
+	}
+	return w.Bytes()
+}
 
-	u16(snapshotVersion)
-	u64(configDigest(cfg))
-	u32(uint32(cfg.Replicates))
-	u32(uint32(nNodes))
-	u32(uint32(nDomains))
-	u32(uint32(n))
-	for i := 0; i < n; i++ {
-		o := outs[i]
-		if !o.ok {
-			buf = append(buf, 0)
-			continue
+// recordBytes is the framed size of one successful replicate.
+func recordBytes(nNodes, nDomains int) int { return 1 + 8*(2+2*nNodes+4*nDomains) }
+
+// putReplicate frames one replicate record: a flag byte, then (for a
+// successful replicate) the fit, the per-node ratios and the per-domain
+// cells as raw float bits.
+func putReplicate(w *checkpoint.Writer, o replicateOut) {
+	if !o.ok {
+		w.U8(0)
+		return
+	}
+	w.U8(1)
+	w.F64(o.fitA)
+	w.F64(o.fitB)
+	for _, v := range o.nodeTP {
+		w.F64(v)
+	}
+	for _, v := range o.nodeEff {
+		w.F64(v)
+	}
+	for _, d := range o.domains {
+		w.F64(d.physLimit)
+		w.F64(d.remainLog)
+		w.F64(d.remainLinear)
+		w.F64(d.finalCSR)
+	}
+}
+
+// readReplicate decodes one putReplicate record; a failed replicate
+// decodes to the zero (ok=false) slot.
+func readReplicate(r *checkpoint.Reader, nNodes, nDomains int) replicateOut {
+	if r.U8() == 0 {
+		return replicateOut{}
+	}
+	o := replicateOut{ok: true, nodeTP: make([]float64, nNodes), nodeEff: make([]float64, nNodes)}
+	o.fitA, o.fitB = r.F64(), r.F64()
+	for j := range o.nodeTP {
+		o.nodeTP[j] = r.F64()
+	}
+	for j := range o.nodeEff {
+		o.nodeEff[j] = r.F64()
+	}
+	o.domains = make([]domainOut, nDomains)
+	for j := range o.domains {
+		o.domains[j] = domainOut{
+			physLimit: r.F64(), remainLog: r.F64(),
+			remainLinear: r.F64(), finalCSR: r.F64(),
 		}
-		buf = append(buf, 1)
-		f64(o.fitA)
-		f64(o.fitB)
-		for _, v := range o.nodeTP {
-			f64(v)
-		}
-		for _, v := range o.nodeEff {
-			f64(v)
-		}
-		for _, d := range o.domains {
-			f64(d.physLimit)
-			f64(d.remainLog)
-			f64(d.remainLinear)
-			f64(d.finalCSR)
-		}
 	}
-	return buf
-}
-
-// snapshotReader is a bounds-checked little-endian cursor.
-type snapshotReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *snapshotReader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *snapshotReader) u16() uint16 {
-	if s := r.take(2); s != nil {
-		return binary.LittleEndian.Uint16(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *snapshotReader) byte() byte {
-	if s := r.take(1); s != nil {
-		return s[0]
-	}
-	return 0
+	return o
 }
 
 // decodeSnapshot validates payload against cfg and returns the restored
 // replicate prefix.
 func decodeSnapshot(cfg Config, payload []byte) ([]replicateOut, error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return nil, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
 	}
-	if d := r.u64(); r.bad || d != configDigest(cfg) {
+	if d := r.U64(); r.Bad() || d != configDigest(cfg) {
 		return nil, fmt.Errorf("%w: config digest mismatch", ErrSnapshotMismatch)
 	}
 	nNodes, nDomains := snapshotDims()
-	total, gotNodes, gotDomains, n := int(r.u32()), int(r.u32()), int(r.u32()), int(r.u32())
-	if r.bad {
+	total, gotNodes, gotDomains, n := int(r.U32()), int(r.U32()), int(r.U32()), int(r.U32())
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
 	}
 	if total != cfg.Replicates || gotNodes != nNodes || gotDomains != nDomains {
@@ -191,31 +172,13 @@ func decodeSnapshot(cfg Config, payload []byte) ([]replicateOut, error) {
 	}
 	outs := make([]replicateOut, n)
 	for i := range outs {
-		if r.byte() == 0 {
-			continue // computed and failed; slot stays ok=false
-		}
-		o := replicateOut{ok: true, nodeTP: make([]float64, nNodes), nodeEff: make([]float64, nNodes)}
-		o.fitA, o.fitB = r.f64(), r.f64()
-		for j := range o.nodeTP {
-			o.nodeTP[j] = r.f64()
-		}
-		for j := range o.nodeEff {
-			o.nodeEff[j] = r.f64()
-		}
-		o.domains = make([]domainOut, nDomains)
-		for j := range o.domains {
-			o.domains[j] = domainOut{
-				physLimit: r.f64(), remainLog: r.f64(),
-				remainLinear: r.f64(), finalCSR: r.f64(),
-			}
-		}
-		outs[i] = o
+		outs[i] = readReplicate(r, nNodes, nDomains)
 	}
-	if r.bad {
+	if r.Bad() {
 		return nil, fmt.Errorf("%w: truncated replicate records", ErrSnapshotCorrupt)
 	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-r.off)
+	if r.Rest() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
 	}
 	return outs, nil
 }
@@ -224,16 +187,16 @@ func decodeSnapshot(cfg Config, payload []byte) ([]replicateOut, error) {
 // payload covers, without validating it against a configuration. Serving
 // layers use it to surface job progress.
 func SnapshotProgress(payload []byte) (done, total int, err error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, 0, ErrSnapshotVersion
 	}
-	r.u64() // digest
-	total = int(r.u32())
-	r.u32() // nodes
-	r.u32() // domains
-	done = int(r.u32())
-	if r.bad || done < 0 || done > total {
+	r.U64() // digest
+	total = int(r.U32())
+	r.U32() // nodes
+	r.U32() // domains
+	done = int(r.U32())
+	if r.Bad() || done < 0 || done > total {
 		return 0, 0, ErrSnapshotCorrupt
 	}
 	return done, total, nil

@@ -329,3 +329,32 @@ func TestResumeFullyCompleteSnapshot(t *testing.T) {
 		t.Errorf("Resumed = %d, want %d", res.Resumed, total)
 	}
 }
+
+// TestResumeAtEveryOffset: for every prefix length k of an uninterrupted
+// run — chunk-aligned or not, empty or complete — a snapshot of the first
+// k replicates resumes to the uninterrupted result.
+func TestResumeAtEveryOffset(t *testing.T) {
+	cfg := testConfig(3)
+	cfg.Replicates = 20
+	e, err := New(cfg.CorpusSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := e.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outs := e.runReplicates(context.Background(), cfg)
+	for k := 0; k <= cfg.Replicates; k++ {
+		res, err := e.RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: encodeSnapshot(cfg, outs, k)})
+		if err != nil {
+			t.Fatalf("resume at %d: %v", k, err)
+		}
+		if res.Resumed != k {
+			t.Errorf("resume at %d: Resumed = %d", k, res.Resumed)
+		}
+		if !sameIgnoringResume(res, ref) {
+			t.Fatalf("resume at %d diverged from the uninterrupted run", k)
+		}
+	}
+}

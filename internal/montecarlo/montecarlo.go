@@ -30,8 +30,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"accelwall/internal/budget"
 	"accelwall/internal/casestudy"
@@ -300,11 +298,6 @@ type replicateOut struct {
 	domains         []domainOut
 }
 
-// chunkSize is the number of consecutive replicates a worker claims per
-// atomic increment — large enough to amortize contention, small enough to
-// balance tail latency.
-const chunkSize = 8
-
 // targets is the fixed evaluation order of the per-domain bands.
 func targets() []gains.Target {
 	return []gains.Target{gains.TargetThroughput, gains.TargetEfficiency}
@@ -407,109 +400,30 @@ func (e *Engine) runReplicates(ctx context.Context, cfg Config) []replicateOut {
 	return outs
 }
 
-// runReplicatesInto runs replicates [start, cfg.Replicates) into outs,
-// reporting each completed slot to the (possibly nil) checkpoint tracker.
-// Slots below start must already hold restored outputs; because every
-// replicate owns an index-derived substream, the work is identical no
-// matter where the counter starts.
+// runReplicatesInto runs replicates [start, cfg.Replicates) into outs on
+// resources.RunChunks, reporting each completed slot to the (possibly
+// nil) checkpoint tracker. Slots below start must already hold restored
+// outputs; because every replicate owns an index-derived substream, the
+// work is identical no matter where the pool starts, which worker runs
+// it, or whether a watchdog rescue recomputed it.
 //
-// Like the sweep pool, every chunk heartbeats the resources watchdog
-// when it is armed: a chunk wedged past the deadline is stack-dumped
-// and re-executed once on a rescue goroutine, and rescue and original
-// race to a per-chunk claim — the winner commits its locally computed
-// slots (and their tracker completions), the loser discards, so the
-// bands stay bit-identical and worker-count-invariant even across a
-// rescue.
+// A failed replicate leaves its slot ok=false; which replicates fail
+// depends only on their substreams, so the failure set is
+// worker-count-invariant too. Failed slots count as complete for
+// checkpointing: the failure is a pure function of the substream, so a
+// snapshot restores it as faithfully as recomputing.
 func (e *Engine) runReplicatesInto(ctx context.Context, cfg Config, outs []replicateOut, start int, tr *checkpoint.Tracker) {
-	workers := cfg.Workers
-	remaining := cfg.Replicates - start
-	if remaining <= 0 {
-		return
-	}
-	if workers > remaining {
-		workers = remaining
-	}
-	numChunks := (remaining + chunkSize - 1) / chunkSize
-	claims := make([]atomic.Bool, numChunks)
-	var committed atomic.Int64
-	allCommitted := make(chan struct{})
-
-	// runChunk evaluates one fixed chunk into a local buffer, then
-	// commits through the per-chunk claim. Replicates are the unit of
-	// cancellation latency: a cancelled run finishes at most the
-	// replicate each worker is inside, and commits only what it
-	// computed. A failed replicate leaves its slot ok=false; which
-	// replicates fail depends only on their substreams, so the failure
-	// set is worker-count-invariant too. Failed slots count as complete
-	// for checkpointing: the failure is a pure function of the
-	// substream, so a snapshot restores it as faithfully as recomputing.
-	runChunk := func(chunk int, scratch *[]chipdb.Chip) {
-		lo := start + chunk*chunkSize
-		hi := lo + chunkSize
-		if hi > cfg.Replicates {
-			hi = cfg.Replicates
-		}
-		var local [chunkSize]replicateOut
-		n := 0
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			if out, err := e.replicateSafe(cfg, i, scratch); err == nil {
-				local[i-lo] = out
-			}
-			n = i - lo + 1
-		}
-		if !claims[chunk].CompareAndSwap(false, true) {
-			return // a rescue (or the rescued original) already committed
-		}
-		for j := 0; j < n; j++ {
-			outs[lo+j] = local[j]
-			tr.Complete(lo + j)
-		}
-		if committed.Add(1) == int64(numChunks) {
-			close(allCommitted)
-		}
-	}
-
-	watch := resources.Watch(func(chunk int) {
-		var scratch []chipdb.Chip
-		runChunk(chunk, &scratch)
-	})
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var scratch []chipdb.Chip
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks {
-					return
-				}
-				watch.Begin(chunk)
-				runChunk(chunk, &scratch)
-				watch.End(chunk)
-			}
-		}()
-	}
-	workersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(workersDone)
-	}()
-	// Return once every chunk is committed or every worker exited,
-	// whichever is first: one wedged worker must not hold the run
-	// hostage once its chunk has been rescued.
-	select {
-	case <-workersDone:
-	case <-allCommitted:
-	}
-	watch.Stop()
+	resources.RunChunks(ctx, cfg.Replicates, start, cfg.Workers,
+		func(i int, scratch *[]chipdb.Chip) replicateOut {
+			// A failed replicate comes back zero (ok=false); the bands
+			// skip it, so its error has nothing left to report.
+			out, _ := e.replicateSafe(cfg, i, scratch)
+			return out
+		},
+		func(i int, out replicateOut) {
+			outs[i] = out
+			tr.Complete(i)
+		})
 }
 
 // Run executes cfg.Replicates replicates and reduces them to bands.

@@ -12,9 +12,9 @@ package montecarlo
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"accelwall/internal/checkpoint"
 )
 
 // sliceVersion frames the slice payload; bumped on layout changes.
@@ -45,7 +45,7 @@ func (e *Engine) RunSlice(ctx context.Context, cfg Config, lo, hi int) ([]byte, 
 	if lo < 0 || hi > cfg.Replicates || lo >= hi {
 		return nil, fmt.Errorf("montecarlo: slice [%d, %d) outside [0, %d)", lo, hi, cfg.Replicates)
 	}
-	// runReplicatesInto claims chunks in [start, sub.Replicates); bounding
+	// runReplicatesInto runs replicates [lo, sub.Replicates); bounding
 	// Replicates at hi confines the pool to exactly this range. Replicate
 	// output depends only on (Seed, CorpusSeed, CMOSJitter, index), never
 	// on Replicates, so the records match a full run's bit for bit.
@@ -63,56 +63,34 @@ func (e *Engine) RunSlice(ctx context.Context, cfg Config, lo, hi int) ([]byte, 
 // in the header.
 func encodeSlice(cfg Config, outs []replicateOut, lo, hi int) []byte {
 	nNodes, nDomains := snapshotDims()
-	buf := make([]byte, 0, 34+(hi-lo)*(1+8*(2+2*nNodes+4*nDomains)))
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-
-	buf = binary.LittleEndian.AppendUint16(buf, sliceVersion)
-	buf = binary.LittleEndian.AppendUint64(buf, configDigest(cfg))
-	u32(uint32(cfg.Replicates))
-	u32(uint32(nNodes))
-	u32(uint32(nDomains))
-	u32(uint32(lo))
-	u32(uint32(hi))
-	for i := lo; i < hi; i++ {
-		o := outs[i]
-		if !o.ok {
-			buf = append(buf, 0)
-			continue
-		}
-		buf = append(buf, 1)
-		f64(o.fitA)
-		f64(o.fitB)
-		for _, v := range o.nodeTP {
-			f64(v)
-		}
-		for _, v := range o.nodeEff {
-			f64(v)
-		}
-		for _, d := range o.domains {
-			f64(d.physLimit)
-			f64(d.remainLog)
-			f64(d.remainLinear)
-			f64(d.finalCSR)
-		}
+	w := checkpoint.NewWriter(34 + (hi-lo)*recordBytes(nNodes, nDomains))
+	w.U16(sliceVersion)
+	w.U64(configDigest(cfg))
+	w.U32(uint32(cfg.Replicates))
+	w.U32(uint32(nNodes))
+	w.U32(uint32(nDomains))
+	w.U32(uint32(lo))
+	w.U32(uint32(hi))
+	for _, o := range outs[lo:hi] {
+		putReplicate(w, o)
 	}
-	return buf
+	return w.Bytes()
 }
 
 // decodeSlice validates one slice payload against cfg and fills outs with
 // its range, reporting the range covered.
 func decodeSlice(cfg Config, outs []replicateOut, payload []byte) (lo, hi int, err error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != sliceVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != sliceVersion {
 		return 0, 0, fmt.Errorf("%w: slice version %d, this build reads %d", ErrSnapshotVersion, v, sliceVersion)
 	}
-	if d := r.u64(); r.bad || d != configDigest(cfg) {
+	if d := r.U64(); r.Bad() || d != configDigest(cfg) {
 		return 0, 0, fmt.Errorf("%w: slice config digest mismatch", ErrSnapshotMismatch)
 	}
 	nNodes, nDomains := snapshotDims()
-	total, gotNodes, gotDomains := int(r.u32()), int(r.u32()), int(r.u32())
-	lo, hi = int(r.u32()), int(r.u32())
-	if r.bad {
+	total, gotNodes, gotDomains := int(r.U32()), int(r.U32()), int(r.U32())
+	lo, hi = int(r.U32()), int(r.U32())
+	if r.Bad() {
 		return 0, 0, fmt.Errorf("%w: truncated slice header", ErrSnapshotCorrupt)
 	}
 	if total != cfg.Replicates || gotNodes != nNodes || gotDomains != nDomains {
@@ -123,32 +101,13 @@ func decodeSlice(cfg Config, outs []replicateOut, payload []byte) (lo, hi int, e
 		return 0, 0, fmt.Errorf("%w: slice range [%d, %d) outside [0, %d)", ErrSnapshotCorrupt, lo, hi, total)
 	}
 	for i := lo; i < hi; i++ {
-		if r.byte() == 0 {
-			outs[i] = replicateOut{} // computed and failed
-			continue
-		}
-		o := replicateOut{ok: true, nodeTP: make([]float64, nNodes), nodeEff: make([]float64, nNodes)}
-		o.fitA, o.fitB = r.f64(), r.f64()
-		for j := range o.nodeTP {
-			o.nodeTP[j] = r.f64()
-		}
-		for j := range o.nodeEff {
-			o.nodeEff[j] = r.f64()
-		}
-		o.domains = make([]domainOut, nDomains)
-		for j := range o.domains {
-			o.domains[j] = domainOut{
-				physLimit: r.f64(), remainLog: r.f64(),
-				remainLinear: r.f64(), finalCSR: r.f64(),
-			}
-		}
-		outs[i] = o
+		outs[i] = readReplicate(r, nNodes, nDomains)
 	}
-	if r.bad {
+	if r.Bad() {
 		return 0, 0, fmt.Errorf("%w: truncated slice records", ErrSnapshotCorrupt)
 	}
-	if r.off != len(payload) {
-		return 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-r.off)
+	if r.Rest() != 0 {
+		return 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
 	}
 	return lo, hi, nil
 }

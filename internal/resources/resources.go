@@ -34,9 +34,9 @@ const (
 	// simulated aladdin.Result, its engine memo entry, the response row,
 	// and its share of the marshaled JSON body.
 	sweepPointBytes = 768
-	// sweepLaneBytes covers one SoA batch lane pinned per worker while a
-	// chunk is in flight.
-	sweepLaneBytes = 4096
+	// sweepWorkerBytes covers one worker's in-flight chunk: its
+	// chunk-local results and its share of the pooled walk scratch.
+	sweepWorkerBytes = 4096
 	// replicateBytes covers one Monte Carlo replicate: its substream
 	// PRNG state and the per-replicate ratio retained for the quantile
 	// reduction.
@@ -61,9 +61,9 @@ func DefaultBudget() int64 {
 }
 
 // SweepCost estimates the peak footprint of a sweep over points unique
-// designs evaluated through SoA batches of the given width.
-func SweepCost(points, batchWidth int) int64 {
-	return int64(points)*sweepPointBytes + int64(batchWidth)*sweepLaneBytes
+// designs evaluated on a pool of the given number of workers.
+func SweepCost(points, workers int) int64 {
+	return int64(points)*sweepPointBytes + int64(workers)*sweepWorkerBytes
 }
 
 // MonteCarloCost estimates the peak footprint of an uncertainty run of

@@ -1,20 +1,117 @@
-// Stuck-work watchdog for the chunked worker pools. The pools (sweep,
-// Monte Carlo, and — through the sweep engine — search) heartbeat every
-// chunk they claim; a chunk that stays in flight past the configured
-// deadline is presumed wedged (a pathological schedule, a hung syscall,
-// an injected delay in chaos runs). The watchdog then logs a full
-// goroutine stack dump for the post-mortem and requeues the chunk
-// exactly once on a rescue goroutine. Rescue and original race to a
-// per-chunk claim in the pool; the winner commits, the loser discards,
-// so a wedged worker that eventually wakes cannot double-write results.
+// The chunked worker pool and its stuck-work watchdog. RunChunks is the
+// one pool under the sweep and Monte Carlo engines (and, through the
+// sweep engine, the search): workers claim fixed chunks of consecutive
+// items and heartbeat each chunk they run. A chunk that stays in flight
+// past the configured deadline is presumed wedged (a pathological
+// schedule, a hung syscall, an injected delay in chaos runs). The
+// watchdog then logs a full goroutine stack dump for the post-mortem and
+// requeues the chunk exactly once on a rescue goroutine. Rescue and
+// original race to a per-chunk claim; the winner commits, the loser
+// discards, so a wedged worker that eventually wakes cannot double-write
+// results.
 package resources
 
 import (
+	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// chunkSize is how many consecutive items one worker claims per fetch.
+// Chunking cuts the queue-coordination overhead from one atomic operation
+// per item to one per chunk while staying small enough to balance load
+// across uneven items (high-partition design points simulate much faster
+// than partition-1 points). It is also the unit of watchdog rescue.
+const chunkSize = 8
+
+// RunChunks computes items [start, n) on a pool of workers (workers <= 0
+// selects GOMAXPROCS) and hands each result to commit, in index order
+// within a chunk. Each worker owns one scratch value that compute may
+// reuse across the items it runs; commit never runs concurrently for the
+// same chunk but may for different ones, so it must only touch slot i.
+//
+// Cancellation is cooperative: ctx is checked before every item, so after
+// a cancel the pool quiesces within one item per worker, and a chunk
+// commits only the prefix of its items that was computed. Every item is
+// computed into a chunk-local buffer and committed only after winning the
+// chunk's claim. When the watchdog is armed, a chunk wedged past the
+// deadline is re-executed once on a rescue goroutine with a fresh
+// scratch; the first of rescue and original to finish commits, the other
+// discards. RunChunks returns once every chunk is committed or every
+// worker has exited, whichever is first, so one wedged worker cannot hold
+// the run hostage after its chunk was rescued; it never returns while a
+// rescue can still commit.
+func RunChunks[S, R any](ctx context.Context, n, start, workers int, compute func(i int, scratch *S) R, commit func(i int, r R)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	remaining := n - start
+	if remaining <= 0 {
+		return
+	}
+	workers = min(workers, remaining)
+	numChunks := (remaining + chunkSize - 1) / chunkSize
+	claims := make([]atomic.Bool, numChunks)
+	var committed atomic.Int64
+	allCommitted := make(chan struct{})
+
+	runChunk := func(chunk int, scratch *S) {
+		lo := start + chunk*chunkSize
+		hi := min(lo+chunkSize, n)
+		var local [chunkSize]R
+		k := 0
+		for i := lo; i < hi && ctx.Err() == nil; i++ {
+			local[k] = compute(i, scratch)
+			k++
+		}
+		if !claims[chunk].CompareAndSwap(false, true) {
+			return // a rescue (or the rescued original) already committed
+		}
+		for j := 0; j < k; j++ {
+			commit(lo+j, local[j])
+		}
+		if committed.Add(1) == int64(numChunks) {
+			close(allCommitted)
+		}
+	}
+
+	w := watch(func(chunk int) {
+		var scratch S
+		runChunk(chunk, &scratch)
+	})
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var scratch S
+			for ctx.Err() == nil {
+				chunk := int(next.Add(1)) - 1
+				if chunk >= numChunks {
+					return
+				}
+				w.begin(chunk)
+				runChunk(chunk, &scratch)
+				w.end(chunk)
+			}
+		}()
+	}
+	workersDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(workersDone)
+	}()
+	select {
+	case <-workersDone:
+	case <-allCommitted:
+	}
+	// After stop no rescue goroutine can commit; a still-wedged original
+	// only ever writes its own locals once it loses the claim.
+	w.stop()
+}
 
 // watchdogCfg is the process-wide watchdog arming, installed like a
 // faultinject plan: a single atomic pointer, nil meaning disabled, so
@@ -68,10 +165,10 @@ func ResetWatchdogCounters() {
 	wdRequeues.Store(0)
 }
 
-// PoolWatch monitors one pool run. A nil *PoolWatch (watchdog disabled)
-// makes every method a no-op, so pools call Begin/End/Stop
+// poolWatch monitors one pool run. A nil *poolWatch (watchdog disabled)
+// makes every method a no-op, so the pool calls begin/end/stop
 // unconditionally.
-type PoolWatch struct {
+type poolWatch struct {
 	cfg   *watchdogCfg
 	rerun func(chunk int)
 
@@ -79,35 +176,35 @@ type PoolWatch struct {
 	started map[int]time.Time
 	fired   map[int]bool
 
-	stop     chan struct{}
+	stopping chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
 	rescues  sync.WaitGroup
 }
 
-// Watch starts monitoring a pool run, returning nil when the watchdog
+// watch starts monitoring a pool run, returning nil when the watchdog
 // is disabled. rerun re-executes one wedged chunk; it runs on a rescue
 // goroutine concurrently with the (possibly still wedged) original
 // worker, so it must commit through the pool's per-chunk claim.
-func Watch(rerun func(chunk int)) *PoolWatch {
+func watch(rerun func(chunk int)) *poolWatch {
 	cfg := wdActive.Load()
 	if cfg == nil {
 		return nil
 	}
-	w := &PoolWatch{
-		cfg:     cfg,
-		rerun:   rerun,
-		started: make(map[int]time.Time),
-		fired:   make(map[int]bool),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+	w := &poolWatch{
+		cfg:      cfg,
+		rerun:    rerun,
+		started:  make(map[int]time.Time),
+		fired:    make(map[int]bool),
+		stopping: make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	go w.monitor()
 	return w
 }
 
-// Begin heartbeats that chunk is now in flight on a worker.
-func (w *PoolWatch) Begin(chunk int) {
+// begin heartbeats that chunk is now in flight on a worker.
+func (w *poolWatch) begin(chunk int) {
 	if w == nil {
 		return
 	}
@@ -116,8 +213,8 @@ func (w *PoolWatch) Begin(chunk int) {
 	w.mu.Unlock()
 }
 
-// End heartbeats that chunk left the worker (committed or discarded).
-func (w *PoolWatch) End(chunk int) {
+// end heartbeats that chunk left the worker (committed or discarded).
+func (w *poolWatch) end(chunk int) {
 	if w == nil {
 		return
 	}
@@ -126,20 +223,20 @@ func (w *PoolWatch) End(chunk int) {
 	w.mu.Unlock()
 }
 
-// Stop shuts the monitor down and waits for any in-flight rescues, so
-// after Stop returns no watchdog goroutine can touch the pool's arrays.
+// stop shuts the monitor down and waits for any in-flight rescues, so
+// after stop returns no watchdog goroutine can touch the pool's arrays.
 // Idempotent.
-func (w *PoolWatch) Stop() {
+func (w *poolWatch) stop() {
 	if w == nil {
 		return
 	}
-	w.stopOnce.Do(func() { close(w.stop) })
+	w.stopOnce.Do(func() { close(w.stopping) })
 	<-w.done
 	w.rescues.Wait()
 }
 
-// Fired reports whether chunk was ever declared wedged (tests).
-func (w *PoolWatch) Fired(chunk int) bool {
+// firedOn reports whether chunk was ever declared wedged (tests).
+func (w *poolWatch) firedOn(chunk int) bool {
 	if w == nil {
 		return false
 	}
@@ -150,7 +247,7 @@ func (w *PoolWatch) Fired(chunk int) bool {
 
 // monitor scans the in-flight chunks at a quarter of the deadline, so a
 // wedged chunk is declared within deadline..1.25*deadline of Begin.
-func (w *PoolWatch) monitor() {
+func (w *poolWatch) monitor() {
 	defer close(w.done)
 	period := w.cfg.deadline / 4
 	if period < time.Millisecond {
@@ -160,7 +257,7 @@ func (w *PoolWatch) monitor() {
 	defer t.Stop()
 	for {
 		select {
-		case <-w.stop:
+		case <-w.stopping:
 			return
 		case <-t.C:
 			w.scan()
@@ -169,7 +266,7 @@ func (w *PoolWatch) monitor() {
 }
 
 // scan declares overdue chunks wedged: stack-dump, count, requeue once.
-func (w *PoolWatch) scan() {
+func (w *poolWatch) scan() {
 	now := time.Now()
 	w.mu.Lock()
 	var wedged []int
@@ -196,7 +293,7 @@ func (w *PoolWatch) scan() {
 
 // dump logs the wedged-chunk diagnosis with a full goroutine stack dump
 // — the one artifact that explains where the original worker is stuck.
-func (w *PoolWatch) dump(chunk int) {
+func (w *poolWatch) dump(chunk int) {
 	if w.cfg.logf == nil {
 		return
 	}

@@ -41,17 +41,17 @@ func armWatchdog(t *testing.T, deadline time.Duration) *logRecorder {
 
 func TestWatchdogDisabledIsNil(t *testing.T) {
 	DisableWatchdog()
-	w := Watch(func(int) { t.Fatal("rerun called with watchdog disabled") })
+	w := watch(func(int) { t.Fatal("rerun called with watchdog disabled") })
 	if w != nil {
-		t.Fatal("Watch returned a live monitor with the watchdog disabled")
+		t.Fatal("watch returned a live monitor with the watchdog disabled")
 	}
 	// All methods must be nil-safe.
-	w.Begin(0)
-	w.End(0)
-	if w.Fired(0) {
+	w.begin(0)
+	w.end(0)
+	if w.firedOn(0) {
 		t.Fatal("nil watch reported a fire")
 	}
-	w.Stop()
+	w.stop()
 }
 
 func TestWatchdogFiresOnWedgedChunk(t *testing.T) {
@@ -59,24 +59,24 @@ func TestWatchdogFiresOnWedgedChunk(t *testing.T) {
 
 	var reran atomic.Int64
 	var rerunChunk atomic.Int64
-	w := Watch(func(chunk int) {
+	w := watch(func(chunk int) {
 		reran.Add(1)
 		rerunChunk.Store(int64(chunk))
 	})
 	if w == nil {
-		t.Fatal("Watch returned nil with the watchdog armed")
+		t.Fatal("watch returned nil with the watchdog armed")
 	}
-	defer w.Stop()
+	defer w.stop()
 
-	w.Begin(3)
+	w.begin(3)
 	deadline := time.Now().Add(5 * time.Second)
-	for !w.Fired(3) {
+	for !w.firedOn(3) {
 		if time.Now().After(deadline) {
 			t.Fatal("watchdog never fired on a wedged chunk")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	w.Stop() // waits out the rescue
+	w.stop() // waits out the rescue
 
 	if got := reran.Load(); got != 1 {
 		t.Fatalf("rerun called %d times, want exactly 1", got)
@@ -103,11 +103,11 @@ func TestWatchdogRequeuesOnlyOnce(t *testing.T) {
 	armWatchdog(t, 10*time.Millisecond)
 
 	var reran atomic.Int64
-	w := Watch(func(int) { reran.Add(1) })
-	defer w.Stop()
-	w.Begin(7)
+	w := watch(func(int) { reran.Add(1) })
+	defer w.stop()
+	w.begin(7)
 	time.Sleep(150 * time.Millisecond) // many scan periods past the deadline
-	w.Stop()
+	w.stop()
 	if got := reran.Load(); got != 1 {
 		t.Fatalf("wedged chunk rescued %d times, want exactly 1", got)
 	}
@@ -121,37 +121,37 @@ func TestWatchdogRequeuesOnlyOnce(t *testing.T) {
 func TestWatchdogHealthyChunkNeverFires(t *testing.T) {
 	armWatchdog(t, 50*time.Millisecond)
 
-	w := Watch(func(int) { t.Error("healthy chunk was rescued") })
-	w.Begin(1)
+	w := watch(func(int) { t.Error("healthy chunk was rescued") })
+	w.begin(1)
 	time.Sleep(5 * time.Millisecond)
-	w.End(1)
+	w.end(1)
 	time.Sleep(120 * time.Millisecond)
-	w.Stop()
+	w.stop()
 	if WatchdogFires() != 0 {
 		t.Fatalf("fires = %d, want 0", WatchdogFires())
 	}
 }
 
-// TestWatchdogStopAwaitsRescues: after Stop returns, the rescue function
+// TestWatchdogStopAwaitsRescues: after stop returns, the rescue function
 // has completed — pools rely on this to let rescues touch shared arrays.
 func TestWatchdogStopAwaitsRescues(t *testing.T) {
 	armWatchdog(t, 10*time.Millisecond)
 
 	var done atomic.Bool
-	w := Watch(func(int) {
+	w := watch(func(int) {
 		time.Sleep(50 * time.Millisecond)
 		done.Store(true)
 	})
-	w.Begin(0)
+	w.begin(0)
 	deadline := time.Now().Add(5 * time.Second)
-	for !w.Fired(0) {
+	for !w.firedOn(0) {
 		if time.Now().After(deadline) {
 			t.Fatal("watchdog never fired")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	w.Stop()
+	w.stop()
 	if !done.Load() {
-		t.Fatal("Stop returned before the rescue finished")
+		t.Fatal("stop returned before the rescue finished")
 	}
 }

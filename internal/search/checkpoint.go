@@ -122,42 +122,39 @@ func configDigest(eval Evaluator, cfg Config) uint64 {
 // Floats are stored as raw IEEE-754 bits, so a restored evaluation is
 // bit-identical to a recomputed one.
 func encodeSnapshot(digest uint64, totalSteps, doneSteps int, entries []entry, current []int) []byte {
-	buf := make([]byte, 0, 22+len(entries)*8*entryWords+4+len(current)*4)
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-
-	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
-	u64(digest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(totalSteps))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(doneSteps))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
+	w := checkpoint.NewWriter(22 + len(entries)*8*entryWords + 4 + len(current)*4)
+	w.U16(snapshotVersion)
+	w.U64(digest)
+	w.U32(uint32(totalSteps))
+	w.U32(uint32(doneSteps))
+	w.U32(uint32(len(entries)))
 	for i := range entries {
 		d, r := entries[i].design, entries[i].result
-		f64(d.NodeNM)
-		u64(uint64(d.Partition))
-		u64(uint64(d.Simplification))
+		w.F64(d.NodeNM)
+		w.U64(uint64(d.Partition))
+		w.U64(uint64(d.Simplification))
 		if d.Fusion {
-			u64(1)
+			w.U64(1)
 		} else {
-			u64(0)
+			w.U64(0)
 		}
-		f64(d.ClockGHz)
-		u64(uint64(d.MemoryBanks))
-		u64(uint64(r.Cycles))
-		u64(uint64(r.FusedOps))
-		f64(r.RuntimeNS)
-		f64(r.DynEnergy)
-		f64(r.LeakEnergy)
-		f64(r.Energy)
-		f64(r.Power)
-		f64(r.Area)
-		f64(r.Utilization)
+		w.F64(d.ClockGHz)
+		w.U64(uint64(d.MemoryBanks))
+		w.U64(uint64(r.Cycles))
+		w.U64(uint64(r.FusedOps))
+		w.F64(r.RuntimeNS)
+		w.F64(r.DynEnergy)
+		w.F64(r.LeakEnergy)
+		w.F64(r.Energy)
+		w.F64(r.Power)
+		w.F64(r.Area)
+		w.F64(r.Utilization)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(current)))
+	w.U32(uint32(len(current)))
 	for _, id := range current {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		w.U32(uint32(id))
 	}
-	return buf
+	return w.Bytes()
 }
 
 // SnapshotProgress reports how many of how many search steps a snapshot
@@ -165,14 +162,14 @@ func encodeSnapshot(digest uint64, totalSteps, doneSteps int, entries []entry, c
 // without validating it against a search. Serving layers use it to
 // surface job progress.
 func SnapshotProgress(payload []byte) (done, total int, err error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, 0, ErrSnapshotVersion
 	}
-	r.u64() // digest
-	total = int(r.u32())
-	done = int(r.u32())
-	if r.bad || done < 0 || done > total {
+	r.U64() // digest
+	total = int(r.U32())
+	done = int(r.U32())
+	if r.Bad() || done < 0 || done > total {
 		return 0, 0, ErrSnapshotCorrupt
 	}
 	return done, total, nil
@@ -240,16 +237,16 @@ func (sv *saver) save(doneSteps int, current []int) {
 // rebuilds the archive and candidate set, returning the step to continue
 // from.
 func (sv *saver) restore(payload []byte) (startStep int, current []int, err error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, nil, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
 	}
-	if d := r.u64(); r.bad || d != sv.digest {
+	if d := r.U64(); r.Bad() || d != sv.digest {
 		return 0, nil, fmt.Errorf("%w: workload/config digest mismatch", ErrSnapshotMismatch)
 	}
-	total, done := int(r.u32()), int(r.u32())
-	n := int(r.u32())
-	if r.bad {
+	total, done := int(r.U32()), int(r.U32())
+	n := int(r.U32())
+	if r.Bad() {
 		return 0, nil, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
 	}
 	if total != sv.totalSteps {
@@ -258,92 +255,52 @@ func (sv *saver) restore(payload []byte) (startStep int, current []int, err erro
 	if done < 0 || done > total {
 		return 0, nil, fmt.Errorf("%w: step %d outside [0, %d]", ErrSnapshotCorrupt, done, total)
 	}
-	if n < 0 || n > (len(payload)-r.off)/(8*entryWords) {
+	if n < 0 || n > r.Rest()/(8*entryWords) {
 		return 0, nil, fmt.Errorf("%w: archive count %d exceeds payload", ErrSnapshotCorrupt, n)
 	}
 	for i := 0; i < n; i++ {
 		var d aladdin.Design
-		d.NodeNM = r.f64()
-		d.Partition = int(int64(r.u64()))
-		d.Simplification = int(int64(r.u64()))
-		d.Fusion = r.u64() == 1
-		d.ClockGHz = r.f64()
-		d.MemoryBanks = int(int64(r.u64()))
+		d.NodeNM = r.F64()
+		d.Partition = int(int64(r.U64()))
+		d.Simplification = int(int64(r.U64()))
+		d.Fusion = r.U64() == 1
+		d.ClockGHz = r.F64()
+		d.MemoryBanks = int(int64(r.U64()))
 		res := aladdin.Result{Design: d}
-		res.Cycles = int(int64(r.u64()))
-		res.FusedOps = int(int64(r.u64()))
-		res.RuntimeNS = r.f64()
-		res.DynEnergy = r.f64()
-		res.LeakEnergy = r.f64()
-		res.Energy = r.f64()
-		res.Power = r.f64()
-		res.Area = r.f64()
-		res.Utilization = r.f64()
-		if r.bad {
+		res.Cycles = int(int64(r.U64()))
+		res.FusedOps = int(int64(r.U64()))
+		res.RuntimeNS = r.F64()
+		res.DynEnergy = r.F64()
+		res.LeakEnergy = r.F64()
+		res.Energy = r.F64()
+		res.Power = r.F64()
+		res.Area = r.F64()
+		res.Utilization = r.F64()
+		if r.Bad() {
 			return 0, nil, fmt.Errorf("%w: truncated archive records", ErrSnapshotCorrupt)
 		}
 		if err := sv.st.addEntry(d, res); err != nil {
 			return 0, nil, fmt.Errorf("%w: %v", ErrSnapshotMismatch, err)
 		}
 	}
-	m := int(r.u32())
-	if r.bad || m < 0 || m > (len(payload)-r.off)/4 {
+	m := int(r.U32())
+	if r.Bad() || m < 0 || m > r.Rest()/4 {
 		return 0, nil, fmt.Errorf("%w: truncated candidate set", ErrSnapshotCorrupt)
 	}
 	current = make([]int, m)
 	for i := range current {
-		id := int(r.u32())
+		id := int(r.U32())
 		if id < 0 || id >= n {
 			return 0, nil, fmt.Errorf("%w: candidate index %d outside archive of %d", ErrSnapshotCorrupt, id, n)
 		}
 		current[i] = id
 	}
-	if r.bad {
+	if r.Bad() {
 		return 0, nil, fmt.Errorf("%w: truncated candidate set", ErrSnapshotCorrupt)
 	}
-	if r.off != len(payload) {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-r.off)
+	if r.Rest() != 0 {
+		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
 	}
 	sv.lastSaved = done
 	return done, current, nil
 }
-
-// snapshotReader is a bounds-checked little-endian cursor.
-type snapshotReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *snapshotReader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *snapshotReader) u16() uint16 {
-	if s := r.take(2); s != nil {
-		return binary.LittleEndian.Uint16(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) f64() float64 { return math.Float64frombits(r.u64()) }

@@ -435,7 +435,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Memory-budgeted admission: price the sweep's peak working set
-	// (memo table growth plus per-worker batch lanes) before compiling
+	// (memo table growth plus per-worker scratch) before compiling
 	// anything. A refusal still serves stale from the response cache
 	// when the identical grid sits there complete.
 	costPoints := len(req.Designs)

@@ -11,7 +11,7 @@ import (
 )
 
 // respKey identifies one cacheable grid-sweep response. Workers is
-// deliberately absent: the batch equivalence suites guarantee every worker
+// deliberately absent: the pool equivalence suites guarantee every worker
 // count produces bit-identical points, so pool width can never change the
 // payload. Design-list requests are not cached — they are arbitrary point
 // probes served by the engine memo table, which is already allocation-free

@@ -97,42 +97,39 @@ const resultWords = 9
 // construction (errored designs never advance it), so no per-slot flag is
 // framed; the Design itself is re-derived from the unique list on decode.
 func encodeSweepSnapshot(digest uint64, total int, results []aladdin.Result, n int) []byte {
-	buf := make([]byte, 0, 18+n*8*resultWords)
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	f64 := func(v float64) { buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v)) }
-
-	buf = binary.LittleEndian.AppendUint16(buf, snapshotVersion)
-	u64(digest)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(total))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	w := checkpoint.NewWriter(18 + n*8*resultWords)
+	w.U16(snapshotVersion)
+	w.U64(digest)
+	w.U32(uint32(total))
+	w.U32(uint32(n))
 	for i := 0; i < n; i++ {
 		r := results[i]
-		u64(uint64(r.Cycles))
-		u64(uint64(r.FusedOps))
-		f64(r.RuntimeNS)
-		f64(r.DynEnergy)
-		f64(r.LeakEnergy)
-		f64(r.Energy)
-		f64(r.Power)
-		f64(r.Area)
-		f64(r.Utilization)
+		w.U64(uint64(r.Cycles))
+		w.U64(uint64(r.FusedOps))
+		w.F64(r.RuntimeNS)
+		w.F64(r.DynEnergy)
+		w.F64(r.LeakEnergy)
+		w.F64(r.Energy)
+		w.F64(r.Power)
+		w.F64(r.Area)
+		w.F64(r.Utilization)
 	}
-	return buf
+	return w.Bytes()
 }
 
 // decodeSweepSnapshot validates payload against the sweep's digest and
 // unique-design count and returns the restored prefix length, filling
 // results[0:n] (with designs re-derived from uniques) and done[0:n].
 func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []aladdin.Result, done []bool, payload []byte) (int, error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
 	}
-	if d := r.u64(); r.bad || d != digest {
+	if d := r.U64(); r.Bad() || d != digest {
 		return 0, fmt.Errorf("%w: workload/grid digest mismatch", ErrSnapshotMismatch)
 	}
-	total, n := int(r.u32()), int(r.u32())
-	if r.bad {
+	total, n := int(r.U32()), int(r.U32())
+	if r.Bad() {
 		return 0, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
 	}
 	if total != len(uniques) {
@@ -143,23 +140,23 @@ func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []alad
 	}
 	for i := 0; i < n; i++ {
 		res := aladdin.Result{Design: uniques[i]}
-		res.Cycles = int(int64(r.u64()))
-		res.FusedOps = int(int64(r.u64()))
-		res.RuntimeNS = r.f64()
-		res.DynEnergy = r.f64()
-		res.LeakEnergy = r.f64()
-		res.Energy = r.f64()
-		res.Power = r.f64()
-		res.Area = r.f64()
-		res.Utilization = r.f64()
+		res.Cycles = int(int64(r.U64()))
+		res.FusedOps = int(int64(r.U64()))
+		res.RuntimeNS = r.F64()
+		res.DynEnergy = r.F64()
+		res.LeakEnergy = r.F64()
+		res.Energy = r.F64()
+		res.Power = r.F64()
+		res.Area = r.F64()
+		res.Utilization = r.F64()
 		results[i] = res
 		done[i] = true
 	}
-	if r.bad {
+	if r.Bad() {
 		return 0, fmt.Errorf("%w: truncated design records", ErrSnapshotCorrupt)
 	}
-	if r.off != len(payload) {
-		return 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(payload)-r.off)
+	if r.Rest() != 0 {
+		return 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
 	}
 	return n, nil
 }
@@ -168,58 +165,18 @@ func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []alad
 // snapshot payload covers, without validating it against a sweep. Serving
 // layers use it to surface job progress.
 func SnapshotProgress(payload []byte) (done, total int, err error) {
-	r := &snapshotReader{b: payload}
-	if v := r.u16(); r.bad || v != snapshotVersion {
+	r := checkpoint.NewReader(payload)
+	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, 0, ErrSnapshotVersion
 	}
-	r.u64() // digest
-	total = int(r.u32())
-	done = int(r.u32())
-	if r.bad || done < 0 || done > total {
+	r.U64() // digest
+	total = int(r.U32())
+	done = int(r.U32())
+	if r.Bad() || done < 0 || done > total {
 		return 0, 0, ErrSnapshotCorrupt
 	}
 	return done, total, nil
 }
-
-// snapshotReader is a bounds-checked little-endian cursor.
-type snapshotReader struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (r *snapshotReader) take(n int) []byte {
-	if r.bad || r.off+n > len(r.b) {
-		r.bad = true
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *snapshotReader) u16() uint16 {
-	if s := r.take(2); s != nil {
-		return binary.LittleEndian.Uint16(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u32() uint32 {
-	if s := r.take(4); s != nil {
-		return binary.LittleEndian.Uint32(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) u64() uint64 {
-	if s := r.take(8); s != nil {
-		return binary.LittleEndian.Uint64(s)
-	}
-	return 0
-}
-
-func (r *snapshotReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 // RunParallelCheckpointed is RunParallelContext with durable progress
 // snapshots: the completed unique-design prefix is persisted through

@@ -237,3 +237,37 @@ func TestFig13CheckpointedMatchesFig13(t *testing.T) {
 		t.Fatal("resumed Fig13 diverged")
 	}
 }
+
+// TestSweepResumeAtEveryOffset: for every prefix length k of an
+// uninterrupted run — chunk-aligned or not, empty or complete — a snapshot
+// of the first k unique designs resumes to the uninterrupted sweep.
+func TestSweepResumeAtEveryOffset(t *testing.T) {
+	g := buildApp(t, "S2D", 0)
+	ref, err := RunParallel(g, tiny(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := newRunner(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniques := r.uniqueDesigns(tiny())
+	results, _, err := simulateDesigns(context.Background(), r.c, uniques, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := sweepDigest(r.c, uniques)
+	for k := 0; k <= len(uniques); k++ {
+		snap := encodeSweepSnapshot(digest, len(uniques), results, k)
+		pts, resumed, err := RunParallelCheckpointed(context.Background(), g, tiny(), 3, &Checkpoint{Resume: snap})
+		if err != nil {
+			t.Fatalf("resume at %d: %v", k, err)
+		}
+		if resumed != k {
+			t.Errorf("resume at %d: resumed = %d", k, resumed)
+		}
+		if !reflect.DeepEqual(pts, ref) {
+			t.Fatalf("resume at %d diverged from the uninterrupted sweep", k)
+		}
+	}
+}

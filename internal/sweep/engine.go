@@ -164,19 +164,17 @@ func (e *Engine) WarmContext(ctx context.Context, p Params, workers int) (int, e
 	return len(missing), nil
 }
 
-// EvaluateBatch simulates a population of design points in one pooled,
-// batched pass and returns results in input order. See
-// EvaluateBatchContext.
+// EvaluateBatch simulates a population of design points in one pooled
+// pass and returns results in input order. See EvaluateBatchContext.
 func (e *Engine) EvaluateBatch(designs []aladdin.Design, workers int) ([]aladdin.Result, error) {
 	return e.EvaluateBatchContext(context.Background(), designs, workers)
 }
 
 // EvaluateBatchContext simulates every design of the population whose
 // normalized key is not yet memoized — deduplicated within the batch and
-// against the memo table — as one batched, cancellable, fault-isolated
-// pool pass (the same chunked SimulateBatchInto path grid sweeps use),
-// then assembles results in input order with each caller's design
-// spelling. This is the population-evaluation seam the design-space
+// against the memo table — as one cancellable, fault-isolated pool pass
+// (the same chunked worker pool grid sweeps use), then assembles results
+// in input order with each caller's design spelling. This is the population-evaluation seam the design-space
 // search drives: one call per generation, memo hits costing a map lookup.
 //
 // On cancellation it returns ctx.Err(); the unique points that completed

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,11 +67,11 @@ func TestAttributeMatchesAttributeParallel(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequentialAllWorkloads is the sweep-side half of the
-// batch equivalence suite: for every Table IV workload, the grid's unique
-// design keys run through SimulateBatch must be bit-identical to the same
-// keys run through sequential Simulate calls. Separate Compiled instances
-// keep the two paths' schedule caches from serving each other.
+// TestBatchMatchesSequentialAllWorkloads pins the population-evaluation
+// seam the search drives: for every Table IV workload, the grid's unique
+// design keys run through one pooled Engine.EvaluateBatchContext call must
+// be bit-identical to the same keys run through sequential Simulate calls
+// on a separate Compiled, whose schedule cache the pool cannot share.
 func TestBatchMatchesSequentialAllWorkloads(t *testing.T) {
 	p := Reduced()
 	for _, spec := range workloads.All() {
@@ -80,32 +81,29 @@ func TestBatchMatchesSequentialAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := newRunner(g)
+			eng, err := NewEngine(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			uniques := r.uniqueDesigns(p)
+			uniques, err := eng.UniqueDesigns(p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			seq, err := aladdin.Compile(g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bat, err := aladdin.Compile(g)
+			got, err := eng.EvaluateBatchContext(context.Background(), uniques, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]aladdin.Result, len(uniques))
 			for i, d := range uniques {
-				if want[i], err = seq.Simulate(d); err != nil {
+				want, err := seq.Simulate(d)
+				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			got, err := bat.SimulateBatch(uniques)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("lane %d (%+v):\nbatch      %+v\nsequential %+v", i, uniques[i], got[i], want[i])
+				if got[i] != want {
+					t.Fatalf("design %d (%+v):\nbatch      %+v\nsequential %+v", i, d, got[i], want)
 				}
 			}
 		})
@@ -128,12 +126,10 @@ func TestIncrementalMatchesColdWalks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]aladdin.Result, len(uniques))
-	errs := make([]error, len(uniques))
-	warm.SimulateBatchInto(uniques, results, errs)
-	for i, d := range uniques {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+	for _, d := range uniques {
+		got, err := warm.Simulate(d)
+		if err != nil {
+			t.Fatal(err)
 		}
 		cold, err := aladdin.Compile(g)
 		if err != nil {
@@ -143,8 +139,8 @@ func TestIncrementalMatchesColdWalks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if results[i] != want {
-			t.Fatalf("design %+v:\nincremental %+v\ncold        %+v", d, results[i], want)
+		if got != want {
+			t.Fatalf("design %+v:\nincremental %+v\ncold        %+v", d, got, want)
 		}
 	}
 	walks, hits := warm.ScheduleCacheStats()
@@ -157,11 +153,12 @@ func TestIncrementalMatchesColdWalks(t *testing.T) {
 }
 
 // TestRandomChunkOrderingsProduceIdenticalPoints is the property test over
-// batch scheduling order: feeding the grid's unique designs to the batch
-// evaluator in random permutations and random chunk sizes, then assembling
-// the sweep in enumeration order, must reproduce Run's []Point exactly.
-// This is what licenses the pool's dynamic chunk claiming — results can
-// never depend on which worker batched which designs in what order.
+// scheduling order: feeding the grid's unique designs to one shared
+// Compiled in random permutations, then assembling the sweep in
+// enumeration order, must reproduce Run's []Point exactly. This is what
+// licenses the pool's dynamic chunk claiming — results can never depend
+// on which worker simulated which designs, in what order, against which
+// state of the schedule-class cache.
 func TestRandomChunkOrderingsProduceIdenticalPoints(t *testing.T) {
 	g := buildApp(t, "S3D", 0)
 	p := tiny()
@@ -183,19 +180,13 @@ func TestRandomChunkOrderingsProduceIdenticalPoints(t *testing.T) {
 		order := make([]aladdin.Design, len(uniques))
 		copy(order, uniques)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		chunk := 1 + rng.Intn(32)
 		memo := make(map[aladdin.Design]aladdin.Result, len(order))
-		for lo := 0; lo < len(order); lo += chunk {
-			hi := min(lo+chunk, len(order))
-			res := make([]aladdin.Result, hi-lo)
-			errs := make([]error, hi-lo)
-			c.SimulateBatchInto(order[lo:hi], res, errs)
-			for j, e := range errs {
-				if e != nil {
-					t.Fatal(e)
-				}
-				memo[order[lo+j]] = res[j]
+		for _, d := range order {
+			res, err := c.Simulate(d)
+			if err != nil {
+				t.Fatal(err)
 			}
+			memo[d] = res
 		}
 		got := make([]Point, 0, len(want))
 		for _, d := range p.enumerate() {
@@ -211,15 +202,15 @@ func TestRandomChunkOrderingsProduceIdenticalPoints(t *testing.T) {
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d (chunk %d): point %d differs:\n got %+v\nwant %+v", trial, chunk, i, got[i], want[i])
+				t.Fatalf("trial %d: point %d differs:\n got %+v\nwant %+v", trial, i, got[i], want[i])
 			}
 		}
 	}
 }
 
 // TestRunParallelWorkerCountsBitIdentical sweeps the pool width: every
-// worker count must reproduce the serial sweep point for point now that
-// workers advance designs through shared-cache batches.
+// worker count must reproduce the serial sweep point for point while
+// workers share one schedule-class cache.
 func TestRunParallelWorkerCountsBitIdentical(t *testing.T) {
 	g := buildApp(t, "SMV", 0)
 	p := tiny()

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"accelwall/internal/aladdin"
 	"accelwall/internal/checkpoint"
@@ -14,15 +11,6 @@ import (
 	"accelwall/internal/faultinject"
 	"accelwall/internal/resources"
 )
-
-// chunkSize is how many unique design points one worker claims per fetch.
-// Chunking cuts the queue-coordination overhead from one atomic operation
-// per point to one per chunk while staying small enough to balance load
-// across a heterogeneous grid (high-partition points simulate much faster
-// than partition-1 points). It also bounds cancellation latency: workers
-// check the context between chunks, so a cancelled sweep stops within one
-// chunk of work per worker.
-const chunkSize = 8
 
 // SiteSimulate is the fault-injection seam hit before every design-point
 // simulation on the pool. Chaos tests arm it to prove the pool survives
@@ -43,23 +31,6 @@ func simulateOne(c *aladdin.Compiled, d aladdin.Design) (res aladdin.Result, err
 		return aladdin.Result{}, fmt.Errorf("sweep: %w", err)
 	}
 	return c.Simulate(d)
-}
-
-// admitDesign is the per-design admission gate the pool runs before a
-// design joins a batch: it hits the simulation seam (fault injection,
-// chaos delays) and converts an injected panic into the same error a
-// pre-batch worker would have reported, so arming SiteSimulate observes
-// one hit per design exactly as before batching.
-func admitDesign(d aladdin.Design) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("sweep: simulation panic on %+v: %v", d, v)
-		}
-	}()
-	if err := faultinject.Hit(SiteSimulate); err != nil {
-		return fmt.Errorf("sweep: %w", err)
-	}
-	return nil
 }
 
 // simulateDesigns fans the design list out over a worker pool and returns
@@ -93,131 +64,30 @@ func simulateDesigns(ctx context.Context, c *aladdin.Compiled, designs []aladdin
 }
 
 // simulatePool is the shared worker pool under simulateDesigns and the
-// checkpointed runs: it fills results/errs/done for designs[start:],
-// claiming fixed chunks from an atomic counter (slots below start must
-// already hold restored results), and reports each successful slot to
-// the (possibly nil) checkpoint tracker so resumable runs can persist
-// their completed prefix as it grows.
-//
-// When the resources watchdog is armed, every chunk heartbeats
-// Begin/End; a chunk wedged past the deadline is stack-dumped and
-// re-executed once on a rescue goroutine. Rescue and original compute
-// into chunk-local lanes and race to a per-chunk claim: the winner
-// commits to the shared arrays (and the tracker), the loser discards,
-// so a wedged worker that eventually wakes cannot double-write. The
-// pool returns as soon as every chunk is committed OR every worker has
-// exited — whichever is first — so one wedged worker no longer holds
-// the whole sweep hostage; rescues are always awaited before return.
+// checkpointed runs: it fills results/errs/done for designs[start:] on
+// resources.RunChunks (slots below start must already hold restored
+// results), and reports each successful slot to the (possibly nil)
+// checkpoint tracker so resumable runs can persist their completed
+// prefix as it grows. Only successful slots checkpoint: an errored
+// design must be retried by the resumed run, so it pins the durable
+// prefix behind it.
 func simulatePool(ctx context.Context, c *aladdin.Compiled, designs []aladdin.Design,
 	results []aladdin.Result, errs []error, done []bool, start, workers int, tr *checkpoint.Tracker) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	type outcome struct {
+		res aladdin.Result
+		err error
 	}
-	remaining := len(designs) - start
-	if remaining <= 0 {
-		return
-	}
-	if workers > remaining {
-		workers = remaining
-	}
-	numChunks := (remaining + chunkSize - 1) / chunkSize
-	claims := make([]atomic.Bool, numChunks)
-	var committed atomic.Int64
-	allCommitted := make(chan struct{})
-
-	// runChunk executes one fixed chunk: the per-design admission pass
-	// (one SiteSimulate hit per design, cancellation checked between
-	// designs, injected faults failing exactly their design), then one
-	// batch call over stack-resident lanes, which allocates nothing in
-	// steady state. On cancellation mid-chunk the already-admitted
-	// designs still batch — their results are bit-identical to an
-	// uncancelled run's, so partial work stays keepable. Everything is
-	// computed locally and committed only after winning the chunk claim.
-	runChunk := func(chunk int) {
-		lo := start + chunk*chunkSize
-		hi := lo + chunkSize
-		if hi > len(designs) {
-			hi = len(designs)
-		}
-		var (
-			lanes  [chunkSize]int
-			batchD [chunkSize]aladdin.Design
-			batchR [chunkSize]aladdin.Result
-			batchE [chunkSize]error
-			admitE [chunkSize]error
-		)
-		k := 0
-		for i := lo; i < hi; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			if err := admitDesign(designs[i]); err != nil {
-				admitE[i-lo] = err
-				continue
-			}
-			lanes[k] = i
-			batchD[k] = designs[i]
-			k++
-		}
-		c.SimulateBatchInto(batchD[:k], batchR[:k], batchE[:k])
-		if !claims[chunk].CompareAndSwap(false, true) {
-			return // a rescue (or the rescued original) already committed
-		}
-		for i := lo; i < hi; i++ {
-			if e := admitE[i-lo]; e != nil {
-				errs[i] = e
-			}
-		}
-		for j := 0; j < k; j++ {
-			i := lanes[j]
-			results[i], errs[i] = batchR[j], batchE[j]
-			done[i] = errs[i] == nil
+	resources.RunChunks(ctx, len(designs), start, workers,
+		func(i int, _ *struct{}) outcome {
+			res, err := simulateOne(c, designs[i])
+			return outcome{res, err}
+		},
+		func(i int, o outcome) {
+			results[i], errs[i], done[i] = o.res, o.err, o.err == nil
 			if done[i] {
-				// Only successful slots checkpoint: an errored design
-				// must be retried by the resumed run, so it pins the
-				// durable prefix behind it.
 				tr.Complete(i)
 			}
-		}
-		if committed.Add(1) == int64(numChunks) {
-			close(allCommitted)
-		}
-	}
-
-	watch := resources.Watch(runChunk)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				chunk := int(next.Add(1)) - 1
-				if chunk >= numChunks {
-					return
-				}
-				watch.Begin(chunk)
-				runChunk(chunk)
-				watch.End(chunk)
-			}
-		}()
-	}
-	workersDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(workersDone)
-	}()
-	select {
-	case <-workersDone:
-	case <-allCommitted:
-	}
-	// After Stop no rescue goroutine can touch the shared arrays; a
-	// still-wedged original only ever writes its own locals once it
-	// loses the claim.
-	watch.Stop()
+		})
 }
 
 // uniqueDesigns reduces the grid to its distinct cache keys in the
