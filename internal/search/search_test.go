@@ -133,7 +133,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("zero config should normalize valid: %v", err)
 	}
 	bad := []Config{
-		{Space: Space{Nodes: []float64{45}}},                                   // missing axes
+		{Space: Space{Nodes: []float64{45}}}, // missing axes
 		{Space: Space{Nodes: []float64{-1}, Partitions: []int{1}, Simplifications: []int{1}, Fusion: []bool{false}}}, // bad node
 		{Population: 1},
 		{Objectives: []Objective{Objective(99)}},

@@ -1,151 +1,16 @@
 package server
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"accelwall/internal/core"
 	"accelwall/internal/dfg"
 	"accelwall/internal/montecarlo"
 	"accelwall/internal/sweep"
 	"accelwall/internal/workloads"
-	"sync"
 )
-
-// engineCache is an LRU of compiled sweep engines keyed by
-// "workload@size", with singleflight-style deduplication: when several
-// requests for the same cold workload arrive at once, one goroutine
-// compiles while the rest wait on the entry's ready channel, so each
-// workload graph is compiled exactly once per residency. Entries carry the
-// engine's memoized simulations with them, which is the whole point of the
-// daemon: the expensive per-workload state outlives any one request.
-type engineCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*engineEntry
-	lru     *list.List // front = most recent; values are keys (string)
-	load    func(key string) (*sweep.Engine, error)
-	metrics *Metrics
-}
-
-type engineEntry struct {
-	ready chan struct{} // closed when eng/err are set
-	eng   *sweep.Engine
-	err   error
-	elem  *list.Element
-}
-
-// newEngineCache builds a cache of at most max engines (max <= 0 selects
-// 32) loading through load.
-func newEngineCache(max int, metrics *Metrics, load func(key string) (*sweep.Engine, error)) *engineCache {
-	if max <= 0 {
-		max = 32
-	}
-	return &engineCache{
-		max:     max,
-		entries: make(map[string]*engineEntry),
-		lru:     list.New(),
-		load:    load,
-		metrics: metrics,
-	}
-}
-
-// get returns the engine for the key, compiling it at most once no matter
-// how many goroutines ask concurrently. Failed loads are not cached.
-func (c *engineCache) get(key string) (*sweep.Engine, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(e.elem)
-		c.mu.Unlock()
-		c.metrics.EngineHits.Add(1)
-		<-e.ready
-		return e.eng, e.err
-	}
-	e := &engineEntry{ready: make(chan struct{})}
-	e.elem = c.lru.PushFront(key)
-	c.entries[key] = e
-	// Evict the least-recent *ready* engines beyond capacity. In-flight
-	// compiles are skipped: their waiters hold the entry pointer.
-	for c.lru.Len() > c.max {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			k := el.Value.(string)
-			victim := c.entries[k]
-			select {
-			case <-victim.ready:
-			default:
-				continue // still compiling
-			}
-			c.lru.Remove(el)
-			delete(c.entries, k)
-			c.metrics.EngineEvicted.Add(1)
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-	c.mu.Unlock()
-
-	c.metrics.EngineMisses.Add(1)
-	e.eng, e.err = c.load(key)
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		// Only remove our own failed entry; it may already be evicted.
-		if cur, ok := c.entries[key]; ok && cur == e {
-			c.lru.Remove(e.elem)
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	return e.eng, e.err
-}
-
-// len reports resident entries (including in-flight loads).
-func (c *engineCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
-// stats reports per-resident-engine telemetry for /v1/metrics: the
-// compiled engine's schedule-cache reuse (full scheduling walks vs
-// evaluations served from a reused schedule summary) and how many
-// distinct design points its memo table holds. In-flight compiles are
-// skipped rather than waited on — a metrics scrape must never block on a
-// compile.
-func (c *engineCache) stats() map[string]any {
-	c.mu.Lock()
-	entries := make(map[string]*engineEntry, len(c.entries))
-	for k, e := range c.entries {
-		entries[k] = e
-	}
-	c.mu.Unlock()
-
-	out := make(map[string]any, len(entries))
-	for k, e := range entries {
-		select {
-		case <-e.ready:
-		default:
-			continue // still compiling
-		}
-		if e.err != nil || e.eng == nil {
-			continue
-		}
-		walks, hits := e.eng.ScheduleCacheStats()
-		out[k] = map[string]any{
-			"schedule_walks": walks,
-			"schedule_hits":  hits,
-			"cached_points":  e.eng.CachedPoints(),
-		}
-	}
-	return out
-}
 
 // engineKey normalizes a workload reference onto its cache key. Plain
 // concatenation: this runs on every sweep request.
@@ -154,6 +19,21 @@ func engineKey(workload string, size int) string {
 		size = 0
 	}
 	return workload + "@" + strconv.Itoa(size)
+}
+
+// engine returns the compiled sweep engine for a workload, compiling it
+// at most once per residency. The loader takes no context, so a compile
+// always finishes and is cached even if every requester has gone. The
+// compile counter feeds both /v1/metrics and the compile-once test.
+func (s *Server) engine(workload string, size int) (*sweep.Engine, error) {
+	return s.engines.get(context.Background(), engineKey(workload, size), func(context.Context) (*sweep.Engine, error) {
+		g, err := buildWorkload(workload, size)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.Compiles.Add(1)
+		return sweep.NewEngine(g)
+	})
 }
 
 // buildWorkload resolves a kernel name across the three registries — a
@@ -188,133 +68,42 @@ func knownWorkload(name string) error {
 	return fmt.Errorf("unknown workload %q (see /v1/workloads)", name)
 }
 
-// loadEngine is the engineCache loader: parse the key, build the graph,
-// compile. The compile counter feeds both /v1/metrics and the
-// compile-once test.
-func (s *Server) loadEngine(key string) (*sweep.Engine, error) {
-	name, sizeStr, ok := strings.Cut(key, "@")
-	if !ok {
-		return nil, fmt.Errorf("malformed engine key %q", key)
-	}
-	size := 0
-	fmt.Sscanf(sizeStr, "%d", &size) //nolint:errcheck // key built by engineKey
-	g, err := buildWorkload(name, size)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.Compiles.Add(1)
-	return sweep.NewEngine(g)
-}
-
 // studyKey identifies one fitted model configuration.
 type studyKey struct {
 	published bool
 	seed      int64
 }
 
-// studyCache memoizes fitted studies per seed with the same singleflight
-// discipline as engineCache. Studies are small and there are few seeds in
-// practice, so no eviction.
-type studyCache struct {
-	mu      sync.Mutex
-	entries map[studyKey]*studyEntry
-	metrics *Metrics
-}
-
-type studyEntry struct {
-	ready chan struct{}
-	study *core.Study
-	err   error
-}
-
-func newStudyCache(metrics *Metrics) *studyCache {
-	return &studyCache{entries: make(map[studyKey]*studyEntry), metrics: metrics}
-}
-
-// uncertaintyCache memoizes Monte Carlo runs keyed by the normalized
-// configuration (seed, replicates, corpus seed, confidence, gain target,
-// jitter — worker count is excluded because it never changes results),
-// with the same singleflight discipline as engineCache. Runs are capped by
-// the handler's replicate limit, so a small FIFO bound on ready entries is
-// enough to keep memory flat.
-//
-// Cancellation is reference-counted: every request (the one that started
-// the run and every singleflight joiner) holds a stake in the in-flight
-// entry, and the run's own context is cancelled only when the last
-// interested request goes away — so one impatient client cannot kill a
-// run three other clients are still waiting on, but a run every client
-// has abandoned stops burning cores within one replicate per worker.
-type uncertaintyCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[montecarlo.Config]*uncertaintyEntry
-	order   []montecarlo.Config // ready keys in completion order
-	metrics *Metrics
-}
-
-type uncertaintyEntry struct {
-	ready chan struct{}
-	out   core.UncertaintyJSON
-	err   error
-
-	mu      sync.Mutex
-	waiters int
-	done    bool
-	cancel  context.CancelFunc
-	drop    func() // detaches this entry from the cache map
-}
-
-// join registers one more request waiting on the entry.
-func (e *uncertaintyEntry) join() {
-	e.mu.Lock()
-	e.waiters++
-	e.mu.Unlock()
-}
-
-// leave withdraws one request's interest; the last leaver of an
-// unfinished run cancels it and detaches the doomed entry so the next
-// request for the same config starts fresh.
-func (e *uncertaintyEntry) leave() {
-	e.mu.Lock()
-	e.waiters--
-	abandon := e.waiters <= 0 && !e.done
-	e.mu.Unlock()
-	if abandon {
-		e.cancel()
-		e.drop()
+// study returns the fitted study for a configuration, fitting the corpus
+// regressions at most once per resident key. Like engines, a fit always
+// finishes and is cached.
+func (s *Server) study(published bool, seed int64) (*core.Study, error) {
+	if seed == 0 {
+		seed = s.opts.Seed
 	}
-}
-
-// finish marks the run complete (successfully or not) and wakes waiters;
-// late leaves become no-ops.
-func (e *uncertaintyEntry) finish() {
-	e.mu.Lock()
-	e.done = true
-	e.mu.Unlock()
-	close(e.ready)
-}
-
-// await blocks until the entry finishes or ctx ends, maintaining the
-// waiter refcount either way.
-func (e *uncertaintyEntry) await(ctx context.Context) (core.UncertaintyJSON, error) {
-	stop := context.AfterFunc(ctx, e.leave)
-	select {
-	case <-e.ready:
-		if stop() {
-			// AfterFunc never ran; drop the stake it was holding.
-			e.leave()
+	return s.studies.get(context.Background(), studyKey{published: published, seed: seed}, func(context.Context) (*core.Study, error) {
+		var study *core.Study
+		if published {
+			study = core.NewPublished()
+		} else {
+			var err error
+			if study, err = core.New(seed); err != nil {
+				return nil, err
+			}
 		}
-		return e.out, e.err
-	case <-ctx.Done():
-		// leave() runs (or ran) via AfterFunc.
-		return core.UncertaintyJSON{}, ctx.Err()
-	}
+		study.Workers = s.opts.Workers
+		study.Sweep = sweep.Reduced()
+		if s.opts.FullGrid {
+			study.Sweep = sweep.Default()
+		}
+		return study, nil
+	})
 }
 
-// localUncertaintyRun is the plain single-node run function for
-// uncertaintyCache.get: Monte Carlo on this process's own pool.
-func localUncertaintyRun(workers int) func(context.Context, montecarlo.Config) (core.UncertaintyJSON, error) {
-	return func(ctx context.Context, key montecarlo.Config) (core.UncertaintyJSON, error) {
+// localUncertaintyRun is the plain single-node Monte Carlo load for the
+// uncertainty memo: the normalized key on this process's own pool.
+func localUncertaintyRun(key montecarlo.Config, workers int) func(context.Context) (core.UncertaintyJSON, error) {
+	return func(ctx context.Context) (core.UncertaintyJSON, error) {
 		run := key
 		run.Workers = workers
 		res, err := montecarlo.RunContext(ctx, run)
@@ -323,128 +112,4 @@ func localUncertaintyRun(workers int) func(context.Context, montecarlo.Config) (
 		}
 		return core.NewUncertaintyJSON(res), nil
 	}
-}
-
-// newUncertaintyCache builds a cache of at most max completed runs
-// (max <= 0 selects 64).
-func newUncertaintyCache(max int, metrics *Metrics) *uncertaintyCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &uncertaintyCache{
-		max:     max,
-		entries: make(map[montecarlo.Config]*uncertaintyEntry),
-		metrics: metrics,
-	}
-}
-
-// get returns the wire payload for the config, calling run at most once
-// per normalized key no matter how many goroutines ask concurrently.
-// Failed and abandoned runs are not cached. run receives the normalized
-// key and a context cancelled only when every request waiting on the run
-// has gone away; ctx bounds only this caller's wait. The handler chooses
-// what run does — local Monte Carlo or a cluster scatter.
-func (c *uncertaintyCache) get(ctx context.Context, cfg montecarlo.Config, run func(ctx context.Context, key montecarlo.Config) (core.UncertaintyJSON, error)) (core.UncertaintyJSON, error) {
-	key := cfg.Normalized()
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		e.join()
-		c.mu.Unlock()
-		c.metrics.UncertaintyHits.Add(1)
-		return e.await(ctx)
-	}
-	runCtx, cancel := context.WithCancel(context.Background())
-	e := &uncertaintyEntry{ready: make(chan struct{}), cancel: cancel}
-	e.drop = func() {
-		c.mu.Lock()
-		if cur, ok := c.entries[key]; ok && cur == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	e.join() // the leader's own stake
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	c.metrics.UncertaintyRuns.Add(1)
-	go func() {
-		e.out, e.err = run(runCtx, key)
-		e.finish()
-		cancel() // release the context's timer resources
-
-		c.mu.Lock()
-		cur, resident := c.entries[key]
-		switch {
-		case !resident || cur != e:
-			// Abandoned in the final instant; nothing to cache.
-		case e.err != nil:
-			delete(c.entries, key)
-		default:
-			c.order = append(c.order, key)
-			for len(c.order) > c.max {
-				victim := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, victim)
-			}
-		}
-		c.mu.Unlock()
-	}()
-	return e.await(ctx)
-}
-
-// peek returns the completed payload for the config without joining the
-// entry — ready, successful runs only. The degraded serving path depends
-// on this: a shed request must never start a run, extend one, or hold a
-// cancellation stake in one.
-func (c *uncertaintyCache) peek(cfg montecarlo.Config) (core.UncertaintyJSON, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[cfg.Normalized()]
-	c.mu.Unlock()
-	if !ok {
-		return core.UncertaintyJSON{}, false
-	}
-	select {
-	case <-e.ready:
-	default:
-		return core.UncertaintyJSON{}, false
-	}
-	if e.err != nil {
-		return core.UncertaintyJSON{}, false
-	}
-	return e.out, true
-}
-
-// get returns the fitted study for the key, fitting the corpus regressions
-// at most once per key.
-func (c *studyCache) get(key studyKey, workers int, grid sweep.Params) (*core.Study, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		c.metrics.StudyHits.Add(1)
-		<-e.ready
-		return e.study, e.err
-	}
-	e := &studyEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	c.metrics.StudyFits.Add(1)
-	if key.published {
-		e.study = core.NewPublished()
-	} else {
-		e.study, e.err = core.New(key.seed)
-	}
-	if e.study != nil {
-		e.study.Workers = workers
-		e.study.Sweep = grid
-	}
-	close(e.ready)
-	if e.err != nil {
-		c.mu.Lock()
-		if cur, ok := c.entries[key]; ok && cur == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	return e.study, e.err
 }

@@ -76,7 +76,7 @@ func (s *Server) executeSlice(ctx context.Context, req *cluster.SliceRequest) (*
 		if req.Grid == nil {
 			return nil, fmt.Errorf("sweep slice carries no grid")
 		}
-		eng, err := s.engines.get(engineKey(req.Workload, req.Size))
+		eng, err := s.engine(req.Workload, req.Size)
 		if err != nil {
 			return nil, err
 		}
@@ -103,7 +103,7 @@ func (s *Server) executeSlice(ctx context.Context, req *cluster.SliceRequest) (*
 		if len(req.Designs) == 0 {
 			return nil, fmt.Errorf("search slice carries no designs")
 		}
-		eng, err := s.engines.get(engineKey(req.Workload, req.Size))
+		eng, err := s.engine(req.Workload, req.Size)
 		if err != nil {
 			return nil, err
 		}

@@ -66,13 +66,13 @@ func (s *Server) degradedSweepReq(w http.ResponseWriter, req *sweepRequest) bool
 	if err != nil || grid == nil {
 		return false
 	}
-	body := s.responses.get(respKey{
+	body, ok := s.responses.peek(respKey{
 		engine:    engineKey(req.Workload, req.Size),
 		objective: core.ObjectiveName(objective),
 		points:    req.IncludePoints,
 		grid:      gridFingerprint(*grid),
 	})
-	if body == nil {
+	if !ok {
 		return false
 	}
 	s.markDegraded(w)
@@ -96,7 +96,7 @@ func (s *Server) degradedUncertaintyReq(w http.ResponseWriter, req *uncertaintyR
 	if cfg.Validate() != nil {
 		return false
 	}
-	out, ok := s.uncertainty.peek(cfg)
+	out, ok := s.uncertainty.peek(cfg.Normalized())
 	if !ok {
 		return false
 	}

@@ -78,7 +78,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // design-point count, keyed by "workload@size".
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
-	snap["engines"] = s.engines.stats()
+	engines := make(map[string]any)
+	s.engines.each(func(key string, eng *sweep.Engine) {
+		walks, hits := eng.ScheduleCacheStats()
+		engines[key] = map[string]any{
+			"schedule_walks": walks,
+			"schedule_hits":  hits,
+			"cached_points":  eng.CachedPoints(),
+		}
+	})
+	snap["engines"] = engines
 	snap["resources"] = s.resourcesSnapshot()
 	if s.cluster != nil {
 		cl := s.cluster.Metrics.Snapshot(s.cluster)
@@ -449,7 +458,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	eng, err := s.engines.get(engineKey(req.Workload, req.Size))
+	eng, err := s.engine(req.Workload, req.Size)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -468,7 +477,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			points:    req.IncludePoints,
 			grid:      gridFingerprint(*grid),
 		}
-		if body := s.responses.get(rkey); body != nil {
+		if body, ok := s.responses.peek(rkey); ok {
 			s.metrics.SweepRespHits.Add(1)
 			writeJSONBytes(w, http.StatusOK, body)
 			return
@@ -524,7 +533,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	if cacheable {
 		if body, err := marshalJSONBody(resp); err == nil {
-			s.responses.put(rkey, body)
+			if len(body) <= maxCachedRespBytes {
+				s.responses.put(rkey, body)
+			}
 			writeJSONBytes(w, http.StatusOK, body)
 			return
 		}
@@ -604,7 +615,8 @@ func (s *Server) handleUncertainty(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	out, err := s.uncertainty.get(r.Context(), cfg, func(runCtx context.Context, key montecarlo.Config) (core.UncertaintyJSON, error) {
+	key := cfg.Normalized()
+	out, err := s.uncertainty.get(r.Context(), key, func(runCtx context.Context) (core.UncertaintyJSON, error) {
 		// Cluster mode: scatter the replicate range; the merged result is
 		// bit-identical to a local run, so a scatter failure just falls
 		// back to computing every replicate here.
@@ -619,7 +631,7 @@ func (s *Server) handleUncertainty(w http.ResponseWriter, r *http.Request) {
 				s.logf("cluster: uncertainty scatter failed, computing locally: %v", derr)
 			}
 		}
-		return localUncertaintyRun(workers)(runCtx, key)
+		return localUncertaintyRun(key, workers)(runCtx)
 	})
 	if err != nil {
 		if s.cancelled(w, r, err) {

@@ -89,9 +89,9 @@ type job struct {
 	mu       sync.Mutex
 	state    string
 	errMsg   string
-	done     int // completed work units per the newest snapshot
-	total    int // work units overall (0 until known)
-	resumed  int // work units restored from a snapshot instead of computed
+	done     int  // completed work units per the newest snapshot
+	total    int  // work units overall (0 until known)
+	resumed  int  // work units restored from a snapshot instead of computed
 	degraded bool // newest snapshot was diverted to memory (disk full)
 	result   json.RawMessage
 

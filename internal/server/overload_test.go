@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"accelwall/internal/core"
 	"accelwall/internal/faultinject"
 	"accelwall/internal/montecarlo"
 	"accelwall/internal/sweep"
@@ -290,8 +291,9 @@ func TestUncertaintyRefcountedCancel(t *testing.T) {
 	faultinject.Enable(inj)
 	t.Cleanup(faultinject.Disable)
 
-	c := newUncertaintyCache(4, NewMetrics())
-	cfg := montecarlo.Config{Replicates: 64, Seed: 5}
+	m := NewMetrics()
+	c := newMemo[montecarlo.Config, core.UncertaintyJSON](4, &m.UncertaintyHits, &m.UncertaintyRuns, nil)
+	cfg := montecarlo.Config{Replicates: 64, Seed: 5}.Normalized()
 
 	// Two waiters on one run; the first leaves early.
 	ctx1, cancel1 := context.WithCancel(context.Background())
@@ -300,14 +302,14 @@ func TestUncertaintyRefcountedCancel(t *testing.T) {
 	errs := make(chan error, 2)
 	go func() {
 		defer wg.Done()
-		_, err := c.get(ctx1, cfg, localUncertaintyRun(2))
+		_, err := c.get(ctx1, cfg, localUncertaintyRun(cfg, 2))
 		errs <- err
 	}()
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		cancel1()
 	}()
-	out, err := c.get(context.Background(), cfg, localUncertaintyRun(2))
+	out, err := c.get(context.Background(), cfg, localUncertaintyRun(cfg, 2))
 	errs <- err
 	wg.Wait()
 	if err != nil {
@@ -316,13 +318,13 @@ func TestUncertaintyRefcountedCancel(t *testing.T) {
 	if out.Replicates == 0 {
 		t.Error("surviving waiter got an empty payload")
 	}
-	if runs := c.metrics.UncertaintyRuns.Value(); runs != 1 {
+	if runs := m.UncertaintyRuns.Value(); runs != 1 {
 		t.Errorf("%d runs for one shared config, want 1", runs)
 	}
 
 	// Sole waiter abandons: the run is cancelled and not cached, so the
 	// next request re-runs it.
-	cfg2 := montecarlo.Config{Replicates: 256, Seed: 6}
+	cfg2 := montecarlo.Config{Replicates: 256, Seed: 6}.Normalized()
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	go func() {
 		for inj.Hits(montecarlo.SiteReplicate) < 70 { // past cfg's 64: cfg2 is running
@@ -330,13 +332,13 @@ func TestUncertaintyRefcountedCancel(t *testing.T) {
 		}
 		cancel2()
 	}()
-	if _, err := c.get(ctx2, cfg2, localUncertaintyRun(2)); err == nil {
+	if _, err := c.get(ctx2, cfg2, localUncertaintyRun(cfg2, 2)); err == nil {
 		t.Fatal("abandoned waiter got a result, want context error")
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		c.mu.Lock()
-		_, resident := c.entries[cfg2.Normalized()]
+		_, resident := c.entries[cfg2]
 		c.mu.Unlock()
 		if !resident {
 			break
@@ -346,11 +348,11 @@ func TestUncertaintyRefcountedCancel(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	runsBefore := c.metrics.UncertaintyRuns.Value()
-	if _, err := c.get(context.Background(), cfg2, localUncertaintyRun(2)); err != nil {
+	runsBefore := m.UncertaintyRuns.Value()
+	if _, err := c.get(context.Background(), cfg2, localUncertaintyRun(cfg2, 2)); err != nil {
 		t.Fatalf("re-request after abandonment: %v", err)
 	}
-	if c.metrics.UncertaintyRuns.Value() != runsBefore+1 {
+	if m.UncertaintyRuns.Value() != runsBefore+1 {
 		t.Error("abandoned run was served from cache instead of re-running")
 	}
 }

@@ -73,28 +73,51 @@ func TestSweepResponseCacheKeying(t *testing.T) {
 	}
 }
 
-// TestRespCacheLRU exercises the bound and eviction order directly.
+// TestRespCacheLRU exercises the response memo's bound and eviction
+// order directly.
 func TestRespCacheLRU(t *testing.T) {
-	c := newRespCache(2)
+	c := newMemo[respKey, []byte](2, nil, nil, nil)
 	k := func(i int) respKey { return respKey{engine: fmt.Sprintf("e%d", i)} }
+	has := func(i int) bool { _, ok := c.peek(k(i)); return ok }
 	c.put(k(1), []byte("one"))
 	c.put(k(2), []byte("two"))
-	if got := c.get(k(1)); got == nil { // touch 1: 2 becomes LRU
+	if !has(1) { // touch 1: 2 becomes LRU
 		t.Fatal("entry 1 missing")
 	}
 	c.put(k(3), []byte("three"))
-	if c.get(k(2)) != nil {
+	if has(2) {
 		t.Fatal("LRU entry 2 survived eviction")
 	}
-	if c.get(k(1)) == nil || c.get(k(3)) == nil {
+	if !has(1) || !has(3) {
 		t.Fatal("recent entries evicted")
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-	huge := make([]byte, maxCachedRespBytes+1)
-	c.put(k(4), huge)
-	if c.get(k(4)) != nil {
-		t.Fatal("oversized body was cached")
+}
+
+// TestSweepOversizedResponseNotCached: a grid-sweep body past
+// maxCachedRespBytes is served but never enters the response memo, so a
+// repeat misses again.
+func TestSweepOversizedResponseNotCached(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := `{"workload": "RED", "preset": "full", "include_points": true}`
+	for i := 0; i < 2; i++ {
+		status, body := post(t, ts.URL+"/v1/sweep", req)
+		if status != 200 {
+			t.Fatalf("sweep %d: %d %.200s", i, status, body)
+		}
+		if len(body) <= maxCachedRespBytes {
+			t.Fatalf("body is %d bytes, not past the %d-byte cap", len(body), maxCachedRespBytes)
+		}
+	}
+	if got := s.responses.len(); got != 0 {
+		t.Fatalf("resident bodies = %d, want 0", got)
+	}
+	if hits, misses := s.metrics.SweepRespHits.Value(), s.metrics.SweepRespMisses.Value(); hits != 0 || misses != 2 {
+		t.Fatalf("response hits/misses = %d/%d, want 0/2", hits, misses)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 
 	"accelwall/internal/core"
 	"accelwall/internal/resources"
@@ -140,152 +139,6 @@ func searchKey(engine string, cfg search.Config) string {
 	return b.String()
 }
 
-// searchCache memoizes search runs keyed by the normalized config
-// fingerprint, with the uncertainty cache's reference-counted
-// singleflight discipline: concurrent identical requests share one run,
-// the run is cancelled only when its last waiter goes away, and failed or
-// abandoned runs are never cached.
-type searchCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[string]*searchEntry
-	order   []string // ready keys in completion order
-	metrics *Metrics
-}
-
-type searchEntry struct {
-	ready chan struct{}
-	out   core.SearchJSON
-	err   error
-
-	mu      sync.Mutex
-	waiters int
-	done    bool
-	cancel  context.CancelFunc
-	drop    func()
-}
-
-func (e *searchEntry) join() {
-	e.mu.Lock()
-	e.waiters++
-	e.mu.Unlock()
-}
-
-func (e *searchEntry) leave() {
-	e.mu.Lock()
-	e.waiters--
-	abandon := e.waiters <= 0 && !e.done
-	e.mu.Unlock()
-	if abandon {
-		e.cancel()
-		e.drop()
-	}
-}
-
-func (e *searchEntry) finish() {
-	e.mu.Lock()
-	e.done = true
-	e.mu.Unlock()
-	close(e.ready)
-}
-
-func (e *searchEntry) await(ctx context.Context) (core.SearchJSON, error) {
-	stop := context.AfterFunc(ctx, e.leave)
-	select {
-	case <-e.ready:
-		if stop() {
-			e.leave()
-		}
-		return e.out, e.err
-	case <-ctx.Done():
-		return core.SearchJSON{}, ctx.Err()
-	}
-}
-
-// newSearchCache builds a cache of at most max completed runs (max <= 0
-// selects 64).
-func newSearchCache(max int, metrics *Metrics) *searchCache {
-	if max <= 0 {
-		max = 64
-	}
-	return &searchCache{
-		max:     max,
-		entries: make(map[string]*searchEntry),
-		metrics: metrics,
-	}
-}
-
-// get returns the wire payload for the key, running the search at most
-// once per key no matter how many goroutines ask concurrently. run
-// executes on a background context that is cancelled only when every
-// waiter has gone away; ctx bounds this caller's wait alone.
-func (c *searchCache) get(ctx context.Context, key string, run func(ctx context.Context) (core.SearchJSON, error)) (core.SearchJSON, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		e.join()
-		c.mu.Unlock()
-		c.metrics.SearchHits.Add(1)
-		return e.await(ctx)
-	}
-	runCtx, cancel := context.WithCancel(context.Background())
-	e := &searchEntry{ready: make(chan struct{}), cancel: cancel}
-	e.drop = func() {
-		c.mu.Lock()
-		if cur, ok := c.entries[key]; ok && cur == e {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-	}
-	e.join()
-	c.entries[key] = e
-	c.mu.Unlock()
-
-	c.metrics.SearchRuns.Add(1)
-	go func() {
-		e.out, e.err = run(runCtx)
-		e.finish()
-		cancel()
-
-		c.mu.Lock()
-		cur, resident := c.entries[key]
-		switch {
-		case !resident || cur != e:
-			// Abandoned in the final instant; nothing to cache.
-		case e.err != nil:
-			delete(c.entries, key)
-		default:
-			c.order = append(c.order, key)
-			for len(c.order) > c.max {
-				victim := c.order[0]
-				c.order = c.order[1:]
-				delete(c.entries, victim)
-			}
-		}
-		c.mu.Unlock()
-	}()
-	return e.await(ctx)
-}
-
-// peek returns the completed payload for the key without joining the
-// entry — ready, successful runs only. See uncertaintyCache.peek.
-func (c *searchCache) peek(key string) (core.SearchJSON, bool) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	c.mu.Unlock()
-	if !ok {
-		return core.SearchJSON{}, false
-	}
-	select {
-	case <-e.ready:
-	default:
-		return core.SearchJSON{}, false
-	}
-	if e.err != nil {
-		return core.SearchJSON{}, false
-	}
-	return e.out, true
-}
-
 // handleSearch serves synchronous design-space searches on the workload's
 // cached engine. Deterministic in everything but pool width, so completed
 // frontiers are memoized on the normalized config; concurrent identical
@@ -319,7 +172,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	eng, err := s.engines.get(engineKey(req.Workload, req.Size))
+	eng, err := s.engine(req.Workload, req.Size)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

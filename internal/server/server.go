@@ -1,10 +1,11 @@
 // Package server is the HTTP/JSON serving layer over the accelerator-wall
 // model stack: the accelwalld daemon. Where the accelwall CLI re-fits the
 // datasheet corpus and re-compiles workload graphs on every invocation,
-// the server holds that state for the life of the process — fitted studies
-// per seed, and an LRU of compiled sweep engines (each carrying its
-// memoized simulations) with singleflight deduplication so concurrent
-// identical requests compile a workload exactly once.
+// the server holds that state for the life of the process. Compiled sweep
+// engines (each carrying its memoized simulations), fitted studies, Monte
+// Carlo runs, search frontiers and marshaled sweep bodies all live in one
+// kind of bounded LRU memo (memo.go) with singleflight loads, so
+// concurrent identical requests compile a workload exactly once.
 //
 // Endpoint groups (see docs/API.md for the wire formats):
 //
@@ -48,6 +49,7 @@ import (
 
 	"accelwall/internal/cluster"
 	"accelwall/internal/core"
+	"accelwall/internal/montecarlo"
 	"accelwall/internal/resilience"
 	"accelwall/internal/resources"
 	"accelwall/internal/sweep"
@@ -210,11 +212,11 @@ func (o *Options) normalize() {
 type Server struct {
 	opts        Options
 	metrics     *Metrics
-	engines     *engineCache
-	responses   *respCache // marshaled grid-sweep bodies
-	studies     *studyCache
-	uncertainty *uncertaintyCache
-	searches    *searchCache
+	engines     *memo[string, *sweep.Engine] // keyed by engineKey
+	responses   *memo[respKey, []byte]       // marshaled grid-sweep bodies
+	studies     *memo[studyKey, *core.Study]
+	uncertainty *memo[montecarlo.Config, core.UncertaintyJSON] // keyed by normalized config
+	searches    *memo[string, core.SearchJSON]                 // keyed by searchKey
 	adm         *admission
 	budget      *resources.Budget // memory-budgeted admission ledger
 	jobs        *jobManager       // nil unless Options.JobsDir is set
@@ -254,11 +256,12 @@ func New(opts Options) (*Server, error) {
 	} else {
 		resources.DisableWatchdog()
 	}
-	s.engines = newEngineCache(opts.EngineCacheSize, s.metrics, s.loadEngine)
-	s.responses = newRespCache(0)
-	s.studies = newStudyCache(s.metrics)
-	s.uncertainty = newUncertaintyCache(0, s.metrics)
-	s.searches = newSearchCache(0, s.metrics)
+	m := s.metrics
+	s.engines = newMemo[string, *sweep.Engine](opts.EngineCacheSize, &m.EngineHits, &m.EngineMisses, &m.EngineEvicted)
+	s.responses = newMemo[respKey, []byte](memoBound, nil, nil, nil)
+	s.studies = newMemo[studyKey, *core.Study](memoBound, &m.StudyHits, &m.StudyFits, nil)
+	s.uncertainty = newMemo[montecarlo.Config, core.UncertaintyJSON](memoBound, &m.UncertaintyHits, &m.UncertaintyRuns, nil)
+	s.searches = newMemo[string, core.SearchJSON](memoBound, &m.SearchHits, &m.SearchRuns, nil)
 	if len(opts.APIKeys) > 0 {
 		s.tenants = newTenantLimiter(opts.APIKeys)
 	}
@@ -341,19 +344,6 @@ func (s *Server) Close() {
 		s.jobs.interrupt()
 		s.jobs.waitAll()
 	}
-}
-
-// study returns the fitted study for a configuration, memoized across
-// requests.
-func (s *Server) study(published bool, seed int64) (*core.Study, error) {
-	if seed == 0 {
-		seed = s.opts.Seed
-	}
-	grid := sweep.Reduced()
-	if s.opts.FullGrid {
-		grid = sweep.Default()
-	}
-	return s.studies.get(studyKey{published: published, seed: seed}, s.opts.Workers, grid)
 }
 
 // routes assembles the handler tree: observability endpoints bypass the

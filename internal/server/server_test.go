@@ -149,6 +149,60 @@ func TestCSREndpoint(t *testing.T) {
 	}
 }
 
+// TestCSRStudyMemoBound: studies are keyed by the client's seed, so the
+// study memo is bounded; seeds past the bound evict the least recent, and
+// an evicted seed is fitted again.
+func TestCSRStudyMemoBound(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	csr := func(seed int) {
+		t.Helper()
+		req := fmt.Sprintf(`{"target": "performance", "seed": %d, "observations": [
+			{"name": "old", "gain": 1.0, "year": 2006, "chip": {"node_nm": 65, "die_mm2": 10, "tdp_w": 5, "freq_ghz": 0.35}},
+			{"name": "new", "gain": 8.0, "year": 2012, "chip": {"node_nm": 28, "die_mm2": 10, "tdp_w": 5, "freq_ghz": 0.5}}]}`, seed)
+		if status, body := post(t, ts.URL+"/v1/csr", req); status != http.StatusOK {
+			t.Fatalf("csr seed %d: %d %s", seed, status, body)
+		}
+	}
+	for seed := 1; seed <= memoBound+2; seed++ {
+		csr(seed)
+	}
+	if got := s.studies.len(); got > memoBound {
+		t.Fatalf("resident studies = %d, want at most %d", got, memoBound)
+	}
+	fits := s.metrics.StudyFits.Value()
+	csr(1) // the least recent seed: evicted
+	if got := s.metrics.StudyFits.Value(); got != fits+1 {
+		t.Fatalf("re-requesting an evicted seed: fits %d -> %d, want one refit", fits, got)
+	}
+}
+
+// TestEngineWorkloadNamesWithAt: a workload name that merely looks like an
+// engine key ("FFT@bogus", "FFT@7") is an unknown workload on both the
+// sweep and search endpoints, and compiles nothing.
+func TestEngineWorkloadNamesWithAt(t *testing.T) {
+	s := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, name := range []string{"FFT@bogus", "FFT@7"} {
+		for path, body := range map[string]string{
+			"/v1/sweep":  fmt.Sprintf(`{"workload": %q, "designs": [{"node_nm": 45, "partition": 1, "simplification": 1}]}`, name),
+			"/v1/search": fmt.Sprintf(`{"workload": %q, "generations": 2, "population": 8}`, name),
+		} {
+			status, out := post(t, ts.URL+path, body)
+			if status != http.StatusBadRequest || !bytes.Contains(out, []byte("unknown workload")) {
+				t.Errorf("%s %s: %d %s, want 400 unknown workload", path, name, status, out)
+			}
+		}
+	}
+	if got := s.metrics.Compiles.Value(); got != 0 {
+		t.Fatalf("compiles = %d, want 0", got)
+	}
+}
+
 func TestProjectionEndpoint(t *testing.T) {
 	ts := httptest.NewServer(newTestServer(t, Options{}).Handler())
 	defer ts.Close()

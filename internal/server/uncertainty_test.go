@@ -133,12 +133,18 @@ func TestUncertaintyBadRequests(t *testing.T) {
 	}
 }
 
-// TestUncertaintyEvictionBound checks the FIFO cap holds: distinct configs
-// beyond the bound evict the oldest completed entry.
+// TestUncertaintyEvictionBound checks the memo bound holds: distinct
+// configs beyond it evict the least-recent completed entry.
 func TestUncertaintyEvictionBound(t *testing.T) {
-	c := newUncertaintyCache(2, NewMetrics())
+	m := NewMetrics()
+	c := newMemo[montecarlo.Config, core.UncertaintyJSON](2, &m.UncertaintyHits, &m.UncertaintyRuns, nil)
+	get := func(seed int64) error {
+		key := montecarlo.Config{Replicates: 10, Seed: seed}.Normalized()
+		_, err := c.get(context.Background(), key, localUncertaintyRun(key, 2))
+		return err
+	}
 	for seed := int64(1); seed <= 3; seed++ {
-		if _, err := c.get(context.Background(), montecarlo.Config{Replicates: 10, Seed: seed}, localUncertaintyRun(2)); err != nil {
+		if err := get(seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
@@ -149,9 +155,8 @@ func TestUncertaintyEvictionBound(t *testing.T) {
 		t.Errorf("cache holds %d entries, want 2 after eviction", n)
 	}
 	// The evicted seed re-runs, the resident ones hit.
-	m := c.metrics
 	runsBefore := m.UncertaintyRuns.Value()
-	if _, err := c.get(context.Background(), montecarlo.Config{Replicates: 10, Seed: 1}, localUncertaintyRun(2)); err != nil {
+	if err := get(1); err != nil {
 		t.Fatal(err)
 	}
 	if m.UncertaintyRuns.Value() != runsBefore+1 {
