@@ -3,7 +3,9 @@ package montecarlo
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -41,3 +43,60 @@ func TestSnapshotFormatPinned(t *testing.T) {
 
 // pinOf summarizes a payload as its length and SHA-256.
 func pinOf(p []byte) string { return fmt.Sprintf("%d:%x", len(p), sha256.Sum256(p)) }
+
+// TestResultDigestPinned pins full reduced Results: a SHA-256 over the
+// IEEE-754 bits of every band, point estimate and probability, plus the
+// usable and failed replicate counts, for two (corpus, seed, replicates)
+// runs. Any change to the replicate pipeline that moves a single bit of
+// output fails it.
+func TestResultDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		corpus, seed int64
+		replicates   int
+		want         string
+	}{
+		{1, 1, 57, "57/0:b5f1a7879c1d5c053670b2ac5b54dea3b0f2c702396ff0f9400413abab0d0aa7"},
+		{7, 424242, 10, "10/0:56b2406769bb1bca61f1cbe256a24693df41f12bd0fe2870ec201d669fa5422f"},
+	} {
+		e, err := New(tc.corpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run(Config{Replicates: tc.replicates, Seed: tc.seed, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resultDigest(res); got != tc.want {
+			t.Errorf("corpus %d seed %d replicates %d: digest %s, want %s", tc.corpus, tc.seed, tc.replicates, got, tc.want)
+		}
+	}
+}
+
+// resultDigest hashes every float of a Result in field order.
+func resultDigest(r *Result) string {
+	h := sha256.New()
+	put := func(vs ...float64) {
+		var b [8]byte
+		for _, v := range vs {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	band := func(b Band) { put(b.P5, b.P25, b.P50, b.P75, b.P95, b.Lo, b.Hi) }
+	put(float64(r.Replicates), float64(r.Failed))
+	band(r.AreaFitA)
+	band(r.AreaFitB)
+	for _, n := range r.Nodes {
+		put(n.NodeNM)
+		band(n.Throughput)
+		band(n.Efficiency)
+	}
+	for _, d := range r.Domains {
+		put(float64(d.Domain), float64(d.Target), d.PointRemainLog, d.PointRemainLinear, d.PBelowTargetLog, d.PBelowTargetLinear)
+		band(d.PhysLimit)
+		band(d.RemainLog)
+		band(d.RemainLinear)
+		band(d.FinalCSR)
+	}
+	return fmt.Sprintf("%d/%d:%x", r.Replicates, r.Failed, h.Sum(nil))
+}
