@@ -22,6 +22,7 @@ package budget
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"accelwall/internal/chipdb"
@@ -52,32 +53,98 @@ type Model struct {
 // contain at least two chips overall and at least two chips in every era it
 // covers; eras with no chips are simply absent from ByEra.
 func Fit(c *chipdb.Corpus) (*Model, error) {
+	p, err := Compile(c)
+	if err != nil {
+		return nil, err
+	}
+	return p.Fit(nil, nil)
+}
+
+// Compiled is a corpus prepared for repeated fits, so that a bootstrap
+// resample is an index draw rather than a chip copy. It is immutable and
+// safe for concurrent Fit calls.
+type Compiled struct {
+	chips []fitChip
+}
+
+// fitChip is one chip's fit inputs, stored together so a draw reads one record.
+type fitChip struct {
+	logD, logTC    float64  // Figure 3b: ln D and ln TC
+	logTDP, logTCf float64  // Figure 3c: ln TDP and ln TC·f
+	era            cmos.Era // noEra outside the modeled range
+}
+
+// noEra marks a node outside the modeled eras, which ByEra skips.
+const noEra cmos.Era = -1
+
+// Compile takes the per-chip logarithms and eras of a corpus. It rejects a
+// corpus of fewer than two chips, and a non-positive observation on either
+// regression, which no sample holding that chip could fit.
+func Compile(c *chipdb.Corpus) (*Compiled, error) {
 	if c == nil || c.Len() < 2 {
 		return nil, fmt.Errorf("budget: corpus too small to fit (%d chips)", corpusLen(c))
 	}
-	xs := make([]float64, 0, c.Len())
-	ys := make([]float64, 0, c.Len())
-	for _, ch := range c.Chips {
-		xs = append(xs, ch.DensityFactor())
-		ys = append(ys, ch.Transistors)
+	p := &Compiled{chips: make([]fitChip, c.Len())}
+	for i, ch := range c.Chips {
+		era, err := cmos.EraOf(ch.NodeNM)
+		if err != nil {
+			era = noEra
+		}
+		d, tc, tdp, tcf := ch.DensityFactor(), ch.Transistors, ch.TDPW, ch.TCf()
+		if d <= 0 || tc <= 0 || era != noEra && (tdp <= 0 || tcf <= 0) {
+			return nil, fmt.Errorf("%w: chip %q has a non-positive fit observation", stats.ErrDomain, ch.Name)
+		}
+		p.chips[i] = fitChip{math.Log(d), math.Log(tc), math.Log(tdp), math.Log(tcf), era}
 	}
-	tc, err := stats.FitPowerLaw(xs, ys)
+	return p, nil
+}
+
+// FitScratch holds one goroutine's gather buffers across Compiled.Fit calls.
+type FitScratch struct {
+	x, y       []float64
+	eraX, eraY [int(cmos.Era10to5) + 1][]float64
+}
+
+// Fit fits the sample that idx selects (chip indices, repeats allowed; nil
+// selects the whole corpus). It is bit-identical to fitting the gathered
+// chips: gathered logs equal logs of gathered values, and eras are bucketed
+// in one pass that keeps sample order, so every sum keeps its order. s may
+// be nil.
+func (p *Compiled) Fit(idx []int, s *FitScratch) (*Model, error) {
+	if s == nil {
+		s = &FitScratch{}
+	}
+	if idx == nil {
+		idx = make([]int, len(p.chips))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	s.x, s.y = s.x[:0], s.y[:0]
+	for e := range s.eraX {
+		s.eraX[e], s.eraY[e] = s.eraX[e][:0], s.eraY[e][:0]
+	}
+	for _, i := range idx {
+		f := &p.chips[i]
+		s.x, s.y = append(s.x, f.logD), append(s.y, f.logTC)
+		if f.era != noEra {
+			s.eraX[f.era], s.eraY[f.era] = append(s.eraX[f.era], f.logTDP), append(s.eraY[f.era], f.logTCf)
+		}
+	}
+	tc, err := stats.FitPowerLawLogs(s.x, s.y)
 	if err != nil {
 		return nil, fmt.Errorf("budget: fitting area model: %w", err)
 	}
 	m := &Model{TC: tc, ByEra: make(map[cmos.Era]EraFit)}
-	for era, sub := range c.ByEra() {
-		ex := make([]float64, 0, sub.Len())
-		ey := make([]float64, 0, sub.Len())
-		for _, ch := range sub.Chips {
-			ex = append(ex, ch.TDPW)
-			ey = append(ey, ch.TCf())
+	for era, ex := range s.eraX {
+		if len(ex) == 0 {
+			continue
 		}
-		curve, err := stats.FitPowerLaw(ex, ey)
+		curve, err := stats.FitPowerLawLogs(ex, s.eraY[era])
 		if err != nil {
-			return nil, fmt.Errorf("budget: fitting power model for era %v: %w", era, err)
+			return nil, fmt.Errorf("budget: fitting power model for era %v: %w", cmos.Era(era), err)
 		}
-		m.ByEra[era] = EraFit{Era: era, Curve: curve, N: sub.Len()}
+		m.ByEra[cmos.Era(era)] = EraFit{Era: cmos.Era(era), Curve: curve, N: len(ex)}
 	}
 	return m, nil
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
+	"sync"
 
 	"accelwall/internal/csr"
 	"accelwall/internal/gains"
@@ -290,46 +291,109 @@ func appWindow(i int) (from, to float64) {
 	return 2005 + 0.4*float64(i), 2011 + 0.4*float64(i)
 }
 
-// archAppGains builds the architecture → application gain table feeding
-// BuildRelations, using each architecture's flagship chip and the given
-// gains model.
-func archAppGains(m *gains.Model, target gains.Target) (csr.AppGains, map[string]GPUChip, error) {
-	flagships := make(map[string]GPUChip)
+// gpuPlan is the Figures 6/7 relation study compiled once: only each
+// flagship's physical ratio to Tesla@65 depends on the gains model, so the
+// app gain table's shape, the Equation 3 pairs and the order the Equation
+// 4 closure adds the rest are constant. Evaluating the plan computes the
+// float expressions csr.BuildRelations (threshold 5) computes over the
+// gain table, in the same order, so it matches that reference bit for bit.
+type gpuPlan struct {
+	flagships []GPUChip  // earliest high-end chip per arch, in sorted "Arch@node" order
+	tesla     int        // index of the Tesla@65 baseline
+	apps      []planApp  // each flagship's in-window apps, by flagship then GPUApps order
+	steps     []planStep // Equation 3 pairs in (x, y) order, then Equation 4 pairs in closure order
+}
+
+// planApp is one app gain, scale·phys·factor·wobble, where phys and the
+// perf or eff factor belong to flagship arch.
+type planApp struct {
+	arch                     int
+	scale, wobble, perf, eff float64
+}
+
+// planStep sets rel[at] (at = x·n+y) to the geometric mean over k of
+// appGains[a[k]]/appGains[b[k]] for an Equation 3 step, in shared-app name
+// order, or of rel[a[k]]·rel[b[k]] for an Equation 4 step, in via order.
+type planStep struct {
+	at     int
+	a, b   []int
+	direct bool
+}
+
+var gpuRelations = sync.OnceValues(compileGPUPlan)
+
+func compileGPUPlan() (*gpuPlan, error) {
+	byKey := make(map[string]GPUChip)
 	for _, c := range GPUChips() {
-		if !c.HighEnd {
-			continue
-		}
-		key := c.archKey()
-		if prev, ok := flagships[key]; !ok || c.Year < prev.Year {
-			flagships[key] = c
+		if prev, ok := byKey[c.archKey()]; c.HighEnd && (!ok || c.Year < prev.Year) {
+			byKey[c.archKey()] = c
 		}
 	}
-	tesla := flagships["Tesla@65"]
-	ag := make(csr.AppGains)
-	for key, chip := range flagships {
+	keys := make([]string, 0, len(byKey))
+	for key := range byKey {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	n, apps := len(keys), GPUApps()
+	p := &gpuPlan{tesla: sort.SearchStrings(keys, "Tesla@65")}
+	pos := make([][]int, n) // pos[a][i]: index in p.apps of a's gain on apps[i], or -1
+	for a, key := range keys {
 		ret, ok := gpuArchReturns[key]
 		if !ok {
-			return nil, nil, fmt.Errorf("casestudy: no specialization return for %s", key)
+			return nil, fmt.Errorf("casestudy: no specialization return for %s", key)
 		}
-		factor := ret.perf
-		if target == gains.TargetEfficiency {
-			factor = ret.eff
-		}
-		phys, err := m.Ratio(target, chip.config(), tesla.config())
-		if err != nil {
-			return nil, nil, fmt.Errorf("casestudy: relations for %s: %w", key, err)
-		}
-		apps := make(map[string]float64)
-		for i, app := range GPUApps() {
-			from, to := appWindow(i)
-			if chip.Year < from || chip.Year > to {
-				continue
+		chip := byKey[key]
+		p.flagships, pos[a] = append(p.flagships, chip), make([]int, len(apps))
+		for i, app := range apps {
+			pos[a][i] = -1
+			if from, to := appWindow(i); chip.Year >= from && chip.Year <= to {
+				pos[a][i] = len(p.apps)
+				p.apps = append(p.apps, planApp{a, 100 / float64(i+1), wobble(chip.Name, app.Name), ret.perf, ret.eff})
 			}
-			apps[app.Name] = 100 / float64(i+1) * phys * factor * wobble(chip.Name, app.Name)
 		}
-		ag[key] = apps
 	}
-	return ag, flagships, nil
+
+	related := make([]bool, n*n)
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			var shared []int
+			for i := range apps {
+				if x != y && pos[x][i] >= 0 && pos[y][i] >= 0 {
+					shared = append(shared, i)
+				}
+			}
+			sort.Slice(shared, func(i, j int) bool { return apps[shared[i]].Name < apps[shared[j]].Name })
+			st := planStep{at: x*n + y, direct: true}
+			for _, i := range shared {
+				st.a, st.b = append(st.a, pos[x][i]), append(st.b, pos[y][i])
+			}
+			if len(shared) >= 5 {
+				p.steps, related[st.at] = append(p.steps, st), true
+			}
+		}
+	}
+	for added := true; added; {
+		added = false
+		for x := 0; x < n; x++ {
+			for y := 0; y < n; y++ {
+				st := planStep{at: x*n + y}
+				for v := 0; v < n && x != y && !related[st.at]; v++ {
+					if v != x && v != y && related[x*n+v] && related[v*n+y] {
+						st.a, st.b = append(st.a, x*n+v), append(st.b, v*n+y)
+					}
+				}
+				if len(st.a) > 0 {
+					p.steps, related[st.at], added = append(p.steps, st), true, true
+				}
+			}
+		}
+	}
+	for a, key := range keys {
+		if a != p.tesla && !related[a*n+p.tesla] {
+			return nil, fmt.Errorf("casestudy: chaining %s: %w", key, csr.ErrNoRelation)
+		}
+	}
+	return p, nil
 }
 
 // ArchPoint is one architecture implementation of Figures 6/7: its
@@ -354,37 +418,50 @@ func ArchScaling(target gains.Target) ([]ArchPoint, error) {
 // ArchScalingWith is ArchScaling evaluated against a caller-supplied gains
 // model (nil selects the study's default), so the Monte Carlo uncertainty
 // engine can rerun the study under a refitted budget and jittered scaling
-// table.
+// table. It evaluates the compiled relation plan.
 func ArchScalingWith(m *gains.Model, target gains.Target) ([]ArchPoint, error) {
-	if m == nil {
-		m = gpuModel()
-	}
-	ag, flagships, err := archAppGains(m, target)
+	p, err := gpuRelations()
 	if err != nil {
 		return nil, err
 	}
-	rm, err := csr.BuildRelations(ag, 5)
-	if err != nil {
-		return nil, fmt.Errorf("casestudy: building GPU relations: %w", err)
+	if m == nil {
+		m = gpuModel()
 	}
-	tesla := flagships["Tesla@65"]
-	var out []ArchPoint
-	for key, chip := range flagships {
-		rel, err := rm.ChainGain(key, "Tesla@65")
-		if err != nil {
-			return nil, fmt.Errorf("casestudy: chaining %s: %w", key, err)
+	n := len(p.flagships)
+	phys := make([]float64, n)
+	for a, chip := range p.flagships {
+		if phys[a], err = m.Ratio(target, chip.config(), p.flagships[p.tesla].config()); err != nil {
+			return nil, fmt.Errorf("casestudy: relations for %s: %w", chip.archKey(), err)
 		}
-		phys, err := m.Ratio(target, chip.config(), tesla.config())
-		if err != nil {
-			return nil, err
+	}
+	appGains := make([]float64, len(p.apps))
+	for j, app := range p.apps {
+		factor := app.perf
+		if target == gains.TargetEfficiency {
+			factor = app.eff
 		}
-		out = append(out, ArchPoint{
-			Arch:    chip.Arch,
-			NodeNM:  chip.NodeNM,
-			Year:    chip.Year,
-			RelGain: rel,
-			CSR:     rel / phys,
-		})
+		appGains[j] = app.scale * phys[app.arch] * factor * app.wobble
+	}
+	rel := make([]float64, n*n)
+	rel[p.tesla*n+p.tesla] = 1 // ChainGain(x, x)
+	var terms []float64
+	for _, st := range p.steps {
+		terms = terms[:0]
+		for k := range st.a {
+			if st.direct {
+				terms = append(terms, appGains[st.a[k]]/appGains[st.b[k]])
+			} else {
+				terms = append(terms, rel[st.a[k]]*rel[st.b[k]])
+			}
+		}
+		if rel[st.at], err = stats.GeoMean(terms); err != nil {
+			return nil, fmt.Errorf("casestudy: building GPU relations: %w", err)
+		}
+	}
+	out := make([]ArchPoint, 0, n)
+	for a, c := range p.flagships {
+		gain := rel[a*n+p.tesla]
+		out = append(out, ArchPoint{Arch: c.Arch, NodeNM: c.NodeNM, Year: c.Year, RelGain: gain, CSR: gain / phys[a]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Year < out[j].Year })
 	return out, nil

@@ -129,29 +129,6 @@ func (c *Corpus) OfKind(k Kind) *Corpus {
 	return c.Filter(func(ch Chip) bool { return ch.Kind == k })
 }
 
-// Resample returns a case-resampled (bootstrap) corpus: Len() chips drawn
-// from this corpus with replacement using rng, consuming exactly Len()
-// draws.
-func (c *Corpus) Resample(rng *rand.Rand) *Corpus {
-	return c.ResampleInto(rng, nil)
-}
-
-// ResampleInto is Resample writing into buf's backing array when it has
-// the capacity, so per-replicate callers (the Monte Carlo uncertainty
-// engine draws one resample per replicate from per-worker scratch) avoid
-// reallocating the chip slice every time. The returned corpus aliases buf.
-func (c *Corpus) ResampleInto(rng *rand.Rand, buf []Chip) *Corpus {
-	n := len(c.Chips)
-	if cap(buf) < n {
-		buf = make([]Chip, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = c.Chips[rng.Intn(n)]
-	}
-	return &Corpus{Chips: buf}
-}
-
 // ByEra groups chips into the node eras of Figure 3b/3c. Chips whose node
 // falls outside the modeled range are skipped.
 func (c *Corpus) ByEra() map[cmos.Era]*Corpus {

@@ -11,8 +11,10 @@ const benchReplicates = 40
 
 // BenchmarkUncertainty measures full Monte Carlo runs (resample + refit +
 // jitter + 8 projections per replicate) at several pool widths. One engine
-// is shared across iterations, matching how the server amortizes the base
-// fit.
+// is shared across iterations, so engine construction (corpus generation,
+// compile, base fit and projections) is left out. The server does not
+// share engines: a memo miss goes through montecarlo.RunContext, which
+// builds a fresh engine with New on every request.
 func BenchmarkUncertainty(b *testing.B) {
 	e, err := New(1)
 	if err != nil {

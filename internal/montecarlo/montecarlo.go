@@ -19,9 +19,10 @@
 // PRNG substream from the root seed with a SplitMix64 mix, writes into its
 // own slot of the output slice, and the reducer sorts samples before
 // banding — so results are bit-identical regardless of worker count and of
-// the order replicates happen to finish in. The fitted base study (corpus
-// and base budget fit) is shared read-only across workers; per-replicate
-// cost is refit + project, not rebuild.
+// the order replicates happen to finish in. What every replicate repeats
+// is compiled once and shared read-only: the corpus's per-chip Figure
+// 3b/3c logarithms and eras (a resample is an index draw), the base point
+// projections, and the GPU study's relation plan (package casestudy).
 package montecarlo
 
 import (
@@ -223,22 +224,41 @@ const (
 	nodePotentialTDP = 250.0
 )
 
-// Engine runs replicates over one fitted base study. The engine is
+// Engine runs replicates over one compiled corpus. The engine is
 // immutable after construction and safe for concurrent Run calls.
 type Engine struct {
-	corpus *chipdb.Corpus
-	base   *budget.Model
+	corpus *budget.Compiled
+	n      int           // corpus size: draws per resample
+	cells  []DomainBands // base point estimates per cell, in reduce order
 }
 
-// NewEngine fits the base study over the given corpus. The corpus is
-// retained and resampled by every replicate; it must not be mutated
-// afterwards.
+// NewEngine compiles the corpus, fits the base study over it and projects
+// the base point estimates. The corpus is not retained.
 func NewEngine(corpus *chipdb.Corpus) (*Engine, error) {
-	base, err := budget.Fit(corpus)
+	compiled, err := budget.Compile(corpus)
 	if err != nil {
 		return nil, fmt.Errorf("montecarlo: base fit: %w", err)
 	}
-	return &Engine{corpus: corpus, base: base}, nil
+	e := &Engine{corpus: compiled, n: corpus.Len()}
+	base, err := compiled.Fit(nil, nil)
+	if err != nil {
+		return nil, fmt.Errorf("montecarlo: base fit: %w", err)
+	}
+	for _, target := range targets() {
+		for _, d := range casestudy.Domains() {
+			p, err := projection.ProjectEnv(projection.Env{Budget: base}, d, target)
+			if err != nil {
+				return nil, fmt.Errorf("montecarlo: base projection for %v: %w", d, err)
+			}
+			e.cells = append(e.cells, DomainBands{
+				Domain:            d,
+				Target:            target,
+				PointRemainLog:    p.RemainLog,
+				PointRemainLinear: p.RemainLinear,
+			})
+		}
+	}
+	return e, nil
 }
 
 // New builds an engine over the synthetic datasheet corpus of the given
@@ -303,14 +323,26 @@ func targets() []gains.Target {
 	return []gains.Target{gains.TargetThroughput, gains.TargetEfficiency}
 }
 
+// scratch is one worker's reusable replicate buffers: the resample's
+// index draw and the fit's gather buffers.
+type scratch struct {
+	sample []int
+	fit    budget.FitScratch
+}
+
 // replicate evaluates replicate idx. The rng consumption order is fixed —
 // corpus resample first, then table jitter — and must never depend on
-// worker identity.
-func (e *Engine) replicate(cfg Config, idx int, scratch *[]chipdb.Chip) (replicateOut, error) {
+// worker identity. The resample is a case (bootstrap) resample drawn as
+// Len() chip indices with replacement.
+func (e *Engine) replicate(cfg Config, idx int, s *scratch) (replicateOut, error) {
 	rng := rand.New(rand.NewSource(substream(cfg.Seed, idx)))
-	sample := e.corpus.ResampleInto(rng, *scratch)
-	*scratch = sample.Chips
-	b, err := budget.Fit(sample)
+	if s.sample == nil {
+		s.sample = make([]int, e.n)
+	}
+	for i := range s.sample {
+		s.sample[i] = rng.Intn(e.n)
+	}
+	b, err := e.corpus.Fit(s.sample, &s.fit)
 	if err != nil {
 		return replicateOut{}, err
 	}
@@ -378,7 +410,7 @@ var SiteReplicate = faultinject.Register("montecarlo.replicate")
 // replicateSafe evaluates one replicate, converting a panic anywhere in
 // the refit/projection pipeline (including an injected one) into a
 // failed-replicate error so the worker goroutine survives it.
-func (e *Engine) replicateSafe(cfg Config, idx int, scratch *[]chipdb.Chip) (out replicateOut, err error) {
+func (e *Engine) replicateSafe(cfg Config, idx int, s *scratch) (out replicateOut, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			out, err = replicateOut{}, fmt.Errorf("montecarlo: replicate %d panic: %v", idx, v)
@@ -387,7 +419,7 @@ func (e *Engine) replicateSafe(cfg Config, idx int, scratch *[]chipdb.Chip) (out
 	if err := faultinject.Hit(SiteReplicate); err != nil {
 		return replicateOut{}, fmt.Errorf("montecarlo: %w", err)
 	}
-	return e.replicate(cfg, idx, scratch)
+	return e.replicate(cfg, idx, s)
 }
 
 // runReplicates executes the replicate pool and returns the raw slots;
@@ -414,10 +446,10 @@ func (e *Engine) runReplicates(ctx context.Context, cfg Config) []replicateOut {
 // snapshot restores it as faithfully as recomputing.
 func (e *Engine) runReplicatesInto(ctx context.Context, cfg Config, outs []replicateOut, start int, tr *checkpoint.Tracker) {
 	resources.RunChunks(ctx, cfg.Replicates, start, cfg.Workers,
-		func(i int, scratch *[]chipdb.Chip) replicateOut {
+		func(i int, s *scratch) replicateOut {
 			// A failed replicate comes back zero (ok=false); the bands
 			// skip it, so its error has nothing left to report.
-			out, _ := e.replicateSafe(cfg, i, scratch)
+			out, _ := e.replicateSafe(cfg, i, s)
 			return out
 		},
 		func(i int, out replicateOut) {
@@ -500,49 +532,34 @@ func (e *Engine) reduce(cfg Config, outs []replicateOut) (*Result, error) {
 		res.Nodes = append(res.Nodes, nb)
 	}
 
-	cell := 0
-	for _, target := range targets() {
-		for _, d := range casestudy.Domains() {
-			k := cell
-			cell++
-			base, err := projection.ProjectEnv(projection.Env{Budget: e.base}, d, target)
-			if err != nil {
-				return nil, fmt.Errorf("montecarlo: base projection for %v: %w", d, err)
-			}
-			db := DomainBands{
-				Domain:            d,
-				Target:            target,
-				PointRemainLog:    base.RemainLog,
-				PointRemainLinear: base.RemainLinear,
-			}
-			if db.PhysLimit, err = band(collect(func(o replicateOut) float64 { return o.domains[k].physLimit }), cfg.Confidence); err != nil {
-				return nil, err
-			}
-			if db.RemainLog, err = band(collect(func(o replicateOut) float64 { return o.domains[k].remainLog }), cfg.Confidence); err != nil {
-				return nil, err
-			}
-			if db.RemainLinear, err = band(collect(func(o replicateOut) float64 { return o.domains[k].remainLinear }), cfg.Confidence); err != nil {
-				return nil, err
-			}
-			if db.FinalCSR, err = band(collect(func(o replicateOut) float64 { return o.domains[k].finalCSR }), cfg.Confidence); err != nil {
-				return nil, err
-			}
-			var belowLog, belowLin int
-			for _, o := range outs {
-				if !o.ok {
-					continue
-				}
-				if o.domains[k].remainLog < cfg.GainTarget {
-					belowLog++
-				}
-				if o.domains[k].remainLinear < cfg.GainTarget {
-					belowLin++
-				}
-			}
-			db.PBelowTargetLog = float64(belowLog) / float64(usable)
-			db.PBelowTargetLinear = float64(belowLin) / float64(usable)
-			res.Domains = append(res.Domains, db)
+	for k, db := range e.cells {
+		if db.PhysLimit, err = band(collect(func(o replicateOut) float64 { return o.domains[k].physLimit }), cfg.Confidence); err != nil {
+			return nil, err
 		}
+		if db.RemainLog, err = band(collect(func(o replicateOut) float64 { return o.domains[k].remainLog }), cfg.Confidence); err != nil {
+			return nil, err
+		}
+		if db.RemainLinear, err = band(collect(func(o replicateOut) float64 { return o.domains[k].remainLinear }), cfg.Confidence); err != nil {
+			return nil, err
+		}
+		if db.FinalCSR, err = band(collect(func(o replicateOut) float64 { return o.domains[k].finalCSR }), cfg.Confidence); err != nil {
+			return nil, err
+		}
+		var belowLog, belowLin int
+		for _, o := range outs {
+			if !o.ok {
+				continue
+			}
+			if o.domains[k].remainLog < cfg.GainTarget {
+				belowLog++
+			}
+			if o.domains[k].remainLinear < cfg.GainTarget {
+				belowLin++
+			}
+		}
+		db.PBelowTargetLog = float64(belowLog) / float64(usable)
+		db.PBelowTargetLinear = float64(belowLin) / float64(usable)
+		res.Domains = append(res.Domains, db)
 	}
 	return res, nil
 }

@@ -190,6 +190,17 @@ func FitPowerLaw(xs, ys []float64) (PowerLaw, error) {
 		lx[i] = math.Log(xs[i])
 		ly[i] = math.Log(ys[i])
 	}
+	return FitPowerLawLogs(lx, ly)
+}
+
+// FitPowerLawLogs is FitPowerLaw over observations already taken to log
+// space (lx[i] = ln x[i], ly[i] = ln y[i]). Callers that refit subsets of
+// one dataset many times take the logarithms once; the fit is bit-identical
+// to FitPowerLaw over the original values.
+func FitPowerLawLogs(lx, ly []float64) (PowerLaw, error) {
+	if len(lx) != len(ly) || len(lx) < 2 {
+		return PowerLaw{}, fmt.Errorf("%w: power-law fit needs >= 2 paired points", ErrInsufficientData)
+	}
 	line, err := FitLinear(lx, ly)
 	if err != nil {
 		return PowerLaw{}, err
