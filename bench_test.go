@@ -5,6 +5,7 @@
 package accelwall_test
 
 import (
+	"context"
 	"testing"
 
 	accelwall "accelwall"
@@ -92,7 +93,11 @@ func BenchmarkTable3(b *testing.B) {
 	p := sweep.Default()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sweep.RunParallel(g, p, 0); err != nil {
+		eng, err := sweep.NewEngine(g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.RunContext(context.Background(), p, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

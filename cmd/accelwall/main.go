@@ -307,6 +307,41 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
+// openCheckpoint prepares a durable run over the store's named snapshot
+// log (nil options without a store): with resume it restores the log's
+// newest intact snapshot, starting cold when there is none. The caller
+// defers closeLog, and calls drop once the run finished — its progress
+// log then owes nobody anything.
+func openCheckpoint(store *checkpoint.Store, name string, resume bool) (ck *checkpoint.Options, closeLog, drop func(), err error) {
+	if store == nil {
+		return nil, func() {}, func() {}, nil
+	}
+	ck = &checkpoint.Options{
+		OnError: func(e error) { fmt.Fprintf(os.Stderr, "accelwall: checkpointing disabled: %v\n", e) },
+	}
+	if resume {
+		payload, err := store.ReadLast(name)
+		switch {
+		case err == nil:
+			ck.Resume = payload
+		case errors.Is(err, checkpoint.ErrNoSnapshot), errors.Is(err, checkpoint.ErrCorrupt):
+			fmt.Fprintf(os.Stderr, "accelwall: no usable snapshot (%v), starting cold\n", err)
+		default:
+			return nil, nil, nil, err
+		}
+	}
+	log, err := store.OpenLog(name)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ck.Sink = log
+	return ck, func() { log.Close() }, func() {
+		if err := store.Remove(name); err != nil {
+			fmt.Fprintf(os.Stderr, "accelwall: could not remove finished checkpoint: %v\n", err)
+		}
+	}, nil
+}
+
 // uncertaintyLog names the snapshot log a checkpointed -uncertainty run
 // writes.
 const uncertaintyLog = "uncertainty"
@@ -330,29 +365,11 @@ func runUncertainty(ctx context.Context, seed int64, replicates int, conf, gainT
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	var ck *montecarlo.Checkpoint
-	if store != nil {
-		ck = &montecarlo.Checkpoint{
-			OnError: func(e error) { fmt.Fprintf(os.Stderr, "accelwall: checkpointing disabled: %v\n", e) },
-		}
-		if resume {
-			payload, err := store.ReadLast(uncertaintyLog)
-			switch {
-			case err == nil:
-				ck.Resume = payload
-			case errors.Is(err, checkpoint.ErrNoSnapshot), errors.Is(err, checkpoint.ErrCorrupt):
-				fmt.Fprintf(os.Stderr, "accelwall: no usable snapshot (%v), starting cold\n", err)
-			default:
-				return err
-			}
-		}
-		log, err := store.OpenLog(uncertaintyLog)
-		if err != nil {
-			return err
-		}
-		defer log.Close()
-		ck.Sink = log
+	ck, closeLog, drop, err := openCheckpoint(store, uncertaintyLog, resume)
+	if err != nil {
+		return err
 	}
+	defer closeLog()
 	res, err := montecarlo.RunCheckpointed(ctx, cfg, ck)
 	if err != nil {
 		if errors.Is(err, context.Canceled) && store != nil {
@@ -363,12 +380,7 @@ func runUncertainty(ctx context.Context, seed int64, replicates int, conf, gainT
 	if res.Resumed > 0 {
 		fmt.Fprintf(os.Stderr, "accelwall: resumed — skipped %d of %d replicates already on disk\n", res.Resumed, cfg.Replicates)
 	}
-	if store != nil {
-		// The run finished; its progress log owes nobody anything.
-		if err := store.Remove(uncertaintyLog); err != nil {
-			fmt.Fprintf(os.Stderr, "accelwall: could not remove finished checkpoint: %v\n", err)
-		}
-	}
+	drop()
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -438,29 +450,11 @@ func runSearch(ctx context.Context, f searchFlags, store *checkpoint.Store) erro
 	if err != nil {
 		return err
 	}
-	var ck *search.Checkpoint
-	if store != nil {
-		ck = &search.Checkpoint{
-			OnError: func(e error) { fmt.Fprintf(os.Stderr, "accelwall: checkpointing disabled: %v\n", e) },
-		}
-		if f.resume {
-			payload, err := store.ReadLast(searchLog)
-			switch {
-			case err == nil:
-				ck.Resume = payload
-			case errors.Is(err, checkpoint.ErrNoSnapshot), errors.Is(err, checkpoint.ErrCorrupt):
-				fmt.Fprintf(os.Stderr, "accelwall: no usable snapshot (%v), starting cold\n", err)
-			default:
-				return err
-			}
-		}
-		log, err := store.OpenLog(searchLog)
-		if err != nil {
-			return err
-		}
-		defer log.Close()
-		ck.Sink = log
+	ck, closeLog, drop, err := openCheckpoint(store, searchLog, f.resume)
+	if err != nil {
+		return err
 	}
+	defer closeLog()
 	res, err := search.RunCheckpointed(ctx, eng, cfg, ck)
 	if err != nil {
 		if errors.Is(err, context.Canceled) && store != nil {
@@ -471,12 +465,7 @@ func runSearch(ctx context.Context, f searchFlags, store *checkpoint.Store) erro
 	if res.Resumed > 0 {
 		fmt.Fprintf(os.Stderr, "accelwall: resumed — restored %d evaluations already on disk\n", res.Resumed)
 	}
-	if store != nil {
-		// The run finished; its progress log owes nobody anything.
-		if err := store.Remove(searchLog); err != nil {
-			fmt.Fprintf(os.Stderr, "accelwall: could not remove finished checkpoint: %v\n", err)
-		}
-	}
+	drop()
 	if f.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -510,16 +499,11 @@ func listJSON() error {
 // kernel — and builds its dataflow graph (size 0 = the kernel's default
 // problem size).
 func buildKernel(name string, size int) (*dfg.Graph, error) {
-	if spec, err := workloads.ByAbbrev(name); err == nil {
-		return spec.Build(size)
+	build, err := workloads.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("unknown kernel %q", name)
 	}
-	if v, err := workloads.VariantByName(name); err == nil {
-		return v.Build(size)
-	}
-	if k, err := workloads.DomainKernelByName(name); err == nil {
-		return k.Build(size)
-	}
-	return nil, fmt.Errorf("unknown kernel %q", name)
+	return build(size)
 }
 
 // writeDOT emits a kernel's Graphviz DOT to stdout.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,12 +34,12 @@ func main() {
 	fmt.Println("== Miner design points across CMOS nodes (hash engine at 1 GHz ref clock) ==")
 	fmt.Println("   (newer nodes chain more logic per cycle, so cycles fall with the node)")
 	fmt.Printf("%-6s %-10s %-10s %-12s %-12s\n", "node", "partition", "cycles", "energy", "hashes/ns")
-	compiled, err := aladdin.Compile(g) // one analysis, six design points
+	eng, err := sweep.NewEngine(g) // one analysis for the design points and the attribution
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, node := range []float64{130, 55, 28, 16, 7, 5} {
-		r, err := compiled.Simulate(aladdin.Design{NodeNM: node, Partition: 512, Simplification: 2, Fusion: true})
+		r, err := eng.EvaluateContext(context.Background(), aladdin.Design{NodeNM: node, Partition: 512, Simplification: 2, Fusion: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func main() {
 
 	fmt.Println("\n== What the design space says about mining (gain attribution) ==")
 	for _, objective := range []sweep.Objective{sweep.Performance, sweep.Efficiency} {
-		a, err := sweep.Attribute("SHA256d", g, sweep.Reduced(), objective)
+		a, err := eng.Attribute(context.Background(), "SHA256d", sweep.Reduced(), objective, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,7 @@ func main() {
 		{Strategy: search.NSGA2},
 		{Strategy: search.Halving},
 	} {
-		res, err := search.Run(eng, cfg)
+		res, err := search.RunContext(context.Background(), eng, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,11 +72,11 @@ func main() {
 	// Determinism: the same seed is bit-identical at any worker count —
 	// every stochastic choice draws from a per-(generation, slot) PRNG
 	// substream and all selection runs on the coordinator.
-	one, err := search.Run(eng, search.Config{Seed: 42, Workers: 1})
+	one, err := search.RunContext(context.Background(), eng, search.Config{Seed: 42, Workers: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	eight, err := search.Run(eng, search.Config{Seed: 42, Workers: 8})
+	eight, err := search.RunContext(context.Background(), eng, search.Config{Seed: 42, Workers: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func main() {
 	// feasible design dominate every infeasible one, so the frontier
 	// stays inside the budget whenever the space allows it.
 	const maxPower = 2.5
-	res, err := search.Run(eng, search.Config{
+	res, err := search.RunContext(context.Background(), eng, search.Config{
 		Objectives:  []search.Objective{search.EDP, search.Efficiency},
 		Constraints: search.Constraints{MaxPowerW: maxPower},
 	})

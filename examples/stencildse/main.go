@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -53,7 +54,11 @@ func main() {
 		fmt.Printf("partition %6d: %5d cycles, power %7.3f, energy %8.1f\n", p, r.Cycles, r.Power, r.Energy)
 	}
 
-	_, best, err := sweep.Fig13(g, params, 0)
+	eng, err := sweep.NewEngine(g) // one memo for the cloud and the attribution
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, best, _, err := eng.Fig13(context.Background(), params, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +67,7 @@ func main() {
 
 	fmt.Println("\n== Gain attribution (Figure 14) ==")
 	for _, objective := range []sweep.Objective{sweep.Performance, sweep.Efficiency} {
-		a, err := sweep.Attribute("S3D", g, params, objective)
+		a, err := eng.Attribute(context.Background(), "S3D", params, objective, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

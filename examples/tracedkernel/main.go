@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -78,7 +79,11 @@ func main() {
 	}
 
 	fmt.Println("\n== Gain attribution for the traced kernel (Figure 14 machinery) ==")
-	a, err := sweep.Attribute("blur-threshold", g, sweep.Reduced(), sweep.Efficiency)
+	eng, err := sweep.NewEngine(g)
+	if err != nil {
+		log.Fatal(err)
+	}
+	a, err := eng.Attribute(context.Background(), "blur-threshold", sweep.Reduced(), sweep.Efficiency, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	cfg := montecarlo.Config{Replicates: 200, Seed: 1}
-	res, err := montecarlo.Run(cfg)
+	res, err := montecarlo.RunCheckpointed(context.Background(), cfg, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package accelwall_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -166,7 +167,11 @@ func TestWorkloadsThroughFullPipeline(t *testing.T) {
 			if fused.ComputeStats().Depth > st.Depth {
 				t.Error("fusion increased depth")
 			}
-			points, err := sweep.Run(g, params)
+			eng, err := sweep.NewEngine(g)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			points, err := eng.RunContext(context.Background(), params, 1)
 			if err != nil {
 				t.Fatalf("sweep: %v", err)
 			}

@@ -2,6 +2,36 @@ package checkpoint
 
 import "sync"
 
+// Options configures durable progress snapshots for one engine run; the
+// sweep, Monte Carlo and search packages each name it their Checkpoint.
+// The zero value (and a nil pointer) disables checkpointing entirely.
+type Options struct {
+	// Sink receives encoded snapshots (typically a *Log).
+	Sink Sink
+	// Every is the snapshot cadence in completed work units — unique
+	// design points, replicates, or search steps (<= 0: the engine's
+	// default).
+	Every int
+	// Resume, when non-nil, is a snapshot payload from a previous run of
+	// the SAME computation; its work is restored instead of recomputed. A
+	// mismatched or corrupt payload errors — resuming the wrong run must
+	// never silently blend results.
+	Resume []byte
+	// OnError receives the save failure that stopped further snapshots;
+	// the run itself continues. nil discards it.
+	OnError func(error)
+}
+
+// Tracker builds the prefix tracker for a run over total slots of which
+// [0, start) were restored from o.Resume; nil (a no-op tracker) when o is
+// nil or has no Sink.
+func (o *Options) Tracker(total, start int, encode func(prefix int) ([]byte, error)) *Tracker {
+	if o == nil {
+		return nil
+	}
+	return NewTracker(o.Sink, total, start, o.Every, encode, o.OnError)
+}
+
 // Tracker turns out-of-order slot completions from a worker pool into
 // periodic contiguous-prefix snapshots. Workers call Complete(i) after
 // slot i's output is final; whenever the contiguous completed prefix

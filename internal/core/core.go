@@ -83,8 +83,13 @@ func (s *Study) fig13Sweep() ([]sweep.Fig13Row, sweep.Point, error) {
 	if err != nil {
 		return nil, sweep.Point{}, err
 	}
+	eng, err := sweep.NewEngine(g)
+	if err != nil {
+		return nil, sweep.Point{}, err
+	}
 	if s.Ckpt == nil {
-		return sweep.Fig13Context(s.ctx(), g, s.Sweep, s.Workers)
+		rows, best, _, err := eng.Fig13(s.ctx(), s.Sweep, s.Workers, nil)
+		return rows, best, err
 	}
 	const name = "sweep-fig13"
 	var resume []byte
@@ -103,7 +108,7 @@ func (s *Study) fig13Sweep() ([]sweep.Fig13Row, sweep.Point, error) {
 		return nil, sweep.Point{}, fmt.Errorf("core: opening fig13 checkpoint log: %w", err)
 	}
 	defer log.Close()
-	rows, best, resumed, err := sweep.Fig13Checkpointed(s.ctx(), g, s.Sweep, s.Workers, &sweep.Checkpoint{
+	rows, best, resumed, err := eng.Fig13(s.ctx(), s.Sweep, s.Workers, &sweep.Checkpoint{
 		Sink:    log,
 		Resume:  resume,
 		OnError: func(e error) { s.ckptLogf("fig13: checkpointing disabled: %v", e) },
@@ -425,7 +430,11 @@ func (s *Study) Fig14Attributions(objective sweep.Objective) ([]sweep.Attributio
 		if err != nil {
 			return nil, fmt.Errorf("core: building %s: %w", spec.Abbrev, err)
 		}
-		a, err := sweep.AttributeParallelContext(s.ctx(), spec.Abbrev, g, s.Sweep, objective, s.Workers)
+		eng, err := sweep.NewEngine(g)
+		if err != nil {
+			return nil, fmt.Errorf("core: compiling %s: %w", spec.Abbrev, err)
+		}
+		a, err := eng.Attribute(s.ctx(), spec.Abbrev, s.Sweep, objective, s.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: attributing %s: %w", spec.Abbrev, err)
 		}

@@ -161,11 +161,17 @@ func (s *Study) ExtDomainKernels() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		perf, err := sweep.AttributeParallelContext(s.ctx(), k.Name, g, s.Sweep, sweep.Performance, s.Workers)
+		// Both objectives read one engine: the grid compiles and
+		// simulates once per kernel.
+		eng, err := sweep.NewEngine(g)
 		if err != nil {
 			return "", err
 		}
-		eff, err := sweep.AttributeParallelContext(s.ctx(), k.Name, g, s.Sweep, sweep.Efficiency, s.Workers)
+		perf, err := eng.Attribute(s.ctx(), k.Name, s.Sweep, sweep.Performance, s.Workers)
+		if err != nil {
+			return "", err
+		}
+		eff, err := eng.Attribute(s.ctx(), k.Name, s.Sweep, sweep.Efficiency, s.Workers)
 		if err != nil {
 			return "", err
 		}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -13,8 +14,8 @@ const benchReplicates = 40
 // jitter + 8 projections per replicate) at several pool widths. One engine
 // is shared across iterations, so engine construction (corpus generation,
 // compile, base fit and projections) is left out. The server does not
-// share engines: a memo miss goes through montecarlo.RunContext, which
-// builds a fresh engine with New on every request.
+// share engines: a memo miss calls New and then Engine.RunContext, so it
+// builds a fresh engine on every request.
 func BenchmarkUncertainty(b *testing.B) {
 	e, err := New(1)
 	if err != nil {
@@ -25,7 +26,7 @@ func BenchmarkUncertainty(b *testing.B) {
 			cfg := Config{Replicates: benchReplicates, Seed: 1, Workers: workers}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Run(cfg); err != nil {
+				if _, err := e.RunContext(context.Background(), cfg); err != nil {
 					b.Fatalf("Run: %v", err)
 				}
 			}

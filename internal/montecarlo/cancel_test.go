@@ -16,6 +16,25 @@ func testConfig(workers int) Config {
 	return Config{Replicates: 48, Seed: 7, CorpusSeed: 7, Workers: workers}.withDefaults()
 }
 
+// runFresh builds an engine over cfg's corpus and runs cfg on it — the
+// one-shot call the tests compare engines against.
+func runFresh(ctx context.Context, cfg Config) (*Result, error) {
+	e, err := New(cfg.CorpusSeed)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunContext(ctx, cfg)
+}
+
+// runReplicates executes the replicate pool and returns the raw slots;
+// cancelled runs return early with whatever completed, so the tests can
+// assert the completed slots are bit-identical to an uncancelled run's.
+func (e *Engine) runReplicates(ctx context.Context, cfg Config) []replicateOut {
+	outs := make([]replicateOut, cfg.Replicates)
+	e.runReplicatesInto(ctx, cfg, outs, 0, nil)
+	return outs
+}
+
 func waitHits(t *testing.T, inj *faultinject.Injector, site string, n uint64) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -32,7 +51,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 		leakcheck.Check(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		res, err := RunContext(ctx, testConfig(workers))
+		res, err := runFresh(ctx, testConfig(workers))
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -113,7 +132,7 @@ func TestRunContextCancelSurfaces(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, testConfig(4))
+		_, err := runFresh(ctx, testConfig(4))
 		done <- err
 	}()
 	waitHits(t, inj, SiteReplicate, 4)

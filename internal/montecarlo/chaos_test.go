@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"time"
@@ -23,7 +24,7 @@ func sameOutput(a, b *Result) bool {
 // change results at all, and the pool must recover fully once the
 // injector is removed.
 func TestChaosReplicatePool(t *testing.T) {
-	ref, err := Run(testConfig(0))
+	ref, err := runFresh(context.Background(), testConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestChaosReplicatePool(t *testing.T) {
 				faultinject.Enable(inj)
 				defer faultinject.Disable()
 
-				res, err := Run(testConfig(workers))
+				res, err := runFresh(context.Background(), testConfig(workers))
 				if err != nil {
 					t.Fatalf("chaos run errored (pool should absorb replicate faults): %v", err)
 				}
@@ -66,7 +67,7 @@ func TestChaosReplicatePool(t *testing.T) {
 				}
 
 				faultinject.Disable()
-				again, err := Run(testConfig(workers))
+				again, err := runFresh(context.Background(), testConfig(workers))
 				if err != nil {
 					t.Fatalf("post-chaos run failed: %v", err)
 				}
@@ -87,7 +88,7 @@ func TestChaosAllReplicatesFail(t *testing.T) {
 		Mode: faultinject.ModePanic, Every: 1,
 	}))
 	defer faultinject.Disable()
-	res, err := Run(testConfig(4))
+	res, err := runFresh(context.Background(), testConfig(4))
 	if err == nil {
 		t.Fatalf("run with every replicate panicking succeeded: %+v", res.Config)
 	}

@@ -21,24 +21,10 @@ import (
 	"accelwall/internal/cmos"
 )
 
-// Checkpoint configures durable progress snapshots for one run. The zero
-// value (and a nil pointer) disables checkpointing entirely — the engines
-// pay one pointer test.
-type Checkpoint struct {
-	// Sink receives encoded snapshots (typically a *checkpoint.Log).
-	Sink checkpoint.Sink
-	// Every is the snapshot cadence in completed-prefix replicates
-	// (<= 0 selects checkpoint.DefaultEvery).
-	Every int
-	// Resume, when non-nil, is a snapshot payload from a previous run of
-	// the SAME configuration; its replicates are restored instead of
-	// recomputed. A mismatched or corrupt payload errors — resuming the
-	// wrong run must never silently produce blended results.
-	Resume []byte
-	// OnError receives the save failure that stopped further snapshots;
-	// the run itself continues. nil discards it.
-	OnError func(error)
-}
+// Checkpoint configures durable progress snapshots for one run; Every
+// counts completed-prefix replicates. The zero value (and a nil pointer)
+// disables checkpointing entirely — the engines pay one pointer test.
+type Checkpoint = checkpoint.Options
 
 // Named snapshot decode causes.
 var (
@@ -202,11 +188,8 @@ func SnapshotProgress(payload []byte) (done, total int, err error) {
 	return done, total, nil
 }
 
-// RunCheckpointed is RunContext with durable progress snapshots: the
-// completed replicate prefix is persisted through ck.Sink at the
-// configured cadence, a cancelled run leaves one final snapshot behind,
-// and ck.Resume restores a previous run's prefix instead of recomputing
-// it. A nil ck (or nil ck.Sink with no Resume) is exactly RunContext.
+// RunCheckpointed is the one-shot durable run: New(cfg.CorpusSeed) plus
+// Engine.RunCheckpointed.
 func RunCheckpointed(ctx context.Context, cfg Config, ck *Checkpoint) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -219,8 +202,11 @@ func RunCheckpointed(ctx context.Context, cfg Config, ck *Checkpoint) (*Result, 
 	return e.RunCheckpointed(ctx, cfg, ck)
 }
 
-// RunCheckpointed is the engine-level checkpointed run; see the package
-// function for semantics.
+// RunCheckpointed runs the replicates with optional durable progress
+// snapshots: the completed replicate prefix is persisted through ck.Sink
+// at the configured cadence, a cancelled run leaves one final snapshot
+// behind, and ck.Resume restores a previous run's prefix instead of
+// recomputing it (Result.Resumed counts it). A nil ck runs cold.
 func (e *Engine) RunCheckpointed(ctx context.Context, cfg Config, ck *Checkpoint) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -236,12 +222,9 @@ func (e *Engine) RunCheckpointed(ctx context.Context, cfg Config, ck *Checkpoint
 		copy(outs, prefix)
 		start = len(prefix)
 	}
-	var tr *checkpoint.Tracker
-	if ck != nil {
-		tr = checkpoint.NewTracker(ck.Sink, cfg.Replicates, start, ck.Every,
-			func(n int) ([]byte, error) { return encodeSnapshot(cfg, outs, n), nil },
-			ck.OnError)
-	}
+	tr := ck.Tracker(cfg.Replicates, start, func(n int) ([]byte, error) {
+		return encodeSnapshot(cfg, outs, n), nil
+	})
 	e.runReplicatesInto(ctx, cfg, outs, start, tr)
 	if err := ctx.Err(); err != nil {
 		// The parting snapshot: whatever prefix is complete right now is

@@ -44,7 +44,7 @@ func (m *memorySink) last() []byte {
 }
 
 func TestRunCheckpointedNilEqualsRun(t *testing.T) {
-	ref, err := Run(testConfig(4))
+	ref, err := runFresh(context.Background(), testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestRunCheckpointedNilEqualsRun(t *testing.T) {
 }
 
 func TestRunCheckpointedSnapshotsAndStaysIdentical(t *testing.T) {
-	ref, err := Run(testConfig(4))
+	ref, err := runFresh(context.Background(), testConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestResumeBitIdentical(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			leakcheck.Check(t)
 			cfg := testConfig(workers)
-			ref, err := Run(cfg)
+			ref, err := runFresh(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestCrashResumeChaos(t *testing.T) {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			leakcheck.Check(t)
 			cfg := testConfig(workers)
-			ref, err := Run(cfg)
+			ref, err := runFresh(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestCheckpointSaveFaultsDoNotHurtResults(t *testing.T) {
 		t.Run(site, func(t *testing.T) {
 			leakcheck.Check(t)
 			cfg := testConfig(4)
-			ref, err := Run(cfg)
+			ref, err := runFresh(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func TestResumeFullyCompleteSnapshot(t *testing.T) {
 	// One worker, cadence 1: saves are synchronous on the only worker, so
 	// the final snapshot deterministically covers every replicate.
 	cfg := testConfig(1)
-	ref, err := Run(cfg)
+	ref, err := runFresh(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestResumeAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := e.Run(cfg)
+	ref, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestEngineEdgeCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Replicates: 40, Seed: 5, Workers: 2}
-	res, err := e.Run(cfg)
+	res, err := e.RunContext(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

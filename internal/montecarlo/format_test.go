@@ -62,7 +62,7 @@ func TestResultDigestPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(Config{Replicates: tc.replicates, Seed: tc.seed, Workers: 2})
+		res, err := e.RunContext(context.Background(), Config{Replicates: tc.replicates, Seed: tc.seed, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

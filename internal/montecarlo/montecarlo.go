@@ -23,6 +23,8 @@
 // is compiled once and shared read-only: the corpus's per-chip Figure
 // 3b/3c logarithms and eras (a resample is an index draw), the base point
 // projections, and the GPU study's relation plan (package casestudy).
+// That compiled state is an Engine: New builds one per corpus seed, and
+// RunCheckpointed (or RunContext) and RunSlice/MergeSlices run on it.
 package montecarlo
 
 import (
@@ -225,7 +227,7 @@ const (
 )
 
 // Engine runs replicates over one compiled corpus. The engine is
-// immutable after construction and safe for concurrent Run calls.
+// immutable after construction and safe for concurrent runs.
 type Engine struct {
 	corpus *budget.Compiled
 	n      int           // corpus size: draws per resample
@@ -268,27 +270,6 @@ func New(corpusSeed int64) (*Engine, error) {
 		corpusSeed = 1
 	}
 	return NewEngine(chipdb.Synthetic(corpusSeed))
-}
-
-// Run builds an engine from cfg.CorpusSeed and runs it — the one-call
-// front door shared by the CLI and the server.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run under a context: a cancelled ctx stops the replicate
-// pool within one replicate per worker, leaks no goroutines, and returns
-// ctx.Err().
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e, err := New(cfg.CorpusSeed)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunContext(ctx, cfg)
 }
 
 // substream derives the PRNG seed of replicate i from the root seed with a
@@ -422,16 +403,6 @@ func (e *Engine) replicateSafe(cfg Config, idx int, s *scratch) (out replicateOu
 	return e.replicate(cfg, idx, s)
 }
 
-// runReplicates executes the replicate pool and returns the raw slots;
-// cancelled runs return early with whatever completed. Separated from
-// RunContext so the cancellation tests can assert the completed slots are
-// bit-identical to an uncancelled run's.
-func (e *Engine) runReplicates(ctx context.Context, cfg Config) []replicateOut {
-	outs := make([]replicateOut, cfg.Replicates)
-	e.runReplicatesInto(ctx, cfg, outs, 0, nil)
-	return outs
-}
-
 // runReplicatesInto runs replicates [start, cfg.Replicates) into outs on
 // resources.RunChunks, reporting each completed slot to the (possibly
 // nil) checkpoint tracker. Slots below start must already hold restored
@@ -458,24 +429,12 @@ func (e *Engine) runReplicatesInto(ctx context.Context, cfg Config, outs []repli
 		})
 }
 
-// Run executes cfg.Replicates replicates and reduces them to bands.
-func (e *Engine) Run(cfg Config) (*Result, error) {
-	return e.RunContext(context.Background(), cfg)
-}
-
-// RunContext is Run under a context: workers re-check ctx between
+// RunContext executes cfg.Replicates replicates and reduces them to
+// bands: RunCheckpointed without snapshots. Workers re-check ctx between
 // replicates, so cancellation quiesces the pool within one replicate per
 // worker and the call returns ctx.Err() with no partial Result.
 func (e *Engine) RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	outs := e.runReplicates(ctx, cfg)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.reduce(cfg, outs)
+	return e.RunCheckpointed(ctx, cfg, nil)
 }
 
 // band reduces one sample vector to its quantile Band.

@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -34,7 +35,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var want []byte
 	for _, workers := range []int{1, 2, 8} {
-		res, err := e.Run(Config{Replicates: testReplicates, Seed: 7, Workers: workers})
+		res, err := e.RunContext(context.Background(), Config{Replicates: testReplicates, Seed: 7, Workers: workers})
 		if err != nil {
 			t.Fatalf("Run(workers=%d): %v", workers, err)
 		}
@@ -56,11 +57,11 @@ func TestRunDeterministicAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	a, err := e.Run(Config{Replicates: testReplicates, Seed: 1, Workers: 2})
+	a, err := e.RunContext(context.Background(), Config{Replicates: testReplicates, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatalf("Run(seed=1): %v", err)
 	}
-	b, err := e.Run(Config{Replicates: testReplicates, Seed: 2, Workers: 2})
+	b, err := e.RunContext(context.Background(), Config{Replicates: testReplicates, Seed: 2, Workers: 2})
 	if err != nil {
 		t.Fatalf("Run(seed=2): %v", err)
 	}
@@ -99,7 +100,7 @@ func TestBandShuffleInvariant(t *testing.T) {
 // TestResultBandOrdering checks every produced band is internally ordered
 // and every probability is a probability.
 func TestResultBandOrdering(t *testing.T) {
-	res, err := Run(Config{Replicates: testReplicates, Seed: 1, Workers: 2})
+	res, err := runFresh(context.Background(), Config{Replicates: testReplicates, Seed: 1, Workers: 2})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}

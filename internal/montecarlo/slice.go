@@ -24,19 +24,6 @@ const sliceVersion = 1
 // them as an opaque slice payload for MergeSlices. The range bounds are
 // validated against the defaulted config; workers are clamped to the
 // range width by the pool itself.
-func RunSlice(ctx context.Context, cfg Config, lo, hi int) ([]byte, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e, err := New(cfg.CorpusSeed)
-	if err != nil {
-		return nil, err
-	}
-	return e.RunSlice(ctx, cfg, lo, hi)
-}
-
-// RunSlice is the engine-level slice run; see the package function.
 func (e *Engine) RunSlice(ctx context.Context, cfg Config, lo, hi int) ([]byte, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -116,19 +103,6 @@ func decodeSlice(cfg Config, outs []replicateOut, payload []byte) (lo, hi int, e
 // The payloads must jointly cover [0, Replicates) — overlaps are fine
 // (duplicated ranges are bit-identical by construction), gaps are an
 // error. The result is bit-identical to RunContext with the same config.
-func MergeSlices(cfg Config, payloads [][]byte) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e, err := New(cfg.CorpusSeed)
-	if err != nil {
-		return nil, err
-	}
-	return e.MergeSlices(cfg, payloads)
-}
-
-// MergeSlices is the engine-level merge; see the package function.
 func (e *Engine) MergeSlices(cfg Config, payloads [][]byte) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

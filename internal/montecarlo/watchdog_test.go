@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -36,7 +37,7 @@ func (l *wdLog) joined() string {
 // function of their substream, so the rescue recomputes the same
 // numbers), the wedged chunk requeued exactly once, no leaks.
 func TestWatchdogReplicateRescuesWedgedChunk(t *testing.T) {
-	ref, err := Run(testConfig(0))
+	ref, err := runFresh(context.Background(), testConfig(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestWatchdogReplicateRescuesWedgedChunk(t *testing.T) {
 			}))
 			defer faultinject.Disable()
 
-			res, err := Run(testConfig(workers))
+			res, err := runFresh(context.Background(), testConfig(workers))
 			if err != nil {
 				t.Fatalf("wedged run failed: %v", err)
 			}

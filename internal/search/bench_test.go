@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"accelwall/internal/sweep"
@@ -63,7 +64,7 @@ func BenchmarkSearchTable3(b *testing.B) {
 		b.StopTimer()
 		eng := benchGraph(b, "S3D") // cold engine: no cross-iteration memo
 		b.StartTimer()
-		res, err := Run(eng, Config{})
+		res, err := RunContext(context.Background(), eng, Config{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 // once the injector is gone the same config reproduces the reference
 // bit for bit.
 func TestChaosSearchPool(t *testing.T) {
-	ref, err := Run(buildEngine(t, "FFT"), searchCfg())
+	ref, err := RunContext(context.Background(), buildEngine(t, "FFT"), searchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestChaosSearchPool(t *testing.T) {
 
 				cfg := searchCfg()
 				cfg.Workers = workers
-				res, err := Run(buildEngine(t, "FFT"), cfg)
+				res, err := RunContext(context.Background(), buildEngine(t, "FFT"), cfg)
 				if inj.Fired(sweep.SiteSimulate) == 0 {
 					t.Fatalf("injector never fired over %d hits", inj.Hits(sweep.SiteSimulate))
 				}
@@ -60,7 +60,7 @@ func TestChaosSearchPool(t *testing.T) {
 				}
 
 				faultinject.Disable()
-				again, err := Run(buildEngine(t, "FFT"), cfg)
+				again, err := RunContext(context.Background(), buildEngine(t, "FFT"), cfg)
 				if err != nil {
 					t.Fatalf("post-chaos search failed: %v", err)
 				}
@@ -87,7 +87,7 @@ func TestChaosSearchCancel(t *testing.T) {
 			if _, err := RunContext(ctx, eng, cfg); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled search: err = %v, want context.Canceled", err)
 			}
-			res, err := Run(eng, cfg)
+			res, err := RunContext(context.Background(), eng, cfg)
 			if err != nil || len(res.Frontier) == 0 {
 				t.Fatalf("engine unusable after cancellation: %v", err)
 			}

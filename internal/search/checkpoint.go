@@ -21,24 +21,11 @@ import (
 	"accelwall/internal/checkpoint"
 )
 
-// Checkpoint configures durable progress snapshots for one search. The
-// zero value (and a nil pointer) disables checkpointing entirely.
-type Checkpoint struct {
-	// Sink receives encoded snapshots (typically a *checkpoint.Log).
-	Sink checkpoint.Sink
-	// Every is the snapshot cadence in completed steps — the seeding
-	// lattice plus each generation or rung (<= 0 selects every step).
-	Every int
-	// Resume, when non-nil, is a snapshot payload from a previous search
-	// of the SAME workload and normalized config; its archive and
-	// candidate set are restored instead of recomputed. A mismatched or
-	// corrupt payload errors — resuming the wrong search must never
-	// silently blend results.
-	Resume []byte
-	// OnError receives the save failure that stopped further snapshots;
-	// the search itself continues. nil discards it.
-	OnError func(error)
-}
+// Checkpoint configures durable progress snapshots for one search; Every
+// counts completed steps — the seeding lattice plus each generation or
+// rung (<= 0 snapshots every step). The zero value (and a nil pointer)
+// disables checkpointing entirely.
+type Checkpoint = checkpoint.Options
 
 // Named snapshot decode causes.
 var (

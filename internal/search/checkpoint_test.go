@@ -50,7 +50,7 @@ func searchCfg() Config {
 // must reproduce the uninterrupted run byte for byte.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	eng := buildEngine(t, "S3D")
-	ref, err := Run(eng, searchCfg())
+	ref, err := RunContext(context.Background(), eng, searchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 // completed step; resuming it completes the search bit-identically.
 func TestCancelPartingSnapshotAndResume(t *testing.T) {
 	eng := buildEngine(t, "S3D")
-	ref, err := Run(eng, searchCfg())
+	ref, err := RunContext(context.Background(), eng, searchCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 
 	"accelwall/internal/sweep"
@@ -25,7 +26,7 @@ func TestSearchCoverageTableIII(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Run(fresh, Config{Strategy: strat})
+			res, err := RunContext(context.Background(), fresh, Config{Strategy: strat})
 			if err != nil {
 				t.Fatal(err)
 			}

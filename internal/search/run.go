@@ -255,14 +255,10 @@ func sameValues(a, b []float64) bool {
 	return true
 }
 
-// Run executes the search to completion. Deterministic: the result is a
-// pure function of the normalized config (and the evaluator's workload).
-func Run(eval Evaluator, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), eval, cfg)
-}
-
-// RunContext is Run under a context; a cancelled ctx stops the evaluation
-// pool within one chunk and returns ctx.Err().
+// RunContext executes the search to completion. Deterministic: the result
+// is a pure function of the normalized config (and the evaluator's
+// workload). A cancelled ctx stops the evaluation pool within one chunk
+// and returns ctx.Err().
 func RunContext(ctx context.Context, eval Evaluator, cfg Config) (*Result, error) {
 	return RunCheckpointed(ctx, eval, cfg, nil)
 }

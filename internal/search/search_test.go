@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -160,7 +161,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 	for _, strat := range []Strategy{NSGA2, Halving} {
 		var ref *Result
 		for _, workers := range []int{1, 4, 8} {
-			res, err := Run(eng, Config{Strategy: strat, Seed: 7, Workers: workers})
+			res, err := RunContext(context.Background(), eng, Config{Strategy: strat, Seed: 7, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +174,7 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 			}
 		}
 		// And across repeated runs over the now-warm memo table.
-		again, err := Run(eng, Config{Strategy: strat, Seed: 7})
+		again, err := RunContext(context.Background(), eng, Config{Strategy: strat, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,11 +186,11 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 
 func TestSearchSeedMatters(t *testing.T) {
 	eng := buildEngine(t, "S3D")
-	a, err := Run(eng, Config{Seed: 1, Generations: 4})
+	a, err := RunContext(context.Background(), eng, Config{Seed: 1, Generations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(eng, Config{Seed: 2, Generations: 4})
+	b, err := RunContext(context.Background(), eng, Config{Seed: 2, Generations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestSearchSeedMatters(t *testing.T) {
 func TestFrontierInvariants(t *testing.T) {
 	eng := buildEngine(t, "S2D")
 	cfg := Config{Objectives: []Objective{Delay, Energy, EDP}}
-	res, err := Run(eng, cfg)
+	res, err := RunContext(context.Background(), eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestFrontierInvariants(t *testing.T) {
 
 func TestSingleObjectiveFindsOptimum(t *testing.T) {
 	eng := buildEngine(t, "S3D")
-	res, err := Run(eng, Config{Objectives: []Objective{Efficiency}})
+	res, err := RunContext(context.Background(), eng, Config{Objectives: []Objective{Efficiency}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,14 +248,14 @@ func TestSingleObjectiveFindsOptimum(t *testing.T) {
 
 func TestConstraintsRestrictFrontier(t *testing.T) {
 	eng := buildEngine(t, "S3D")
-	free, err := Run(eng, Config{})
+	free, err := RunContext(context.Background(), eng, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Bound power at the median frontier power so the constraint bites.
 	bound := free.Frontier[len(free.Frontier)/2].Result.Power
 	cfg := Config{Constraints: Constraints{MaxPowerW: bound}}
-	res, err := Run(eng, cfg)
+	res, err := RunContext(context.Background(), eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,12 +281,12 @@ func TestEvaluatorSeamMatchesEvaluate(t *testing.T) {
 		{NodeNM: 22, Partition: 64, Simplification: 7, Fusion: true}, // duplicate
 		{NodeNM: 5, Partition: 524288, Simplification: 13},
 	}
-	batch, err := eng.EvaluateBatch(designs, 2)
+	batch, err := eng.EvaluateBatchContext(context.Background(), designs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, d := range designs {
-		one, err := eng.Evaluate(d)
+		one, err := eng.EvaluateContext(context.Background(), d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"accelwall/internal/core"
 	"accelwall/internal/dfg"
-	"accelwall/internal/montecarlo"
 	"accelwall/internal/sweep"
 	"accelwall/internal/workloads"
 )
@@ -36,36 +35,29 @@ func (s *Server) engine(workload string, size int) (*sweep.Engine, error) {
 	})
 }
 
-// buildWorkload resolves a kernel name across the three registries — a
-// Table IV abbreviation (S3D), an algorithm variant (GMM/strassen), or a
-// case-study domain kernel (SHA256d) — and builds its DFG at the given
-// problem size (<= 0 selects the kernel default).
+// buildWorkload builds a kernel's DFG by any registry name
+// (workloads.Lookup) at the given problem size (<= 0 selects the kernel
+// default).
 func buildWorkload(name string, size int) (*dfg.Graph, error) {
-	if spec, err := workloads.ByAbbrev(name); err == nil {
-		return spec.Build(size)
+	build, err := workloads.Lookup(name)
+	if err != nil {
+		return nil, fmt.Errorf("unknown workload %q (see /v1/workloads)", name)
 	}
-	if v, err := workloads.VariantByName(name); err == nil {
-		return v.Build(size)
-	}
-	if k, err := workloads.DomainKernelByName(name); err == nil {
-		return k.Build(size)
-	}
-	return nil, fmt.Errorf("unknown workload %q (see /v1/workloads)", name)
+	return build(size)
 }
 
-// knownWorkload reports whether name resolves in any registry, without
-// building its graph — the cheap submission-time check for async jobs.
-func knownWorkload(name string) error {
-	if _, err := workloads.ByAbbrev(name); err == nil {
+// jobWorkload rejects a job whose workload resolves in no registry,
+// without building its graph: a job must fail at submission, not later
+// in its run. The synchronous path learns the same from its engine
+// lookup (an engine-cache miss).
+func jobWorkload(job bool, name string) error {
+	if !job {
 		return nil
 	}
-	if _, err := workloads.VariantByName(name); err == nil {
-		return nil
+	if _, err := workloads.Lookup(name); err != nil {
+		return fmt.Errorf("unknown workload %q (see /v1/workloads)", name)
 	}
-	if _, err := workloads.DomainKernelByName(name); err == nil {
-		return nil
-	}
-	return fmt.Errorf("unknown workload %q (see /v1/workloads)", name)
+	return nil
 }
 
 // studyKey identifies one fitted model configuration.
@@ -98,18 +90,4 @@ func (s *Server) study(published bool, seed int64) (*core.Study, error) {
 		}
 		return study, nil
 	})
-}
-
-// localUncertaintyRun is the plain single-node Monte Carlo load for the
-// uncertainty memo: the normalized key on this process's own pool.
-func localUncertaintyRun(key montecarlo.Config, workers int) func(context.Context) (core.UncertaintyJSON, error) {
-	return func(ctx context.Context) (core.UncertaintyJSON, error) {
-		run := key
-		run.Workers = workers
-		res, err := montecarlo.RunContext(ctx, run)
-		if err != nil {
-			return core.UncertaintyJSON{}, err
-		}
-		return core.NewUncertaintyJSON(res), nil
-	}
 }

@@ -94,7 +94,15 @@ func (s *Server) executeSlice(ctx context.Context, req *cluster.SliceRequest) (*
 		}
 		cfg := *req.MC
 		cfg.Workers = s.opts.Workers
-		payload, err := montecarlo.RunSlice(ctx, cfg, req.Lo, req.Hi)
+		// Reject a bad config before paying for the corpus build.
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
+		e, err := montecarlo.New(cfg.CorpusSeed)
+		if err != nil {
+			return nil, err
+		}
+		payload, err := e.RunSlice(ctx, cfg, req.Lo, req.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +227,13 @@ func (s *Server) distributeUncertainty(ctx context.Context, cfg montecarlo.Confi
 	for i, resp := range resps {
 		payloads[i] = resp.Payload
 	}
-	res, err := montecarlo.MergeSlices(cfg, payloads)
+	// cfg passed the request check, so the engine build below is never
+	// spent on a config MergeSlices would reject.
+	e, err := montecarlo.New(cfg.CorpusSeed)
+	if err != nil {
+		return core.UncertaintyJSON{}, true, err
+	}
+	res, err := e.MergeSlices(cfg, payloads)
 	if err != nil {
 		return core.UncertaintyJSON{}, true, err
 	}

@@ -80,9 +80,14 @@ func startCluster(t testing.TB, n int, mutate func(i int, o *Options)) []*cluste
 	// its neighbours' probes long enough to be declared dead at startup,
 	// which would silently turn a scatter test into a local-compute test.
 	// Wait until every peer sees the full ring alive (one successful
-	// probe resurrects, so this converges).
+	// probe resurrects, so this converges). A single peer runs without a
+	// cluster (New returns none for one member), so there is no ring to
+	// wait for.
 	deadline := time.Now().Add(10 * time.Second)
 	for _, p := range peers {
+		if n < 2 {
+			break
+		}
 		for len(p.s.cluster.Alive()) < n {
 			if time.Now().After(deadline) {
 				t.Fatalf("peer %s never saw all %d peers alive", p.url, n)
@@ -91,6 +96,25 @@ func startCluster(t testing.TB, n int, mutate func(i int, o *Options)) []*cluste
 		}
 	}
 	return peers
+}
+
+// remoteSliceCoordinator picks a peer that does not own every one of a
+// scatter's slices under key, so a request it coordinates sends at least
+// one slice to another peer. Slice i is placed on the ring at
+// "<key>#<i>"; the listeners' ports are random, so peers[0] alone can own
+// them all.
+func remoteSliceCoordinator(t testing.TB, peers []*clusterPeer, key string, slices int) int {
+	t.Helper()
+	ring := peers[0].s.cluster.Ring()
+	for i, p := range peers {
+		for slice := 0; slice < slices; slice++ {
+			if ring.Owner(fmt.Sprintf("%s#%d", key, slice)) != p.url {
+				return i
+			}
+		}
+	}
+	t.Fatal("one peer owns every slice of a multi-peer ring")
+	return -1
 }
 
 // singleNodeReference computes the canonical single-node response bytes
@@ -134,22 +158,30 @@ const clusterSweepBody = `{"workload": "FFT", "objective": "efficiency", "includ
 // the bytes a single node produces, at every shard count.
 func TestClusterSweepEquivalence(t *testing.T) {
 	ref := singleNodeReference(t, "/v1/sweep", clusterSweepBody)
+	var body sweepRequest
+	if err := json.Unmarshal([]byte(clusterSweepBody), &body); err != nil || body.resolve() != nil {
+		t.Fatal("malformed sweep body")
+	}
+	grid := gridPoints(*body.grid) // every point of this grid is a distinct design
 	for _, shards := range []int{2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			peers := startCluster(t, shards, nil)
-			status, got := post(t, peers[0].url+"/v1/sweep", clusterSweepBody)
+			coord := remoteSliceCoordinator(t, peers, engineKey("FFT", 0), len(splitRange(grid, shards, minSweepSlice)))
+			status, got := post(t, peers[coord].url+"/v1/sweep", clusterSweepBody)
 			if status != http.StatusOK {
 				t.Fatalf("cluster sweep: %d %s", status, got)
 			}
 			if !bytes.Equal(got, ref) {
 				t.Fatalf("cluster sweep diverges from single node at %d shards:\n%s\nvs\n%s", shards, got, ref)
 			}
-			if n := peers[0].s.cluster.Metrics.Scatters.Load(); n == 0 {
+			if n := peers[coord].s.cluster.Metrics.Scatters.Load(); n == 0 {
 				t.Fatal("coordinator never scattered; the test exercised nothing")
 			}
 			var served int64
-			for _, p := range peers[1:] {
-				served += p.s.metrics.ClusterSlicesServed.Value()
+			for i, p := range peers {
+				if i != coord {
+					served += p.s.metrics.ClusterSlicesServed.Value()
+				}
 			}
 			if served == 0 {
 				t.Fatal("no slice reached a remote peer")
@@ -475,5 +507,32 @@ func BenchmarkClusterSweep(b *testing.B) {
 				b.ReportMetric(float64(peers[0].s.cluster.Metrics.Steals.Load()), "steals")
 			}
 		})
+	}
+}
+
+// TestExecuteSliceRejectsBadConfigFirst: an uncertainty slice with a bad
+// config is refused before the peer builds a corpus for it. A corpus
+// build costs thousands of allocations; the refusal costs a handful.
+func TestExecuteSliceRejectsBadConfigFirst(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, mc := range []montecarlo.Config{
+		{Replicates: 64, Confidence: 2},
+		{Replicates: 64, CMOSJitter: -0.5},
+	} {
+		req := &cluster.SliceRequest{Kind: cluster.KindUncertainty, Lo: 0, Hi: 32, MC: &mc}
+		var sliceErr error
+		allocs := testing.AllocsPerRun(3, func() {
+			_, sliceErr = s.executeSlice(context.Background(), req)
+		})
+		if sliceErr == nil {
+			t.Fatalf("config %+v: slice accepted", mc)
+		}
+		if allocs > 50 {
+			t.Errorf("config %+v: refusal made %.0f allocations, want a validation-only rejection", mc, allocs)
+		}
 	}
 }

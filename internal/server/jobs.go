@@ -26,16 +26,13 @@ import (
 	"fmt"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"accelwall/internal/checkpoint"
-	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/resources"
 	"accelwall/internal/search"
 	"accelwall/internal/sweep"
 )
@@ -79,6 +76,7 @@ type jobManifest struct {
 type job struct {
 	id      string
 	req     jobRequest
+	spec    kindSpec // req's body: the job's kind record
 	created time.Time
 
 	// release returns the job's memory-budget reservation; nil for
@@ -341,12 +339,9 @@ func (jm *jobManager) recover() {
 			jm.srv.logf("jobs: skipping malformed manifest %s", name)
 			continue
 		}
-		j := &job{id: id, state: m.State, errMsg: m.Error}
-		if t, err := time.Parse(time.RFC3339, m.Created); err == nil {
-			j.created = t
-		}
-		if err := json.Unmarshal(m.Request, &j.req); err != nil {
-			jm.srv.logf("jobs: skipping %s: malformed request: %v", id, err)
+		j, err := restoreJob(m)
+		if err != nil {
+			jm.srv.logf("jobs: skipping %s: %v", id, err)
 			continue
 		}
 		// Adopted jobs carry another peer's prefix and never advance this
@@ -367,7 +362,7 @@ func (jm *jobManager) recover() {
 				break
 			}
 			j.result = res
-			jm.fillTerminalProgress(j)
+			j.finishProgress()
 		case jobFailed:
 			// Terminal; nothing to resume.
 		case jobPending, jobRunning:
@@ -403,140 +398,55 @@ func (jm *jobManager) readResume(j *job) []byte {
 		}
 		return nil
 	}
-	if done, total, err := jm.snapshotProgress(j.req.Kind, payload); err == nil {
+	if done, total, err := j.spec.progress(payload); err == nil {
 		j.setProgress(done, total)
 	}
 	return payload
 }
 
-// fillTerminalProgress sets done == total on a recovered finished job so
-// the progress fields stay truthful without its (removed) progress log.
-func (jm *jobManager) fillTerminalProgress(j *job) {
-	switch j.req.Kind {
-	case "uncertainty":
-		var out struct {
-			Replicates int `json:"replicates"`
-		}
-		if json.Unmarshal(j.result, &out) == nil {
-			j.setProgress(out.Replicates, out.Replicates)
-		}
-	case "sweep":
-		var out struct {
-			Evaluated int `json:"evaluated"`
-		}
-		if json.Unmarshal(j.result, &out) == nil {
-			j.setProgress(out.Evaluated, out.Evaluated)
-		}
-	case "search":
-		var out struct {
-			Generations int `json:"generations"`
-		}
-		if json.Unmarshal(j.result, &out) == nil {
-			// A search of G generations runs G+1 steps (seeding + G).
-			j.setProgress(out.Generations+1, out.Generations+1)
-		}
+// restoreJob rebuilds a job from its durable manifest.
+func restoreJob(m jobManifest) (*job, error) {
+	j := &job{id: m.ID, state: m.State, errMsg: m.Error}
+	if t, err := time.Parse(time.RFC3339, m.Created); err == nil {
+		j.created = t
 	}
+	if err := json.Unmarshal(m.Request, &j.req); err != nil {
+		return nil, fmt.Errorf("malformed request: %v", err)
+	}
+	spec, err := j.req.spec()
+	if err == nil {
+		err = spec.resolve()
+	}
+	if err != nil {
+		return nil, err
+	}
+	j.spec = spec
+	return j, nil
 }
 
-// snapshotProgress decodes a progress payload's counters per job kind.
-func (jm *jobManager) snapshotProgress(kind string, payload []byte) (done, total int, err error) {
-	switch kind {
-	case "sweep":
-		return sweep.SnapshotProgress(payload)
-	case "search":
-		return search.SnapshotProgress(payload)
-	}
-	return montecarlo.SnapshotProgress(payload)
-}
-
-// jobCost prices a validated job request for memory-budgeted admission,
-// using the same per-kind estimators the synchronous handlers use.
-func (jm *jobManager) jobCost(req jobRequest) int64 {
-	switch req.Kind {
-	case "sweep":
-		grid, err := req.Sweep.gridParams()
-		if err != nil || grid == nil {
-			return 0
-		}
-		workers := req.Sweep.Workers
-		if workers <= 0 {
-			workers = jm.srv.opts.Workers
-		}
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		points := len(grid.Nodes) * len(grid.Partitions) * len(grid.Simplifications) * len(grid.Fusion)
-		return resources.SweepCost(points, workers)
-	case "search":
-		cfg, err := req.Search.config()
-		if err != nil {
-			return 0
-		}
-		return resources.SearchCost(cfg.Population, cfg.Generations)
-	default: // uncertainty
-		return resources.MonteCarloCost(req.Uncertainty.config().Normalized().Replicates, uncertaintyCorpusChips())
-	}
+// finishProgress sets done == total on a finished job so the progress
+// fields stay truthful without its (removed) progress log.
+func (j *job) finishProgress() {
+	_, n := j.spec.units()
+	j.setProgress(n, n)
 }
 
 // submit validates, persists, and enqueues a new job, returning it or an
 // HTTP status + error for the handler to relay.
 func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
-	switch req.Kind {
-	case "uncertainty":
-		if req.Sweep != nil || req.Search != nil {
-			return nil, http.StatusBadRequest, errors.New("uncertainty job carries another kind's body")
-		}
-		if req.Uncertainty == nil {
-			req.Uncertainty = &uncertaintyRequest{} // all defaults
-		}
-		if err := req.Uncertainty.validate(); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if req.Uncertainty.Replicates > maxServedReplicates {
-			return nil, http.StatusBadRequest,
-				fmt.Errorf("replicates %d exceeds served limit %d", req.Uncertainty.Replicates, maxServedReplicates)
-		}
-		if err := req.Uncertainty.config().Validate(); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	case "sweep":
-		if req.Uncertainty != nil || req.Search != nil {
-			return nil, http.StatusBadRequest, errors.New("sweep job carries another kind's body")
-		}
-		if req.Sweep == nil {
-			return nil, http.StatusBadRequest, errors.New("sweep job needs a sweep body")
-		}
-		if status, err := jm.validateSweepJob(req.Sweep); err != nil {
-			return nil, status, err
-		}
-	case "search":
-		if req.Uncertainty != nil || req.Sweep != nil {
-			return nil, http.StatusBadRequest, errors.New("search job carries another kind's body")
-		}
-		if req.Search == nil {
-			return nil, http.StatusBadRequest, errors.New("search job needs a search body")
-		}
-		if req.Search.Workload == "" {
-			return nil, http.StatusBadRequest, errors.New("missing workload")
-		}
-		if err := req.Search.validate(); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if _, err := req.Search.config(); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if err := knownWorkload(req.Search.Workload); err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown kind %q (want uncertainty, sweep, or search)", req.Kind)
+	spec, err := req.spec()
+	if err == nil {
+		err = spec.check(jm.srv, true)
+	}
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
 	// Memory-budgeted admission: a queued job commits future working set
 	// just like a synchronous request commits present working set, so
 	// both draw on the same ledger. The reservation is held until the
 	// job reaches a terminal state.
-	release, ok := jm.srv.budget.TryReserve(jm.jobCost(req))
+	release, ok := jm.srv.budget.TryReserve(spec.cost(jm.srv))
 	if !ok {
 		return nil, http.StatusTooManyRequests,
 			errors.New("memory budget exhausted; retry after a running request or job finishes")
@@ -557,15 +467,8 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 	}
 	jm.seq++
 	id := fmt.Sprintf("job-%s%06d", jm.prefix, jm.seq)
-	j := &job{id: id, req: req, created: time.Now(), state: jobPending, release: release}
-	if req.Kind == "uncertainty" {
-		j.total = req.Uncertainty.config().Normalized().Replicates
-	}
-	if req.Kind == "search" {
-		if cfg, err := req.Search.config(); err == nil {
-			j.total = cfg.Generations + 1
-		}
-	}
+	total, _ := spec.units()
+	j := &job{id: id, req: req, spec: spec, created: time.Now(), state: jobPending, release: release, total: total}
 	jm.mu.Unlock()
 
 	if err := jm.writeManifest(j); err != nil {
@@ -591,12 +494,9 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 		jm.srv.logf("jobs: skipping malformed replica for %s", id)
 		return nil
 	}
-	j := &job{id: id, state: m.State, errMsg: m.Error}
-	if t, err := time.Parse(time.RFC3339, m.Created); err == nil {
-		j.created = t
-	}
-	if err := json.Unmarshal(m.Request, &j.req); err != nil {
-		jm.srv.logf("jobs: skipping replica %s: malformed request: %v", id, err)
+	j, err := restoreJob(m)
+	if err != nil {
+		jm.srv.logf("jobs: skipping replica %s: %v", id, err)
 		return nil
 	}
 
@@ -621,7 +521,7 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 			jm.srv.logf("jobs: %s: adopted result write failed: %v", id, err)
 		}
 		j.result = rep.Result
-		jm.fillTerminalProgress(j)
+		j.finishProgress()
 	case jobFailed:
 		// Terminal; re-list only.
 	default:
@@ -632,7 +532,7 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	}
 	if j.state == jobPending {
 		if resume != nil {
-			if done, total, err := jm.snapshotProgress(j.req.Kind, resume); err == nil {
+			if done, total, err := j.spec.progress(resume); err == nil {
 				j.setProgress(done, total)
 				jm.srv.metrics.JobsResumed.Add(1)
 			}
@@ -660,38 +560,6 @@ func (jm *jobManager) tracked(id string) bool {
 	defer jm.mu.Unlock()
 	_, ok := jm.jobs[id]
 	return ok
-}
-
-// validateSweepJob rejects everything the job runner could only fail on
-// later: sweep jobs checkpoint grids (design lists belong on the
-// synchronous endpoint), and the workload must resolve in a registry.
-func (jm *jobManager) validateSweepJob(r *sweepRequest) (int, error) {
-	if r.Workload == "" {
-		return http.StatusBadRequest, errors.New("missing workload")
-	}
-	if err := r.validate(); err != nil {
-		return http.StatusBadRequest, err
-	}
-	if len(r.Designs) > 0 {
-		return http.StatusBadRequest, errors.New("sweep jobs take a grid or preset; evaluate design lists with POST /v1/sweep")
-	}
-	grid, err := r.gridParams()
-	if err != nil {
-		return http.StatusBadRequest, err
-	}
-	if grid == nil {
-		return http.StatusBadRequest, errors.New("sweep job needs a grid or preset")
-	}
-	if err := grid.Validate(); err != nil {
-		return http.StatusBadRequest, err
-	}
-	if n := len(grid.Nodes) * len(grid.Partitions) * len(grid.Simplifications) * len(grid.Fusion); n > jm.srv.opts.MaxGridPoints {
-		return http.StatusBadRequest, fmt.Errorf("grid has %d points, limit %d", n, jm.srv.opts.MaxGridPoints)
-	}
-	if err := knownWorkload(r.Workload); err != nil {
-		return http.StatusBadRequest, err
-	}
-	return 0, nil
 }
 
 // evictTerminalLocked drops the oldest finished job (and its files) to
@@ -783,12 +651,16 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 			j.setDegraded(true)
 			log = nil
 		}
-		payload, resumed, err := jm.runKind(j, resume, log)
+		payload, resumed, err := j.spec.runJob(jm.ctx, jm.srv, &checkpoint.Options{
+			Sink: &jobSink{jm: jm, j: j, log: log}, Every: j.req.CheckpointEvery, Resume: resume,
+			OnError: func(err error) { jm.srv.logf("jobs: %s: snapshot save failed, continuing without: %v", j.id, err) },
+		})
 		if log != nil {
 			log.Close()
 		}
 		switch {
 		case err == nil:
+			j.finishProgress()
 			j.mu.Lock()
 			j.resumed = resumed
 			j.mu.Unlock()
@@ -859,100 +731,11 @@ func (s *jobSink) Save(payload []byte) error {
 		s.j.setDegraded(s.jm.store.Degraded())
 	}
 	s.jm.srv.metrics.JobSnapshots.Add(1)
-	if done, total, err := s.jm.snapshotProgress(s.j.req.Kind, payload); err == nil {
+	if done, total, err := s.j.spec.progress(payload); err == nil {
 		s.j.setProgress(done, total)
 	}
 	s.jm.srv.replicateJob(s.j, payload)
 	return nil
-}
-
-// runKind dispatches to the engine, returning the JSON result payload and
-// how many work units were restored rather than computed.
-func (jm *jobManager) runKind(j *job, resume []byte, log *checkpoint.Log) (json.RawMessage, int, error) {
-	sink := &jobSink{jm: jm, j: j, log: log}
-	onError := func(err error) { jm.srv.logf("jobs: %s: snapshot save failed, continuing without: %v", j.id, err) }
-	switch j.req.Kind {
-	case "uncertainty":
-		cfg := j.req.Uncertainty.config()
-		if cfg.Workers <= 0 {
-			cfg.Workers = jm.srv.opts.Workers
-		}
-		res, err := montecarlo.RunCheckpointed(jm.ctx, cfg, &montecarlo.Checkpoint{
-			Sink: sink, Every: j.req.CheckpointEvery, Resume: resume, OnError: onError,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		j.setProgress(res.Replicates, res.Replicates)
-		payload, err := json.Marshal(core.NewUncertaintyJSON(res))
-		return payload, res.Resumed, err
-	case "sweep":
-		req := j.req.Sweep
-		g, err := buildWorkload(req.Workload, req.Size)
-		if err != nil {
-			return nil, 0, err
-		}
-		grid, err := req.gridParams()
-		if err != nil || grid == nil {
-			return nil, 0, fmt.Errorf("sweep job grid: %v", err)
-		}
-		objective, err := core.ParseObjective(req.Objective)
-		if err != nil {
-			return nil, 0, err
-		}
-		workers := req.Workers
-		if workers <= 0 {
-			workers = jm.srv.opts.Workers
-		}
-		pts, resumed, err := sweep.RunParallelCheckpointed(jm.ctx, g, *grid, workers, &sweep.Checkpoint{
-			Sink: sink, Every: j.req.CheckpointEvery, Resume: resume, OnError: onError,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		j.setProgress(len(pts), len(pts))
-		resp := sweepResponse{Workload: req.Workload, Objective: core.ObjectiveName(objective), Evaluated: len(pts)}
-		if best, err := sweep.Best(pts, objective); err == nil {
-			bj := core.NewSweepPointJSON(best)
-			resp.Best = &bj
-		}
-		resp.Frontier = core.NewFrontierJSON(sweep.DesignFrontier(pts))
-		if req.IncludePoints {
-			resp.Points = make([]core.SweepPointJSON, 0, len(pts))
-			for _, p := range pts {
-				resp.Points = append(resp.Points, core.NewSweepPointJSON(p))
-			}
-		}
-		payload, err := json.Marshal(resp)
-		return payload, resumed, err
-	case "search":
-		req := j.req.Search
-		cfg, err := req.config()
-		if err != nil {
-			return nil, 0, err
-		}
-		g, err := buildWorkload(req.Workload, req.Size)
-		if err != nil {
-			return nil, 0, err
-		}
-		eng, err := sweep.NewEngine(g)
-		if err != nil {
-			return nil, 0, err
-		}
-		if cfg.Workers <= 0 {
-			cfg.Workers = jm.srv.opts.Workers
-		}
-		res, err := search.RunCheckpointed(jm.ctx, eng, cfg, &search.Checkpoint{
-			Sink: sink, Every: j.req.CheckpointEvery, Resume: resume, OnError: onError,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		j.setProgress(res.Generations+1, res.Generations+1)
-		payload, err := json.Marshal(core.NewSearchJSON(req.Workload, cfg, res))
-		return payload, res.Resumed, err
-	}
-	return nil, 0, fmt.Errorf("unknown job kind %q", j.req.Kind)
 }
 
 // finish persists a successful result: result first, then the manifest

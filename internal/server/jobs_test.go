@@ -99,7 +99,7 @@ func TestJobUncertaintyLifecycle(t *testing.T) {
 		t.Fatalf("cold job reports resumed=%d", j.Resumed)
 	}
 
-	res, err := montecarlo.RunContext(context.Background(), montecarlo.Config{Replicates: 24, Seed: 7, CorpusSeed: 7})
+	res, err := montecarlo.RunCheckpointed(context.Background(), montecarlo.Config{Replicates: 24, Seed: 7, CorpusSeed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestJobCrashRecoveryResume(t *testing.T) {
 		t.Fatalf("jobs resumed = %d, want 1", got)
 	}
 
-	res, err := montecarlo.RunContext(context.Background(), montecarlo.Config{Replicates: 600, Seed: 7, CorpusSeed: 7})
+	res, err := montecarlo.RunCheckpointed(context.Background(), montecarlo.Config{Replicates: 600, Seed: 7, CorpusSeed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,5 +425,168 @@ func TestReadyzStates(t *testing.T) {
 	s.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("healthz must stay 200 while draining, got %d", rec.Code)
+	}
+}
+
+// TestJobRejectsWhatSyncRejects holds the two front ends to one check:
+// every sweep, uncertainty and search body the synchronous endpoint
+// answers 400 is a 400 on /v1/jobs too, before any budget is reserved or
+// manifest written. Jobs may reject more (design lists are sync-only),
+// never less.
+func TestJobRejectsWhatSyncRejects(t *testing.T) {
+	dir := t.TempDir()
+	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: dir, MaxGridPoints: 1000}).Handler())
+	defer ts.Close()
+	tinyGrid := `"grid": {"nodes": [45], "partitions": [1], "simplifications": [1], "fusion": [false]}`
+	for kind, bodies := range map[string][]string{
+		"sweep": {
+			`{"workload": "FFT", "preset": "reduced", "objective": "bogus"}`,
+			`{"preset": "reduced"}`,
+			`{"workload": "NOPE", "preset": "reduced"}`,
+			`{"workload": "FFT@bogus", "preset": "reduced"}`,
+			`{"workload": "FFT"}`,
+			`{"workload": "FFT", "preset": "huge"}`,
+			`{"workload": "FFT", "preset": "reduced", ` + tinyGrid + `}`,
+			`{"workload": "FFT", "preset": "full"}`,
+			`{"workload": "FFT", "preset": "reduced", "workers": -1}`,
+			`{"workload": "FFT", "preset": "reduced", "size": -1}`,
+			`{"workload": "FFT", "grid": {"nodes": [], "partitions": [1], "simplifications": [1], "fusion": [false]}}`,
+			`{"workload": "FFT", "grid": {"nodes": [45], "partitions": [3000000], "simplifications": [1], "fusion": [false]}}`,
+			`{"workload": "FFT", "grid": {"nodes": [1e308], "partitions": [1], "simplifications": [1], "fusion": [false]}}`,
+			`{"workload": "FFT", "preset": "reduced", "bogus": 1}`,
+		},
+		"uncertainty": {
+			`{"replicates": -1}`,
+			fmt.Sprintf(`{"replicates": %d}`, maxServedReplicates+1),
+			`{"confidence": 1.5}`,
+			`{"cmos_jitter": 2}`,
+			`{"workers": -2}`,
+			`{"bogus": 1}`,
+		},
+		"search": {
+			`{"population": 12}`,
+			`{"workload": "NOPE"}`,
+			`{"workload": "FFT", "strategy": "annealing"}`,
+			`{"workload": "FFT", "objectives": ["speed"]}`,
+			`{"workload": "FFT", "population": 1000, "generations": 1000}`,
+			`{"workload": "FFT", "seed": -1}`,
+			`{"workload": "FFT", "max_power_w": -1}`,
+		},
+	} {
+		for _, body := range bodies {
+			if status, resp := post(t, ts.URL+"/v1/"+kind, body); status != http.StatusBadRequest {
+				t.Fatalf("POST /v1/%s %s: want 400, got %d %s", kind, body, status, resp)
+			}
+			job := fmt.Sprintf(`{"kind": %q, %q: %s}`, kind, kind, body)
+			if status, resp := post(t, ts.URL+"/v1/jobs", job); status != http.StatusBadRequest {
+				t.Errorf("POST /v1/jobs %s: sync answers 400, job answered %d %s", job, status, resp)
+			}
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() {
+			t.Errorf("rejected submissions persisted %s", e.Name())
+		}
+	}
+}
+
+// TestJobUsesPrivateEngine pins why durable jobs build their own engine
+// instead of sharing the server's memo: a finished sweep or search job
+// leaves the engine cache's hits, misses and compiles untouched, so no
+// warmed engine stays resident on a job's behalf.
+func TestJobUsesPrivateEngine(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
+	defer ts.Close()
+	engineCache := func() map[string]int64 {
+		status, body := get(t, ts.URL+"/v1/metrics")
+		if status != http.StatusOK {
+			t.Fatalf("metrics: %d %s", status, body)
+		}
+		var m struct {
+			EngineCache map[string]int64 `json:"engine_cache"`
+		}
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.EngineCache
+	}
+	before := engineCache()
+	for _, body := range []string{
+		`{"kind": "sweep", "sweep": {"workload": "FFT", "preset": "reduced"}}`,
+		`{"kind": "search", "search": {"workload": "FFT", "population": 12, "generations": 3}}`,
+	} {
+		id := submitJob(t, ts.URL, body)
+		if j := waitForJob(t, ts.URL, id, terminal); j.State != jobDone {
+			t.Fatalf("%s: %+v", body, j)
+		}
+	}
+	after := engineCache()
+	for _, k := range []string{"hits", "misses", "compiles"} {
+		if _, ok := after[k]; !ok {
+			t.Fatalf("metrics engine_cache lacks %q: %v", k, after)
+		}
+		if before[k] != after[k] {
+			t.Errorf("engine_cache.%s moved %d -> %d: a job touched the shared engine memo", k, before[k], after[k])
+		}
+	}
+}
+
+// TestRecoveredJobsResolveTheirBodies: a manifest persists only the wire
+// body, so a restarted server resolves it again. A sweep job that was
+// still queued when the process died runs its grid, and finished sweep
+// and search jobs report complete progress.
+func TestRecoveredJobsResolveTheirBodies(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	s1, err := New(Options{JobsDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	sweepJob := `{"kind": "sweep", "sweep": {"workload": "RED",
+		"grid": {"nodes": [45, 32], "partitions": [1, 2], "simplifications": [1], "fusion": [false]}}}`
+	units := map[string]int{ // job id -> work units: grid points, or generations + 1
+		submitJob(t, ts1.URL, sweepJob): 4,
+		submitJob(t, ts1.URL, `{"kind": "search", "search": {"workload": "FFT", "population": 12, "generations": 3}}`): 4,
+	}
+	for id := range units {
+		if j := waitForJob(t, ts1.URL, id, terminal); j.State != jobDone {
+			t.Fatalf("job %s failed: %+v", id, j)
+		}
+	}
+	// One job runs at a time: with a long run holding the slot, the next
+	// sweep is still queued when the process dies.
+	blocker := submitJob(t, ts1.URL, `{"kind": "uncertainty", "uncertainty": {"replicates": 3000, "workers": 1}}`)
+	waitForJob(t, ts1.URL, blocker, func(j jobJSON) bool { return j.State == jobRunning })
+	queued := submitJob(t, ts1.URL, sweepJob)
+	units[queued] = 4
+	s1.Close()
+	ts1.Close()
+
+	s2, err := New(Options{JobsDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	for id, n := range units {
+		j := waitForJob(t, ts2.URL, id, terminal)
+		if j.State != jobDone {
+			t.Fatalf("job %s after restart: %+v", id, j)
+		}
+		if j.ProgressDone != n || j.ProgressTotal != n {
+			t.Errorf("job %s after restart: progress %d/%d, want %d/%d", id, j.ProgressDone, j.ProgressTotal, n, n)
+		}
+	}
+	var out struct {
+		Evaluated int `json:"evaluated"`
+	}
+	if j := waitForJob(t, ts2.URL, queued, terminal); json.Unmarshal(j.Result, &out) != nil || out.Evaluated != 4 {
+		t.Fatalf("recovered sweep job result %s, want 4 evaluated points", j.Result)
 	}
 }

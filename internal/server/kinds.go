@@ -1,0 +1,161 @@
+// The kind table: grid sweeps, Monte Carlo bands and Pareto searches each
+// reach the server through four front ends — a synchronous endpoint, a
+// durable job, a cluster slice and the degraded stale-serving path. Every
+// front end dispatches through one record per kind, the request body
+// itself implementing kindSpec, so validation, pricing and the job
+// lifecycle are written once per kind instead of once per front end.
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strings"
+
+	"accelwall/internal/checkpoint"
+)
+
+// kindSpec is one heavy computation's request body.
+type kindSpec interface {
+	// resolve validates the body's own fields and derives what the
+	// methods below read. A restored job body is resolved again, since
+	// only the wire fields are persisted.
+	resolve() error
+	// check resolves the decoded body and holds it to the server's
+	// limits. A job additionally rejects what only the synchronous
+	// endpoint serves.
+	check(s *Server, job bool) error
+	// cost prices a checked request for memory-budgeted admission.
+	cost(s *Server) int64
+	// peek returns a finished cached answer without computing anything —
+	// the degraded path; ok is false when none is resident.
+	peek(s *Server) (body any, ok bool)
+	// serve computes a checked request on the server's shared engines and
+	// writes the response.
+	serve(s *Server, w http.ResponseWriter, r *http.Request)
+	// runJob computes a job's result on a job-private engine, snapshotting
+	// through ck and resuming from ck.Resume; it reports how many work
+	// units were restored rather than computed.
+	runJob(ctx context.Context, s *Server, ck *checkpoint.Options) (result json.RawMessage, resumed int, err error)
+	// progress decodes a snapshot's work-unit counters.
+	progress(snapshot []byte) (done, total int, err error)
+	// units is the job's total work before its first snapshot (0 while
+	// unknown) and the work its finished result covers.
+	units() (before, finished int)
+}
+
+// spec resolves the job's kind onto its body: the one place a kind name
+// is looked up, for jobs and synchronous routes alike. A missing body of
+// the named kind is an empty (all-defaults) one; a body of another kind
+// is an error.
+func (r *jobRequest) spec() (kindSpec, error) {
+	var spec kindSpec
+	switch r.Kind {
+	case "uncertainty":
+		if r.Uncertainty == nil {
+			r.Uncertainty = &uncertaintyRequest{}
+		}
+		spec = r.Uncertainty
+	case "sweep":
+		if r.Sweep == nil {
+			r.Sweep = &sweepRequest{}
+		}
+		spec = r.Sweep
+	case "search":
+		if r.Search == nil {
+			r.Search = &searchRequest{}
+		}
+		spec = r.Search
+	default:
+		return nil, fmt.Errorf("unknown kind %q (want uncertainty, sweep, or search)", r.Kind)
+	}
+	bodies := 0
+	for _, set := range [...]bool{r.Uncertainty != nil, r.Sweep != nil, r.Search != nil} {
+		if set {
+			bodies++
+		}
+	}
+	if bodies > 1 {
+		return nil, fmt.Errorf("%s job carries another kind's body", r.Kind)
+	}
+	return spec, nil
+}
+
+// handleKind is the synchronous endpoint of one kind: decode, check,
+// reserve memory (serving stale on refusal), then compute on the shared
+// engines.
+func (s *Server) handleKind(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		spec, _ := (&jobRequest{Kind: kind}).spec() // routes name known kinds
+		if err := decodeJSON(w, r, spec); err != nil {
+			writeBodyError(w, err)
+			return
+		}
+		if err := spec.check(s, false); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		release, ok := s.reserveMemory(w, r, spec.cost(s), func() bool { return s.serveStale(w, spec) })
+		if !ok {
+			return
+		}
+		defer release()
+		spec.serve(s, w, r)
+	}
+}
+
+// poolWidth is a request's worker count, else the server's; 0 lets the
+// engine pick GOMAXPROCS.
+func (s *Server) poolWidth(requested int) int {
+	if requested > 0 {
+		return requested
+	}
+	return s.opts.Workers
+}
+
+// degradedWarning is the RFC 7234 Warning value attached to every
+// degraded response, alongside the x-header clients key off.
+const degradedWarning = `110 accelwalld "stale response served from cache under overload"`
+
+// serveDegraded tries to answer a request the admission queue is about to
+// shed from the warm caches. It reports whether the response was written;
+// on false nothing has been written and the caller sheds as usual. A
+// kind's synchronous route is "POST /v1/<kind>"; the body is decoded and
+// checked exactly as that handler would, so a body that would not reach
+// the cache lookup in the handler cannot reach it here either.
+//
+// Only finished cache entries qualify: the degraded path never compiles
+// an engine, never starts a run, and never joins an in-flight one, so it
+// costs one map lookup and cannot deepen the overload it is routing
+// around.
+func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
+	kind, ok := strings.CutPrefix(routeOf(r.Context()), "POST /v1/")
+	if !ok {
+		return false
+	}
+	spec, err := (&jobRequest{Kind: kind}).spec()
+	if err != nil || decodeJSON(w, r, spec) != nil || spec.check(s, false) != nil {
+		return false
+	}
+	return s.serveStale(w, spec)
+}
+
+// serveStale writes a checked request's finished cached answer, marked
+// stale, and counts the rescue; it reports false, writing nothing, when
+// no answer is resident.
+func (s *Server) serveStale(w http.ResponseWriter, spec kindSpec) bool {
+	body, ok := spec.peek(s)
+	if !ok {
+		return false
+	}
+	w.Header().Set("Warning", degradedWarning)
+	w.Header().Set("X-Accelwall-Degraded", "stale")
+	s.metrics.Degraded.Add(1)
+	if raw, ok := body.([]byte); ok {
+		writeJSONBytes(w, http.StatusOK, raw)
+	} else {
+		writeJSON(w, http.StatusOK, body)
+	}
+	return true
+}

@@ -2,13 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"strings"
 
+	"accelwall/internal/checkpoint"
 	"accelwall/internal/core"
 	"accelwall/internal/resources"
 	"accelwall/internal/search"
+	"accelwall/internal/sweep"
 )
 
 // maxSearchEvaluations bounds a search request's evaluation budget —
@@ -46,10 +50,11 @@ type searchRequest struct {
 	MaxPowerW   float64          `json:"max_power_w,omitempty"`
 	Space       *searchSpaceJSON `json:"space,omitempty"`
 	Workers     int              `json:"workers,omitempty"`
+
+	cfg search.Config // resolved by resolve
 }
 
 // config maps the wire body onto the normalized engine configuration.
-// Shared by the synchronous handler and the job runner.
 func (r *searchRequest) config() (search.Config, error) {
 	strategy, err := search.ParseStrategy(r.Strategy)
 	if err != nil {
@@ -139,47 +144,62 @@ func searchKey(engine string, cfg search.Config) string {
 	return b.String()
 }
 
-// handleSearch serves synchronous design-space searches on the workload's
-// cached engine. Deterministic in everything but pool width, so completed
+func (r *searchRequest) resolve() error {
+	if r.Workload == "" {
+		return errors.New("missing workload")
+	}
+	if err := r.validate(); err != nil {
+		return err
+	}
+	var err error
+	r.cfg, err = r.config()
+	return err
+}
+
+func (r *searchRequest) check(s *Server, job bool) error {
+	if err := r.resolve(); err != nil {
+		return err
+	}
+	return jobWorkload(job, r.Workload)
+}
+
+// cost prices a search by its evaluation budget: population ×
+// generations of memoized points.
+func (r *searchRequest) cost(*Server) int64 {
+	return resources.SearchCost(r.cfg.Population, r.cfg.Generations)
+}
+
+// key is the search-cache key of a checked request.
+func (r *searchRequest) key() string {
+	return searchKey(engineKey(r.Workload, r.Size), r.cfg)
+}
+
+// peek serves a Pareto frontier from a completed search-cache entry.
+func (r *searchRequest) peek(s *Server) (any, bool) {
+	return s.searches.peek(r.key())
+}
+
+// run searches cfg over eval at the given pool width, durably when ck is
+// set.
+func (r *searchRequest) run(ctx context.Context, eval search.Evaluator, cfg search.Config, workers int, ck *checkpoint.Options) (core.SearchJSON, int, error) {
+	cfg.Workers = workers
+	res, err := search.RunCheckpointed(ctx, eval, cfg, ck)
+	if err != nil {
+		return core.SearchJSON{}, 0, err
+	}
+	return core.NewSearchJSON(r.Workload, cfg, res), res.Resumed, nil
+}
+
+// serve runs a synchronous design-space search on the workload's cached
+// engine. Deterministic in everything but pool width, so completed
 // frontiers are memoized on the normalized config; concurrent identical
 // requests share one run with reference-counted cancellation, matching
 // /v1/uncertainty.
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req searchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeBodyError(w, err)
-		return
-	}
-	if req.Workload == "" {
-		writeError(w, http.StatusBadRequest, "missing workload")
-		return
-	}
-	if err := req.validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	cfg, err := req.config()
+func (r *searchRequest) serve(s *Server, w http.ResponseWriter, req *http.Request) {
+	eng, err := s.engine(r.Workload, r.Size)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	// Memory-budgeted admission: a search's working set is bounded by its
-	// evaluation budget (population × generations of memoized points).
-	// A refusal still serves a completed identical frontier stale.
-	release, reserved := s.reserveMemory(w, r, resources.SearchCost(cfg.Population, cfg.Generations),
-		func() bool { return s.degradedSearchReq(w, &req) })
-	if !reserved {
-		return
-	}
-	defer release()
-	eng, err := s.engine(req.Workload, req.Size)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.opts.Workers
 	}
 	// Cluster mode swaps in an evaluator whose batch evaluations scatter
 	// cold designs across the membership; the search trajectory itself
@@ -187,24 +207,46 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// way.
 	var eval search.Evaluator = eng
 	if s.clusterEnabled() {
-		eval = &distEvaluator{s: s, eng: eng, workload: req.Workload, size: req.Size}
+		eval = &distEvaluator{s: s, eng: eng, workload: r.Workload, size: r.Size}
 	}
-	key := searchKey(engineKey(req.Workload, req.Size), cfg)
-	out, err := s.searches.get(r.Context(), key, func(runCtx context.Context) (core.SearchJSON, error) {
-		run := cfg
-		run.Workers = workers
-		res, err := search.RunContext(runCtx, eval, run)
-		if err != nil {
-			return core.SearchJSON{}, err
-		}
-		return core.NewSearchJSON(req.Workload, run, res), nil
+	out, err := s.searches.get(req.Context(), r.key(), func(runCtx context.Context) (core.SearchJSON, error) {
+		out, _, err := r.run(runCtx, eval, r.cfg, s.poolWidth(r.Workers), nil)
+		return out, err
 	})
 	if err != nil {
-		if s.cancelled(w, r, err) {
+		if s.cancelled(w, req, err) {
 			return
 		}
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+func (r *searchRequest) runJob(ctx context.Context, s *Server, ck *checkpoint.Options) (json.RawMessage, int, error) {
+	g, err := buildWorkload(r.Workload, r.Size)
+	if err != nil {
+		return nil, 0, err
+	}
+	eng, err := sweep.NewEngine(g)
+	if err != nil {
+		return nil, 0, err
+	}
+	out, resumed, err := r.run(ctx, eng, r.cfg, s.poolWidth(r.Workers), ck)
+	if err != nil {
+		return nil, 0, err
+	}
+	payload, err := json.Marshal(out)
+	return payload, resumed, err
+}
+
+func (r *searchRequest) progress(snapshot []byte) (int, int, error) {
+	return search.SnapshotProgress(snapshot)
+}
+
+// units counts a search's steps: the seeding lattice plus one per
+// generation or rung.
+func (r *searchRequest) units() (int, int) {
+	n := r.cfg.Generations + 1
+	return n, n
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -31,7 +32,7 @@ func directSearch(t *testing.T, workload string, cfg search.Config) ([]byte, *se
 		t.Fatal(err)
 	}
 	cfg = cfg.Normalized()
-	res, err := search.Run(eng, cfg)
+	res, err := search.RunContext(context.Background(), eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestSearchJobCrashRecoveryResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := search.Config{Population: 32, Generations: 200, Seed: 7, Workers: 1}.Normalized()
-	res, err := search.Run(eng, cfg)
+	res, err := search.RunContext(context.Background(), eng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

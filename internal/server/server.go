@@ -363,9 +363,9 @@ func (s *Server) routes() http.Handler {
 	route("POST /v1/csr", s.handleCSR)
 	route("GET /v1/projection", s.handleProjection)
 	route("GET /v1/casestudy/{name}", s.handleCaseStudy)
-	heavy("POST /v1/sweep", s.handleSweep)
-	heavy("POST /v1/uncertainty", s.handleUncertainty)
-	heavy("POST /v1/search", s.handleSearch)
+	heavy("POST /v1/sweep", s.handleKind("sweep"))
+	heavy("POST /v1/uncertainty", s.handleKind("uncertainty"))
+	heavy("POST /v1/search", s.handleKind("search"))
 	route("GET /v1/workloads", s.handleWorkloads)
 	route("GET /v1/experiments", s.handleExperiments)
 	route("GET /v1/experiments/{id}", s.handleExperiment)

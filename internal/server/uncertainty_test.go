@@ -28,7 +28,7 @@ func TestUncertaintyMatchesEngine(t *testing.T) {
 		t.Fatalf("status %d: %s", status, body)
 	}
 
-	res, err := montecarlo.Run(montecarlo.Config{Replicates: 16, Seed: 3})
+	res, err := montecarlo.RunCheckpointed(context.Background(), montecarlo.Config{Replicates: 16, Seed: 3}, nil)
 	if err != nil {
 		t.Fatalf("direct run: %v", err)
 	}

@@ -1,13 +1,14 @@
 package sweep
 
 import (
+	"context"
 	"testing"
 
 	"accelwall/internal/aladdin"
 )
 
 // TestEvaluateWarmAllocs is the serving-path allocation gate: once a
-// design's normalized key is memoized, Engine.Evaluate must answer without
+// design's normalized key is memoized, Engine.EvaluateContext must answer without
 // growing the heap at all — the hot path of a warm server is a read-locked
 // map lookup and a value copy.
 func TestEvaluateWarmAllocs(t *testing.T) {
@@ -17,11 +18,11 @@ func TestEvaluateWarmAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := aladdin.Design{NodeNM: 45, Partition: 16, Simplification: 3, Fusion: true}
-	if _, err := eng.Evaluate(d); err != nil {
+	if _, err := eng.EvaluateContext(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		if _, err := eng.Evaluate(d); err != nil {
+		if _, err := eng.EvaluateContext(context.Background(), d); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
@@ -30,7 +31,7 @@ func TestEvaluateWarmAllocs(t *testing.T) {
 }
 
 // TestWarmGridSecondPassAllocs bounds the whole warm sweep path: a second
-// Warm over an already-resident grid must run no simulations and allocate
+// grid run over an already-resident grid must run no simulations and allocate
 // only the bounded bookkeeping of the scan itself (dedup map + key list),
 // never per-point simulation state.
 func TestWarmGridSecondPassAllocs(t *testing.T) {
@@ -40,10 +41,10 @@ func TestWarmGridSecondPassAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := tiny()
-	if _, err := eng.Warm(p, 2); err != nil {
+	if _, err := warm(context.Background(), eng, p, 2); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := eng.Warm(p, 2)
+	fresh, err := warm(context.Background(), eng, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkCancelLatency measures the time from cancelling a mid-grid
-// RunParallelContext to full pool quiescence (the call returning). The
+// Engine.RunContext to full pool quiescence (the call returning). The
 // timer runs only across cancel() → return, so ns/op is the cancellation
 // latency itself; scripts/bench.sh records it in BENCH_cancel.json.
 func BenchmarkCancelLatency(b *testing.B) {
@@ -28,7 +28,7 @@ func BenchmarkCancelLatency(b *testing.B) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
-			RunParallelContext(ctx, g, p, 0) //nolint:errcheck // cancelled on purpose
+			runParallelContext(ctx, g, p, 0) //nolint:errcheck // cancelled on purpose
 			close(done)
 		}()
 		time.Sleep(2 * time.Millisecond) // let the pool get mid-grid

@@ -41,7 +41,7 @@ func TestRunParallelContextPreCancelled(t *testing.T) {
 		leakcheck.Check(t)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		pts, err := RunParallelContext(ctx, g, tiny(), workers)
+		pts, err := runParallelContext(ctx, g, tiny(), workers)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
@@ -66,7 +66,7 @@ func TestCancelMidGridStopsWithinOneChunk(t *testing.T) {
 			defer cancel()
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunParallelContext(ctx, g, tiny(), workers)
+				_, err := runParallelContext(ctx, g, tiny(), workers)
 				done <- err
 			}()
 			waitHits(t, inj, SiteSimulate, 5)
@@ -87,7 +87,7 @@ func TestCancelMidGridStopsWithinOneChunk(t *testing.T) {
 	}
 }
 
-// TestWarmContextKeepsBitIdenticalPrefix cancels Engine.WarmContext
+// TestWarmContextKeepsBitIdenticalPrefix cancels Engine.RunContext
 // mid-grid and asserts every design point that did complete is
 // bit-identical to the same point from an uncancelled engine.
 func TestWarmContextKeepsBitIdenticalPrefix(t *testing.T) {
@@ -96,7 +96,7 @@ func TestWarmContextKeepsBitIdenticalPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Warm(tiny(), 0); err != nil {
+	if _, err := warm(context.Background(), ref, tiny(), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
@@ -111,7 +111,7 @@ func TestWarmContextKeepsBitIdenticalPrefix(t *testing.T) {
 			defer cancel()
 			done := make(chan error, 1)
 			go func() {
-				_, err := eng.WarmContext(ctx, tiny(), workers)
+				_, err := eng.RunContext(ctx, tiny(), workers)
 				done <- err
 			}()
 			waitHits(t, inj, SiteSimulate, 8)
@@ -129,7 +129,7 @@ func TestWarmContextKeepsBitIdenticalPrefix(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				want, err := ref.Evaluate(d)
+				want, err := ref.EvaluateContext(context.Background(), d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,16 +153,20 @@ func TestAttributeContextCancelled(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AttributeContext(ctx, "FFT", g, tiny(), Performance); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AttributeContext err = %v, want context.Canceled", err)
+	eng, err := NewEngine(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := AttributeParallelContext(ctx, "FFT", g, tiny(), Performance, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AttributeParallelContext err = %v, want context.Canceled", err)
+	if _, err := eng.Attribute(ctx, "FFT", tiny(), Performance, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Attribute (1 worker) err = %v, want context.Canceled", err)
 	}
-	if _, _, err := Fig13Context(ctx, g, tiny(), 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Fig13Context err = %v, want context.Canceled", err)
+	if _, err := eng.Attribute(ctx, "FFT", tiny(), Performance, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Attribute (4 workers) err = %v, want context.Canceled", err)
 	}
-	if _, err := RunContext(ctx, g, tiny()); !errors.Is(err, context.Canceled) {
+	if _, _, _, err := eng.Fig13(ctx, tiny(), 4, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig13 err = %v, want context.Canceled", err)
+	}
+	if _, err := eng.RunContext(ctx, tiny(), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext err = %v, want context.Canceled", err)
 	}
 }

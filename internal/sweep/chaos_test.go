@@ -17,7 +17,7 @@ import (
 // produces bit-identical results again.
 func TestChaosSweepPool(t *testing.T) {
 	g := buildApp(t, "FFT", 0)
-	ref, err := Run(g, tiny())
+	ref, err := refRun(g, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestChaosSweepPool(t *testing.T) {
 				faultinject.Enable(inj)
 				defer faultinject.Disable()
 
-				pts, err := RunParallel(g, tiny(), workers)
+				pts, err := runParallel(g, tiny(), workers)
 				if inj.Fired(SiteSimulate) == 0 {
 					t.Fatalf("injector never fired over %d hits", inj.Hits(SiteSimulate))
 				}
@@ -67,7 +67,7 @@ func TestChaosSweepPool(t *testing.T) {
 				// The engine is not poisoned: with the injector gone the
 				// same pool produces the reference results.
 				faultinject.Disable()
-				again, err := RunParallel(g, tiny(), workers)
+				again, err := runParallel(g, tiny(), workers)
 				if err != nil {
 					t.Fatalf("post-chaos sweep failed: %v", err)
 				}
@@ -82,7 +82,7 @@ func TestChaosSweepPool(t *testing.T) {
 }
 
 // TestChaosEngineReleasesNothing verifies a panicking design point inside
-// Engine.Evaluate is contained: the call errors, later calls succeed, and
+// Engine.EvaluateContext is contained: the call errors, later calls succeed, and
 // the memo table never caches a poisoned result.
 func TestChaosEngineEvaluateRecovers(t *testing.T) {
 	g := buildApp(t, "FFT", 0)
@@ -96,7 +96,7 @@ func TestChaosEngineEvaluateRecovers(t *testing.T) {
 	faultinject.Enable(faultinject.New(1).Set(SiteSimulate, faultinject.Rule{
 		Mode: faultinject.ModePanic, Every: 1,
 	}))
-	if _, err := eng.Evaluate(d); err == nil {
+	if _, err := eng.EvaluateContext(context.Background(), d); err == nil {
 		t.Fatal("Evaluate swallowed an injected panic")
 	}
 	if n := eng.CachedPoints(); n != 0 {
@@ -104,7 +104,7 @@ func TestChaosEngineEvaluateRecovers(t *testing.T) {
 	}
 	faultinject.Disable()
 
-	got, err := eng.Evaluate(d)
+	got, err := eng.EvaluateContext(context.Background(), d)
 	if err != nil {
 		t.Fatalf("post-chaos Evaluate failed: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestChaosEngineEvaluateRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Evaluate(d)
+	want, err := ref.EvaluateContext(context.Background(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChaosCancelDuringFaults(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() {
-			_, err := RunParallelContext(ctx, g, Default(), workers)
+			_, err := runParallelContext(ctx, g, Default(), workers)
 			done <- err
 		}()
 		waitHits(t, inj, SiteSimulate, 3)

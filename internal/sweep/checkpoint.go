@@ -23,23 +23,10 @@ import (
 	"accelwall/internal/dfg"
 )
 
-// Checkpoint configures durable progress snapshots for one sweep. The
-// zero value (and a nil pointer) disables checkpointing entirely.
-type Checkpoint struct {
-	// Sink receives encoded snapshots (typically a *checkpoint.Log).
-	Sink checkpoint.Sink
-	// Every is the snapshot cadence in completed-prefix design points
-	// (<= 0 selects checkpoint.DefaultEvery).
-	Every int
-	// Resume, when non-nil, is a snapshot payload from a previous sweep of
-	// the SAME workload graph and grid; its design points are restored
-	// instead of resimulated. A mismatched or corrupt payload errors —
-	// resuming the wrong sweep must never silently blend results.
-	Resume []byte
-	// OnError receives the save failure that stopped further snapshots;
-	// the sweep itself continues. nil discards it.
-	OnError func(error)
-}
+// Checkpoint configures durable progress snapshots for one sweep; Every
+// counts completed-prefix unique design points. The zero value (and a nil
+// pointer) disables checkpointing entirely.
+type Checkpoint = checkpoint.Options
 
 // Named snapshot decode causes.
 var (
@@ -119,8 +106,8 @@ func encodeSweepSnapshot(digest uint64, total int, results []aladdin.Result, n i
 
 // decodeSweepSnapshot validates payload against the sweep's digest and
 // unique-design count and returns the restored prefix length, filling
-// results[0:n] (with designs re-derived from uniques) and done[0:n].
-func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []aladdin.Result, done []bool, payload []byte) (int, error) {
+// results[0:n] (with designs re-derived from uniques).
+func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []aladdin.Result, payload []byte) (int, error) {
 	r := checkpoint.NewReader(payload)
 	if v := r.U16(); r.Bad() || v != snapshotVersion {
 		return 0, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
@@ -150,7 +137,6 @@ func decodeSweepSnapshot(digest uint64, uniques []aladdin.Design, results []alad
 		res.Area = r.F64()
 		res.Utilization = r.F64()
 		results[i] = res
-		done[i] = true
 	}
 	if r.Bad() {
 		return 0, fmt.Errorf("%w: truncated design records", ErrSnapshotCorrupt)
@@ -178,60 +164,12 @@ func SnapshotProgress(payload []byte) (done, total int, err error) {
 	return done, total, nil
 }
 
-// RunParallelCheckpointed is RunParallelContext with durable progress
-// snapshots: the completed unique-design prefix is persisted through
-// ck.Sink at the configured cadence, a cancelled sweep leaves one final
-// snapshot behind, and ck.Resume restores a previous sweep's prefix
-// instead of resimulating it. The second return is how many unique designs
-// were restored rather than simulated (0 for cold runs). A nil ck (or nil
-// ck.Sink with no Resume) is exactly RunParallelContext.
+// RunParallelCheckpointed is the one-shot durable sweep: NewEngine plus
+// Engine.RunCheckpointed.
 func RunParallelCheckpointed(ctx context.Context, g *dfg.Graph, p Params, workers int, ck *Checkpoint) ([]Point, int, error) {
-	if g == nil {
-		return nil, 0, errors.New("sweep: nil graph")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	r, err := newRunner(g)
+	e, err := NewEngine(g)
 	if err != nil {
 		return nil, 0, err
 	}
-	uniques := r.uniqueDesigns(p)
-	results := make([]aladdin.Result, len(uniques))
-	done := make([]bool, len(uniques))
-	errs := make([]error, len(uniques))
-	digest := sweepDigest(r.c, uniques)
-	start := 0
-	if ck != nil && len(ck.Resume) > 0 {
-		start, err = decodeSweepSnapshot(digest, uniques, results, done, ck.Resume)
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	var tr *checkpoint.Tracker
-	if ck != nil {
-		tr = checkpoint.NewTracker(ck.Sink, len(uniques), start, ck.Every,
-			func(n int) ([]byte, error) { return encodeSweepSnapshot(digest, len(uniques), results, n), nil },
-			ck.OnError)
-	}
-	simulatePool(ctx, r.c, uniques, results, errs, done, start, workers, tr)
-	if err := ctx.Err(); err != nil {
-		// The parting snapshot: whatever prefix is complete right now is
-		// what a restarted process (or a drained daemon) resumes from.
-		tr.Final()
-		return nil, 0, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, 0, err
-		}
-	}
-	for i, k := range uniques {
-		r.cache[k] = results[i]
-	}
-	pts, err := r.points(ctx, p)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pts, start, nil
+	return e.RunCheckpointed(ctx, p, workers, ck)
 }

@@ -37,7 +37,7 @@ func (m *memorySink) last() []byte {
 
 func TestRunParallelCheckpointedNilEqualsRunParallel(t *testing.T) {
 	g := buildApp(t, "S2D", 0)
-	ref, err := RunParallel(g, tiny(), 4)
+	ref, err := runParallel(g, tiny(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestRunParallelCheckpointedNilEqualsRunParallel(t *testing.T) {
 // every pool width.
 func TestSweepResumeBitIdentical(t *testing.T) {
 	g := buildApp(t, "S2D", 0)
-	ref, err := RunParallel(g, tiny(), 4)
+	ref, err := runParallel(g, tiny(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func (c *crashSink) Save(p []byte) error {
 
 func TestSweepCrashResume(t *testing.T) {
 	g := buildApp(t, "S2D", 0)
-	ref, err := RunParallel(g, tiny(), 1)
+	ref, err := runParallel(g, tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,12 +213,12 @@ func TestSweepResumeRejectsWrongSweep(t *testing.T) {
 
 func TestFig13CheckpointedMatchesFig13(t *testing.T) {
 	g := buildApp(t, "S2D", 0)
-	refRows, refBest, err := Fig13Context(context.Background(), g, tiny(), 4)
+	refRows, refBest, err := fig13(g, tiny(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &memorySink{}
-	rows, best, resumed, err := Fig13Checkpointed(context.Background(), g, tiny(), 4, &Checkpoint{Sink: sink, Every: 8})
+	rows, best, resumed, err := fig13Checkpointed(context.Background(), g, tiny(), 4, &Checkpoint{Sink: sink, Every: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestFig13CheckpointedMatchesFig13(t *testing.T) {
 		t.Fatal("checkpointed Fig13 diverged")
 	}
 	// And resumed from its own last snapshot.
-	rows2, best2, _, err := Fig13Checkpointed(context.Background(), g, tiny(), 4, &Checkpoint{Resume: sink.last()})
+	rows2, best2, _, err := fig13Checkpointed(context.Background(), g, tiny(), 4, &Checkpoint{Resume: sink.last()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestFig13CheckpointedMatchesFig13(t *testing.T) {
 // of the first k unique designs resumes to the uninterrupted sweep.
 func TestSweepResumeAtEveryOffset(t *testing.T) {
 	g := buildApp(t, "S2D", 0)
-	ref, err := RunParallel(g, tiny(), 3)
+	ref, err := runParallel(g, tiny(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSweepResumeAtEveryOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	uniques := r.uniqueDesigns(tiny())
-	results, _, err := simulateDesigns(context.Background(), r.c, uniques, 3)
+	results, err := r.simulateAll(uniques)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,28 @@ package sweep
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 
 	"accelwall/internal/aladdin"
 	"accelwall/internal/dfg"
 )
 
-// Engine is a process-lifetime, concurrency-safe design-point evaluator
-// over one compiled workload graph. It is the exported hook long-lived
-// services build on: the graph is compiled exactly once, every simulation
-// is memoized under the normalized cache key (partition plateau clamped,
-// zero-value defaults spelled out), and any number of goroutines may call
-// Evaluate, Warm, and Run concurrently — the memo table is guarded by a
-// read-write lock while the underlying *aladdin.Compiled is immutable and
-// shared by all workers.
+// Engine is the one design-point evaluator: a concurrency-safe memo over
+// one compiled workload graph. The graph is compiled exactly once, every
+// simulation is memoized under the normalized cache key (partition
+// plateau clamped, zero-value defaults spelled out), and any number of
+// goroutines may call its methods concurrently — the memo table is
+// guarded by a read-write lock while the underlying *aladdin.Compiled is
+// immutable and shared by all workers.
 //
-// Unlike the per-call Run/RunParallel entry points, an Engine keeps its
-// cache across calls, so repeated sweeps over overlapping grids (the
-// serving workload) only simulate the points they have never seen.
+// Each operation is one ctx-taking method: EvaluateContext for a single
+// point, EvaluateBatchContext for a population, RunCheckpointed (and
+// RunContext) for a grid, Attribute for the Figure 14 decomposition and
+// Fig13 for the Figure 13 cloud. The memo persists across calls, so
+// repeated sweeps over overlapping grids (the serving workload) only
+// simulate the points they have never seen; a one-shot sweep simply
+// builds an engine and drops it.
 type Engine struct {
 	c    *aladdin.Compiled
 	maxP int
@@ -74,17 +78,11 @@ func (e *Engine) CachedPoints() int {
 	return len(e.cache)
 }
 
-// Evaluate simulates one design point, serving it from the memo table when
-// its normalized key has been simulated before. The returned result carries
-// the caller's design spelling (not the normalized key). Safe for
-// concurrent use.
-func (e *Engine) Evaluate(d aladdin.Design) (aladdin.Result, error) {
-	return e.EvaluateContext(context.Background(), d)
-}
-
-// EvaluateContext is Evaluate under a context. Memoized points are served
-// regardless of ctx (they cost nothing); a cache miss checks ctx before
-// committing to the simulation.
+// EvaluateContext simulates one design point, serving it from the memo
+// table when its normalized key has been simulated before. The returned
+// result carries the caller's design spelling (not the normalized key).
+// Memoized points are served regardless of ctx (they cost nothing); a
+// cache miss checks ctx before committing to the simulation.
 func (e *Engine) EvaluateContext(ctx context.Context, d aladdin.Design) (aladdin.Result, error) {
 	key := normalizeKey(e.maxP, d)
 	e.mu.RLock()
@@ -107,147 +105,200 @@ func (e *Engine) EvaluateContext(ctx context.Context, d aladdin.Design) (aladdin
 	return res, nil
 }
 
-// Warm simulates every design of the grid whose normalized key is not yet
-// cached, fanning the missing unique points over a worker pool
-// (workers <= 0 selects GOMAXPROCS). It returns how many fresh simulations
-// ran — zero means the grid was already fully resident.
-func (e *Engine) Warm(p Params, workers int) (int, error) {
-	return e.WarmContext(context.Background(), p, workers)
-}
-
-// WarmContext is Warm under a context. On cancellation it returns
-// ctx.Err(), but the design points that completed before the pool
-// quiesced are kept in the memo table — they are bit-identical to an
-// uncancelled run's, so abandoned work still warms later requests.
-func (e *Engine) WarmContext(ctx context.Context, p Params, workers int) (int, error) {
-	if err := p.Validate(); err != nil {
-		return 0, err
-	}
-	seen := make(map[aladdin.Design]bool)
-	var missing []aladdin.Design
-	e.mu.RLock()
-	for _, d := range p.enumerate() {
-		k := normalizeKey(e.maxP, d)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := e.cache[k]; !ok {
-			missing = append(missing, k)
-		}
-	}
-	e.mu.RUnlock()
-	if len(missing) == 0 {
-		return 0, nil
-	}
-	results, completed, err := simulateDesigns(ctx, e.c, missing, workers)
-	if err != nil {
-		if ctx.Err() != nil && completed != nil {
-			fresh := 0
-			e.mu.Lock()
-			for i, k := range missing {
-				if completed[i] {
-					e.cache[k] = results[i]
-					fresh++
-				}
-			}
-			e.mu.Unlock()
-			return fresh, err
-		}
-		return 0, err
-	}
-	e.mu.Lock()
-	for i, k := range missing {
-		e.cache[k] = results[i]
-	}
-	e.mu.Unlock()
-	return len(missing), nil
-}
-
-// EvaluateBatch simulates a population of design points in one pooled
-// pass and returns results in input order. See EvaluateBatchContext.
-func (e *Engine) EvaluateBatch(designs []aladdin.Design, workers int) ([]aladdin.Result, error) {
-	return e.EvaluateBatchContext(context.Background(), designs, workers)
-}
-
 // EvaluateBatchContext simulates every design of the population whose
 // normalized key is not yet memoized — deduplicated within the batch and
 // against the memo table — as one cancellable, fault-isolated pool pass
 // (the same chunked worker pool grid sweeps use), then assembles results
-// in input order with each caller's design spelling. This is the population-evaluation seam the design-space
-// search drives: one call per generation, memo hits costing a map lookup.
+// in input order with each caller's design spelling. This is the
+// population-evaluation seam the design-space search drives: one call per
+// generation, memo hits costing a map lookup. workers <= 0 selects
+// GOMAXPROCS.
 //
 // On cancellation it returns ctx.Err(); the unique points that completed
 // before the pool quiesced are kept in the memo table (bit-identical to an
 // uncancelled run's), so an abandoned generation still warms its re-run.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, designs []aladdin.Design, workers int) ([]aladdin.Result, error) {
-	seen := make(map[aladdin.Design]bool, len(designs))
-	var missing []aladdin.Design
-	e.mu.RLock()
-	for _, d := range designs {
-		k := normalizeKey(e.maxP, d)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := e.cache[k]; !ok {
-			missing = append(missing, k)
-		}
-	}
-	e.mu.RUnlock()
-	if len(missing) > 0 {
-		results, completed, err := simulateDesigns(ctx, e.c, missing, workers)
-		if completed != nil {
-			e.mu.Lock()
-			for i, k := range missing {
-				if completed[i] {
-					e.cache[k] = results[i]
-				}
-			}
-			e.mu.Unlock()
-		}
-		if err != nil {
-			return nil, err
-		}
+	if _, err := e.warm(ctx, designs, workers, nil); err != nil {
+		return nil, err
 	}
 	out := make([]aladdin.Result, len(designs))
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	for i, d := range designs {
 		res, ok := e.cache[normalizeKey(e.maxP, d)]
 		if !ok {
-			e.mu.RUnlock()
 			return nil, errors.New("sweep: batch result missing after simulation")
 		}
 		res.Design = d
 		out[i] = res
 	}
-	e.mu.RUnlock()
 	return out, nil
 }
 
-// Run sweeps the grid and returns every design point in the deterministic
-// (node, fusion, simplification, partition) Run order — point-for-point
-// identical to Run and RunParallel — warming the cache first so the unique
-// simulations execute on the pool.
-func (e *Engine) Run(p Params, workers int) ([]Point, error) {
-	return e.RunContext(context.Background(), p, workers)
+// RunContext is RunCheckpointed without snapshots.
+func (e *Engine) RunContext(ctx context.Context, p Params, workers int) ([]Point, error) {
+	pts, _, err := e.RunCheckpointed(ctx, p, workers, nil)
+	return pts, err
 }
 
-// RunContext is Run under a context: a cancelled ctx stops the warming
-// pool within one chunk (keeping completed points in the memo table) and
-// aborts assembly, returning ctx.Err().
-func (e *Engine) RunContext(ctx context.Context, p Params, workers int) ([]Point, error) {
-	if _, err := e.WarmContext(ctx, p, workers); err != nil {
-		return nil, err
+// RunCheckpointed sweeps the grid and returns every design point in the
+// deterministic (node, fusion, simplification, partition) order. The
+// grid's unmemoized unique points are simulated on a worker pool first
+// (workers <= 0 selects GOMAXPROCS); the assembly is then a pure memo
+// walk, so results never depend on pool width or chunk order.
+//
+// A non-nil ck makes the sweep durable: the completed prefix of the grid's
+// unique-design list is persisted through ck.Sink at the configured
+// cadence, a cancelled sweep leaves one final snapshot behind, and
+// ck.Resume restores a previous sweep's prefix instead of resimulating it.
+// The second return is how many unique designs were restored rather than
+// simulated (0 for cold runs). A checkpointed sweep snapshots the whole
+// unique list, so it belongs on a fresh engine.
+//
+// A cancelled ctx stops the pool within one chunk and returns ctx.Err();
+// the points that completed are kept in the memo table.
+func (e *Engine) RunCheckpointed(ctx context.Context, p Params, workers int, ck *Checkpoint) ([]Point, int, error) {
+	if err := p.Validate(); err != nil {
+		return nil, 0, err
 	}
 	designs := p.enumerate()
+	resumed, err := e.warm(ctx, designs, workers, ck)
+	if err != nil {
+		return nil, 0, err
+	}
 	out := make([]Point, 0, len(designs))
 	for _, d := range designs {
 		res, err := e.EvaluateContext(ctx, d)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, Point{Design: d, Result: res})
 	}
-	return out, nil
+	return out, resumed, nil
+}
+
+// Fig13 reproduces the 3D-stencil design-space cloud of Figure 13 for the
+// engine's workload: every grid point's runtime and power, plus the
+// energy-efficiency optimum marked by Best. ck and the third return are
+// RunCheckpointed's.
+func (e *Engine) Fig13(ctx context.Context, p Params, workers int, ck *Checkpoint) ([]Fig13Row, Point, int, error) {
+	points, resumed, err := e.RunCheckpointed(ctx, p, workers, ck)
+	if err != nil {
+		return nil, Point{}, 0, err
+	}
+	rows := make([]Fig13Row, 0, len(points))
+	for _, pt := range points {
+		rows = append(rows, Fig13Row{
+			NodeNM:         pt.Design.NodeNM,
+			Partition:      pt.Design.Partition,
+			Simplification: pt.Design.Simplification,
+			Fusion:         pt.Design.Fusion,
+			RuntimeNS:      pt.Result.RuntimeNS,
+			PowerW:         pt.Result.Power,
+			EnergyEff:      pt.Result.EnergyEfficiency(),
+		})
+	}
+	best, err := Best(points, Efficiency)
+	if err != nil {
+		return nil, Point{}, 0, err
+	}
+	return rows, best, resumed, nil
+}
+
+// Attribute runs the cumulative-knob decomposition of Figure 14 for the
+// engine's workload. The grid's unique points are simulated on the worker
+// pool first, so every stage of the scan reads the memo table; running
+// both objectives on one engine simulates the grid once. A cancelled ctx
+// stops the pool within one chunk and the scan between simulations.
+func (e *Engine) Attribute(ctx context.Context, app string, p Params, o Objective, workers int) (Attribution, error) {
+	if err := p.Validate(); err != nil {
+		return Attribution{}, err
+	}
+	if _, err := e.warm(ctx, p.enumerate(), workers, nil); err != nil {
+		return Attribution{}, err
+	}
+	return attribute(ctx, app, func(d aladdin.Design) (aladdin.Result, error) {
+		return e.EvaluateContext(ctx, d)
+	}, p, o)
+}
+
+// attribute is the cumulative-knob scan: the stages, in order, optimize
+// (1) partitioning at the oldest node, (2) + heterogeneity, (3) +
+// simplification, (4) + CMOS advancement over the full node list. Each
+// stage searches a superset of the previous stage's space, so factors are
+// >= 1 up to simulator determinism. The grid must already be validated.
+func attribute(ctx context.Context, app string, eval func(aladdin.Design) (aladdin.Result, error), p Params, o Objective) (Attribution, error) {
+	oldest := p.Nodes[0]
+	for _, n := range p.Nodes[1:] {
+		if n > oldest {
+			oldest = n
+		}
+	}
+	base, err := eval(aladdin.Design{NodeNM: oldest, Partition: 1, Simplification: 1})
+	if err != nil {
+		return Attribution{}, err
+	}
+
+	bestOver := func(nodes []float64, fusion []bool, simps []int) (aladdin.Result, error) {
+		var best aladdin.Result
+		bv := math.Inf(-1)
+		for _, node := range nodes {
+			for _, fu := range fusion {
+				for _, s := range simps {
+					if err := ctx.Err(); err != nil {
+						return aladdin.Result{}, err
+					}
+					for _, f := range p.Partitions {
+						res, err := eval(aladdin.Design{NodeNM: node, Partition: f, Simplification: s, Fusion: fu})
+						if err != nil {
+							return aladdin.Result{}, err
+						}
+						if v := o.value(res); v > bv {
+							best, bv = res, v
+						}
+					}
+				}
+			}
+		}
+		return best, nil
+	}
+
+	d1, err := bestOver([]float64{oldest}, []bool{false}, []int{1})
+	if err != nil {
+		return Attribution{}, err
+	}
+	d2, err := bestOver([]float64{oldest}, p.Fusion, []int{1})
+	if err != nil {
+		return Attribution{}, err
+	}
+	d3, err := bestOver([]float64{oldest}, p.Fusion, p.Simplifications)
+	if err != nil {
+		return Attribution{}, err
+	}
+	d4, err := bestOver(p.Nodes, p.Fusion, p.Simplifications)
+	if err != nil {
+		return Attribution{}, err
+	}
+
+	v0, v1, v2, v3, v4 := o.value(base), o.value(d1), o.value(d2), o.value(d3), o.value(d4)
+	a := Attribution{
+		App:            app,
+		Objective:      o,
+		Partitioning:   v1 / v0,
+		Heterogeneity:  v2 / v1,
+		Simplification: v3 / v2,
+		CMOS:           v4 / v3,
+		Total:          v4 / v0,
+		Baseline:       base,
+		Best:           d4,
+	}
+	a.CSR = a.Heterogeneity * a.Simplification
+	logTotal := math.Log(a.Total)
+	if logTotal > 0 {
+		a.PctPartitioning = 100 * math.Log(a.Partitioning) / logTotal
+		a.PctHeterogeneity = 100 * math.Log(a.Heterogeneity) / logTotal
+		a.PctSimplification = 100 * math.Log(a.Simplification) / logTotal
+		a.PctCMOS = 100 * math.Log(a.CMOS) / logTotal
+	}
+	return a, nil
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -8,15 +9,15 @@ import (
 	"accelwall/internal/workloads"
 )
 
-// TestEngineMatchesRun verifies Engine.Run is point-for-point identical to
-// the per-call Run path.
+// TestEngineMatchesRun verifies Engine.RunContext is point-for-point identical to
+// the sequential reference sweep.
 func TestEngineMatchesRun(t *testing.T) {
 	g, err := workloads.BuildS2D(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Reduced()
-	want, err := Run(g, p)
+	want, err := refRun(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestEngineMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Run(p, 4)
+	got, err := e.RunContext(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestEngineMatchesRun(t *testing.T) {
 }
 
 // TestEngineWarmIsIncremental verifies the memo table persists across
-// calls: a second Warm over the same grid simulates nothing.
+// calls: a second grid run over the same grid simulates nothing.
 func TestEngineWarmIsIncremental(t *testing.T) {
 	g, err := workloads.BuildRED(0)
 	if err != nil {
@@ -50,14 +51,14 @@ func TestEngineWarmIsIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Reduced()
-	fresh, err := e.Warm(p, 2)
+	fresh, err := warm(context.Background(), e, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh == 0 {
 		t.Fatal("first Warm simulated nothing")
 	}
-	again, err := e.Warm(p, 2)
+	again, err := warm(context.Background(), e, p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestEngineConcurrentEvaluate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, d := range designs {
-				if _, err := e.Evaluate(d); err != nil {
+				if _, err := e.EvaluateContext(context.Background(), d); err != nil {
 					select {
 					case errCh <- err:
 					default:
@@ -109,7 +110,7 @@ func TestEngineConcurrentEvaluate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Evaluate(designs[0])
+	got, err := e.EvaluateContext(context.Background(), designs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRunMatchesRunParallelAllWorkloads is the sweep-level equivalence
-// suite: over the Reduced() grid, the serial and the parallel runner must
-// produce point-for-point identical results for every Table IV workload.
+// suite: over the Reduced() grid, the sequential reference and the pooled
+// engine must produce point-for-point identical results for every Table IV workload.
 func TestRunMatchesRunParallelAllWorkloads(t *testing.T) {
 	p := Reduced()
 	for _, spec := range workloads.All() {
@@ -21,11 +21,11 @@ func TestRunMatchesRunParallelAllWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			serial, err := Run(g, p)
+			serial, err := refRun(g, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := RunParallel(g, p, 4)
+			parallel, err := runParallel(g, p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -47,11 +47,11 @@ func TestAttributeMatchesAttributeParallel(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
 	p := tiny()
 	for _, o := range []Objective{Performance, Efficiency} {
-		serial, err := Attribute("S3D", g, p, o)
+		serial, err := refAttribute("S3D", g, p, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := AttributeParallel("S3D", g, p, o, 4)
+		parallel, err := attributeParallel("S3D", g, p, o, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,10 +59,10 @@ func TestAttributeMatchesAttributeParallel(t *testing.T) {
 			t.Errorf("%v decomposition differs:\nAttribute         %+v\nAttributeParallel %+v", o, serial, parallel)
 		}
 	}
-	if _, err := AttributeParallel("S3D", nil, p, Performance, 2); err == nil {
+	if _, err := attributeParallel("S3D", nil, p, Performance, 2); err == nil {
 		t.Error("nil graph should error")
 	}
-	if _, err := AttributeParallel("S3D", g, Params{}, Performance, 2); err == nil {
+	if _, err := attributeParallel("S3D", g, Params{}, Performance, 2); err == nil {
 		t.Error("empty params should error")
 	}
 }
@@ -162,7 +162,7 @@ func TestIncrementalMatchesColdWalks(t *testing.T) {
 func TestRandomChunkOrderingsProduceIdenticalPoints(t *testing.T) {
 	g := buildApp(t, "S3D", 0)
 	p := tiny()
-	want, err := Run(g, p)
+	want, err := refRun(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +214,12 @@ func TestRandomChunkOrderingsProduceIdenticalPoints(t *testing.T) {
 func TestRunParallelWorkerCountsBitIdentical(t *testing.T) {
 	g := buildApp(t, "SMV", 0)
 	p := tiny()
-	want, err := Run(g, p)
+	want, err := refRun(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		got, err := RunParallel(g, p, workers)
+		got, err := runParallel(g, p, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

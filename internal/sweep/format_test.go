@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"context"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -18,7 +17,7 @@ func TestSnapshotFormatPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	uniques := r.uniqueDesigns(tiny())
-	results, _, err := simulateDesigns(context.Background(), r.c, uniques, 1)
+	results, err := r.simulateAll(uniques)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,10 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"accelwall/internal/aladdin"
 	"accelwall/internal/checkpoint"
-	"accelwall/internal/dfg"
 	"accelwall/internal/faultinject"
 	"accelwall/internal/resources"
 )
@@ -33,53 +31,83 @@ func simulateOne(c *aladdin.Compiled, d aladdin.Design) (res aladdin.Result, err
 	return c.Simulate(d)
 }
 
-// simulateDesigns fans the design list out over a worker pool and returns
-// one result per design, in input order. All workers share the one
-// *aladdin.Compiled, which is immutable and concurrency-safe. workers <= 0
-// selects GOMAXPROCS.
-//
-// Cancellation is cooperative: each worker re-checks ctx between chunks
-// (and between the designs of its current chunk), so after a cancel the
-// pool quiesces within at most one design simulation per worker and
-// simulateDesigns returns ctx.Err(). The results slice is still returned
-// on cancellation — completed slots are valid and bit-identical to an
-// uncancelled run's, which Engine.Warm exploits to keep partial work.
-//
-// With a live context, the first simulation error wins; remaining chunks
-// still drain (errors do not cancel the pool) but the error is reported.
-func simulateDesigns(ctx context.Context, c *aladdin.Compiled, designs []aladdin.Design, workers int) ([]aladdin.Result, []bool, error) {
-	results := make([]aladdin.Result, len(designs))
-	done := make([]bool, len(designs))
-	errs := make([]error, len(designs))
-	simulatePool(ctx, c, designs, results, errs, done, 0, workers, nil)
-	if err := ctx.Err(); err != nil {
-		return results, done, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
+// keys normalizes designs onto memo keys, deduplicated in first-seen
+// order; with onlyMissing it drops the keys already memoized. It is the
+// one scan every grid, batch and slice goes through.
+func (e *Engine) keys(designs []aladdin.Design, onlyMissing bool) []aladdin.Design {
+	seen := make(map[aladdin.Design]bool, len(designs))
+	var out []aladdin.Design
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for _, d := range designs {
+		k := normalizeKey(e.maxP, d)
+		if seen[k] {
+			continue
 		}
+		seen[k] = true
+		if onlyMissing {
+			if _, ok := e.cache[k]; ok {
+				continue
+			}
+		}
+		out = append(out, k)
 	}
-	return results, done, nil
+	return out
 }
 
-// simulatePool is the shared worker pool under simulateDesigns and the
-// checkpointed runs: it fills results/errs/done for designs[start:] on
-// resources.RunChunks (slots below start must already hold restored
-// results), and reports each successful slot to the (possibly nil)
-// checkpoint tracker so resumable runs can persist their completed
-// prefix as it grows. Only successful slots checkpoint: an errored
-// design must be retried by the resumed run, so it pins the durable
-// prefix behind it.
-func simulatePool(ctx context.Context, c *aladdin.Compiled, designs []aladdin.Design,
-	results []aladdin.Result, errs []error, done []bool, start, workers int, tr *checkpoint.Tracker) {
+// warm memoizes every design of the list on the worker pool and reports
+// how many unique designs were restored from ck.Resume. Without ck only
+// the unmemoized keys are simulated. With ck the whole unique-design list
+// is the unit of durable work — the identity a snapshot is fingerprinted
+// over — so its completed prefix is snapshotted as it grows.
+func (e *Engine) warm(ctx context.Context, designs []aladdin.Design, workers int, ck *Checkpoint) (int, error) {
+	if ck == nil {
+		missing := e.keys(designs, true)
+		if len(missing) == 0 {
+			return 0, nil
+		}
+		return 0, e.fill(ctx, missing, make([]aladdin.Result, len(missing)), 0, workers, nil)
+	}
+	uniques := e.keys(designs, false)
+	results := make([]aladdin.Result, len(uniques))
+	digest := sweepDigest(e.c, uniques)
+	start := 0
+	if len(ck.Resume) > 0 {
+		var err error
+		if start, err = decodeSweepSnapshot(digest, uniques, results, ck.Resume); err != nil {
+			return 0, err
+		}
+	}
+	tr := ck.Tracker(len(uniques), start, func(n int) ([]byte, error) {
+		return encodeSweepSnapshot(digest, len(uniques), results, n), nil
+	})
+	return start, e.fill(ctx, uniques, results, start, workers, tr)
+}
+
+// fill simulates keys[start:] over resources.RunChunks into results
+// (slots below start must already hold restored results) and memoizes
+// every slot that completed — also when ctx is cancelled or another slot
+// failed, since a completed slot is bit-identical to an uncancelled
+// run's. All workers share the one immutable *aladdin.Compiled.
+//
+// Each successful slot is reported to the (possibly nil) checkpoint
+// tracker; an errored design must be retried by a resumed run, so it pins
+// the durable prefix behind it. A cancelled fill leaves one final
+// snapshot and returns ctx.Err(); otherwise the first failed slot's error
+// is returned, after the remaining chunks drained.
+func (e *Engine) fill(ctx context.Context, keys []aladdin.Design, results []aladdin.Result, start, workers int, tr *checkpoint.Tracker) error {
 	type outcome struct {
 		res aladdin.Result
 		err error
 	}
-	resources.RunChunks(ctx, len(designs), start, workers,
+	done := make([]bool, len(keys))
+	for i := 0; i < start; i++ {
+		done[i] = true
+	}
+	errs := make([]error, len(keys))
+	resources.RunChunks(ctx, len(keys), start, workers,
 		func(i int, _ *struct{}) outcome {
-			res, err := simulateOne(c, designs[i])
+			res, err := simulateOne(e.c, keys[i])
 			return outcome{res, err}
 		},
 		func(i int, o outcome) {
@@ -88,68 +116,23 @@ func simulatePool(ctx context.Context, c *aladdin.Compiled, designs []aladdin.De
 				tr.Complete(i)
 			}
 		})
-}
-
-// uniqueDesigns reduces the grid to its distinct cache keys in the
-// deterministic enumeration order — the unit of work of every parallel
-// sweep, and the identity a checkpoint snapshot is fingerprinted over.
-func (r *runner) uniqueDesigns(p Params) []aladdin.Design {
-	seen := make(map[aladdin.Design]bool)
-	var uniques []aladdin.Design
-	for _, d := range p.enumerate() {
-		if k := r.keyOf(d); !seen[k] {
-			seen[k] = true
-			uniques = append(uniques, k)
+	e.mu.Lock()
+	for i, k := range keys {
+		if done[i] {
+			e.cache[k] = results[i]
 		}
 	}
-	return uniques
-}
-
-// simulateGrid populates the runner's cache with every distinct cache key
-// of the grid, distributing the unique simulations over a worker pool; only
-// cache assembly happens on the calling goroutine.
-func (r *runner) simulateGrid(ctx context.Context, p Params, workers int) error {
-	uniques := r.uniqueDesigns(p)
-	results, _, err := simulateDesigns(ctx, r.c, uniques, workers)
-	if err != nil {
+	e.mu.Unlock()
+	if err := ctx.Err(); err != nil {
+		// The parting snapshot: whatever prefix is complete right now is
+		// what a restarted process (or a drained daemon) resumes from.
+		tr.Final()
 		return err
 	}
-	for i, k := range uniques {
-		r.cache[k] = results[i]
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
-}
-
-// RunParallel simulates the grid like Run but distributes the distinct
-// design points over a worker pool. Results are identical to Run — same
-// points, same order — because the grid is deduplicated onto cache keys
-// first, only unique simulations run concurrently, and assembly replays
-// the deterministic Run order. workers <= 0 selects GOMAXPROCS.
-//
-// The full Table III grid is 3,640 design points per workload (many of
-// which collapse onto the partition plateau); the workload graph is
-// compiled once and shared read-only by every worker, so the pool scales
-// without duplicating graph analysis.
-func RunParallel(g *dfg.Graph, p Params, workers int) ([]Point, error) {
-	return RunParallelContext(context.Background(), g, p, workers)
-}
-
-// RunParallelContext is RunParallel under a context: a cancelled ctx
-// stops the worker pool within one chunk, leaks no goroutines, and
-// surfaces ctx.Err().
-func RunParallelContext(ctx context.Context, g *dfg.Graph, p Params, workers int) ([]Point, error) {
-	if g == nil {
-		return nil, errors.New("sweep: nil graph")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	r, err := newRunner(g)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.simulateGrid(ctx, p, workers); err != nil {
-		return nil, err
-	}
-	return r.points(ctx, p)
 }

@@ -23,37 +23,14 @@ func (e *Engine) UniqueDesigns(p Params) ([]aladdin.Design, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	seen := make(map[aladdin.Design]bool)
-	var out []aladdin.Design
-	for _, d := range p.enumerate() {
-		k := normalizeKey(e.maxP, d)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, k)
-		}
-	}
-	return out, nil
+	return e.keys(p.enumerate(), false), nil
 }
 
 // MissingFrom filters designs down to those whose normalized keys are not
 // yet memoized, deduplicated, preserving first-seen order. Coordinators
 // use it to scatter only the work their own memo table cannot serve.
 func (e *Engine) MissingFrom(designs []aladdin.Design) []aladdin.Design {
-	seen := make(map[aladdin.Design]bool, len(designs))
-	var missing []aladdin.Design
-	e.mu.RLock()
-	for _, d := range designs {
-		k := normalizeKey(e.maxP, d)
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if _, ok := e.cache[k]; !ok {
-			missing = append(missing, k)
-		}
-	}
-	e.mu.RUnlock()
-	return missing
+	return e.keys(designs, true)
 }
 
 // Prime inserts externally computed results into the memo table under

@@ -2,7 +2,10 @@
 // Section VI: the Table III parameter sweep over partitioning factor,
 // simplification degree, and CMOS process, executed with the Aladdin-style
 // simulator, plus the analyses built on it — the runtime/power clouds of
-// Figure 13 and the per-application gain attribution of Figure 14.
+// Figure 13 and the per-application gain attribution of Figure 14. Every
+// operation is a ctx-taking method of Engine, the one memoized evaluator:
+// NewEngine compiles a workload graph once, and RunCheckpointed (or
+// RunContext), Attribute and Fig13 run on it.
 //
 // Gain attribution follows the paper's decomposition: starting from a
 // 45 nm accelerator with no simplification or partitioning, knobs are
@@ -17,14 +20,12 @@
 package sweep
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 
 	"accelwall/internal/aladdin"
-	"accelwall/internal/dfg"
 )
 
 // Objective selects the target function a sweep optimizes.
@@ -121,9 +122,9 @@ type Point struct {
 	Result aladdin.Result
 }
 
-// enumerate returns the grid's design points in deterministic Run order:
-// (node, fusion, simplification, partition). Run and RunParallel both
-// iterate this list, which is what makes them point-for-point identical.
+// enumerate returns the grid's design points in deterministic sweep
+// order: (node, fusion, simplification, partition). Every grid run
+// assembles its points in this order, whatever the pool width.
 func (p Params) enumerate() []aladdin.Design {
 	out := make([]aladdin.Design, 0, len(p.Nodes)*len(p.Fusion)*len(p.Simplifications)*len(p.Partitions))
 	for _, node := range p.Nodes {
@@ -136,28 +137,6 @@ func (p Params) enumerate() []aladdin.Design {
 		}
 	}
 	return out
-}
-
-// runner memoizes simulations over one compiled graph. Partition factors
-// beyond the workload's total operation count produce identical schedules,
-// so they collapse onto one cache entry, as do the zero-value spellings of
-// the clock and memory-bank defaults.
-type runner struct {
-	c     *aladdin.Compiled
-	maxP  int
-	cache map[aladdin.Design]aladdin.Result
-}
-
-func newRunner(g *dfg.Graph) (*runner, error) {
-	c, err := aladdin.Compile(g)
-	if err != nil {
-		return nil, err
-	}
-	maxP := c.Stats().VCmp
-	if maxP < 1 {
-		maxP = 1
-	}
-	return &runner{c: c, maxP: maxP, cache: make(map[aladdin.Design]aladdin.Result)}, nil
 }
 
 // normalizeKey maps a design onto its simulation cache key: the partition
@@ -178,72 +157,8 @@ func normalizeKey(maxP int, d aladdin.Design) aladdin.Design {
 	return d
 }
 
-// keyOf normalizes a design onto its cache key.
-func (r *runner) keyOf(d aladdin.Design) aladdin.Design {
-	return normalizeKey(r.maxP, d)
-}
-
-func (r *runner) simulate(d aladdin.Design) (aladdin.Result, error) {
-	key := r.keyOf(d)
-	if res, ok := r.cache[key]; ok {
-		res.Design = d
-		return res, nil
-	}
-	res, err := r.c.Simulate(key)
-	if err != nil {
-		return aladdin.Result{}, err
-	}
-	r.cache[key] = res
-	res.Design = d
-	return res, nil
-}
-
-// points assembles the grid's Points in Run order from the runner's state,
-// simulating any design not already cached. The context is checked per
-// point: after a parallel warm the loop is pure cache assembly, but on
-// the sequential Run path it is where long sweeps get cancelled.
-func (r *runner) points(ctx context.Context, p Params) ([]Point, error) {
-	designs := p.enumerate()
-	out := make([]Point, 0, len(designs))
-	for _, d := range designs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := r.simulate(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Point{Design: d, Result: res})
-	}
-	return out, nil
-}
-
-// Run simulates the full grid for one workload graph and returns every
-// design point, in deterministic (node, fusion, simplification, partition)
-// order. The graph is compiled once; every design point reuses the
-// compiled state.
-func Run(g *dfg.Graph, p Params) ([]Point, error) {
-	return RunContext(context.Background(), g, p)
-}
-
-// RunContext is Run under a context: the sequential sweep checks ctx
-// between design points and returns ctx.Err() once cancelled.
-func RunContext(ctx context.Context, g *dfg.Graph, p Params) ([]Point, error) {
-	if g == nil {
-		return nil, errors.New("sweep: nil graph")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	r, err := newRunner(g)
-	if err != nil {
-		return nil, err
-	}
-	return r.points(ctx, p)
-}
-
 // Best returns the point maximizing the objective. Ties resolve to the
-// earliest point in Run order, making results deterministic.
+// earliest point in sweep order, making results deterministic.
 func Best(points []Point, o Objective) (Point, error) {
 	if len(points) == 0 {
 		return Point{}, errors.New("sweep: no points")
@@ -267,61 +182,6 @@ type Fig13Row struct {
 	RuntimeNS      float64
 	PowerW         float64
 	EnergyEff      float64
-}
-
-// Fig13 reproduces the 3D-stencil design-space cloud of Figure 13 for any
-// workload graph: every grid point's runtime and power, plus the
-// energy-efficiency optimum marked by Best. workers <= 0 selects
-// GOMAXPROCS.
-func Fig13(g *dfg.Graph, p Params, workers int) ([]Fig13Row, Point, error) {
-	return Fig13Context(context.Background(), g, p, workers)
-}
-
-// Fig13Context is Fig13 under a context: cancelling ctx stops the
-// underlying worker pool within one chunk and surfaces ctx.Err().
-func Fig13Context(ctx context.Context, g *dfg.Graph, p Params, workers int) ([]Fig13Row, Point, error) {
-	points, err := RunParallelContext(ctx, g, p, workers)
-	if err != nil {
-		return nil, Point{}, err
-	}
-	return Fig13FromPoints(points)
-}
-
-// Fig13Checkpointed is Fig13Context with durable progress snapshots (see
-// RunParallelCheckpointed); the third return is how many unique design
-// points were restored from ck.Resume instead of simulated.
-func Fig13Checkpointed(ctx context.Context, g *dfg.Graph, p Params, workers int, ck *Checkpoint) ([]Fig13Row, Point, int, error) {
-	points, resumed, err := RunParallelCheckpointed(ctx, g, p, workers, ck)
-	if err != nil {
-		return nil, Point{}, 0, err
-	}
-	rows, best, err := Fig13FromPoints(points)
-	if err != nil {
-		return nil, Point{}, 0, err
-	}
-	return rows, best, resumed, nil
-}
-
-// Fig13FromPoints projects already-simulated sweep points onto the
-// Figure 13 rows plus the energy-efficiency optimum.
-func Fig13FromPoints(points []Point) ([]Fig13Row, Point, error) {
-	rows := make([]Fig13Row, 0, len(points))
-	for _, pt := range points {
-		rows = append(rows, Fig13Row{
-			NodeNM:         pt.Design.NodeNM,
-			Partition:      pt.Design.Partition,
-			Simplification: pt.Design.Simplification,
-			Fusion:         pt.Design.Fusion,
-			RuntimeNS:      pt.Result.RuntimeNS,
-			PowerW:         pt.Result.Power,
-			EnergyEff:      pt.Result.EnergyEfficiency(),
-		})
-	}
-	best, err := Best(points, Efficiency)
-	if err != nil {
-		return nil, Point{}, err
-	}
-	return rows, best, nil
 }
 
 // Attribution decomposes a workload's optimal gain into the contributions
@@ -348,138 +208,6 @@ type Attribution struct {
 
 	Baseline aladdin.Result
 	Best     aladdin.Result
-}
-
-// Attribute runs the cumulative-knob decomposition for one workload. The
-// stages, in order, optimize: (1) partitioning at the oldest node, (2)
-// + heterogeneity, (3) + simplification, (4) + CMOS advancement over the
-// full node list. Each stage searches a superset of the previous stage's
-// space, so factors are >= 1 up to simulator determinism.
-func Attribute(app string, g *dfg.Graph, p Params, o Objective) (Attribution, error) {
-	return AttributeContext(context.Background(), app, g, p, o)
-}
-
-// AttributeContext is Attribute under a context: the cumulative-knob scan
-// checks ctx between simulations and returns ctx.Err() once cancelled.
-func AttributeContext(ctx context.Context, app string, g *dfg.Graph, p Params, o Objective) (Attribution, error) {
-	if g == nil {
-		return Attribution{}, errors.New("sweep: nil graph")
-	}
-	if err := p.Validate(); err != nil {
-		return Attribution{}, err
-	}
-	r, err := newRunner(g)
-	if err != nil {
-		return Attribution{}, err
-	}
-	return attribute(ctx, app, r, p, o)
-}
-
-// AttributeParallel runs the same decomposition as Attribute but first
-// populates the simulation cache by sweeping the grid's unique design
-// points over a worker pool; every stage of the cumulative-knob scan then
-// reads cached results. The decomposition is point-for-point identical to
-// Attribute. workers <= 0 selects GOMAXPROCS.
-func AttributeParallel(app string, g *dfg.Graph, p Params, o Objective, workers int) (Attribution, error) {
-	return AttributeParallelContext(context.Background(), app, g, p, o, workers)
-}
-
-// AttributeParallelContext is AttributeParallel under a context:
-// cancelling ctx stops the grid pool within one chunk and aborts the
-// cumulative-knob scan between simulations.
-func AttributeParallelContext(ctx context.Context, app string, g *dfg.Graph, p Params, o Objective, workers int) (Attribution, error) {
-	if g == nil {
-		return Attribution{}, errors.New("sweep: nil graph")
-	}
-	if err := p.Validate(); err != nil {
-		return Attribution{}, err
-	}
-	r, err := newRunner(g)
-	if err != nil {
-		return Attribution{}, err
-	}
-	if err := r.simulateGrid(ctx, p, workers); err != nil {
-		return Attribution{}, err
-	}
-	return attribute(ctx, app, r, p, o)
-}
-
-// attribute is the shared cumulative-knob scan behind Attribute and
-// AttributeParallel; the grid must already be validated.
-func attribute(ctx context.Context, app string, r *runner, p Params, o Objective) (Attribution, error) {
-	oldest := p.Nodes[0]
-	for _, n := range p.Nodes[1:] {
-		if n > oldest {
-			oldest = n
-		}
-	}
-	base, err := r.simulate(aladdin.Design{NodeNM: oldest, Partition: 1, Simplification: 1})
-	if err != nil {
-		return Attribution{}, err
-	}
-
-	bestOver := func(nodes []float64, fusion []bool, simps []int) (aladdin.Result, error) {
-		var best aladdin.Result
-		bv := math.Inf(-1)
-		for _, node := range nodes {
-			for _, fu := range fusion {
-				for _, s := range simps {
-					if err := ctx.Err(); err != nil {
-						return aladdin.Result{}, err
-					}
-					for _, f := range p.Partitions {
-						res, err := r.simulate(aladdin.Design{NodeNM: node, Partition: f, Simplification: s, Fusion: fu})
-						if err != nil {
-							return aladdin.Result{}, err
-						}
-						if v := o.value(res); v > bv {
-							best, bv = res, v
-						}
-					}
-				}
-			}
-		}
-		return best, nil
-	}
-
-	d1, err := bestOver([]float64{oldest}, []bool{false}, []int{1})
-	if err != nil {
-		return Attribution{}, err
-	}
-	d2, err := bestOver([]float64{oldest}, p.Fusion, []int{1})
-	if err != nil {
-		return Attribution{}, err
-	}
-	d3, err := bestOver([]float64{oldest}, p.Fusion, p.Simplifications)
-	if err != nil {
-		return Attribution{}, err
-	}
-	d4, err := bestOver(p.Nodes, p.Fusion, p.Simplifications)
-	if err != nil {
-		return Attribution{}, err
-	}
-
-	v0, v1, v2, v3, v4 := o.value(base), o.value(d1), o.value(d2), o.value(d3), o.value(d4)
-	a := Attribution{
-		App:            app,
-		Objective:      o,
-		Partitioning:   v1 / v0,
-		Heterogeneity:  v2 / v1,
-		Simplification: v3 / v2,
-		CMOS:           v4 / v3,
-		Total:          v4 / v0,
-		Baseline:       base,
-		Best:           d4,
-	}
-	a.CSR = a.Heterogeneity * a.Simplification
-	logTotal := math.Log(a.Total)
-	if logTotal > 0 {
-		a.PctPartitioning = 100 * math.Log(a.Partitioning) / logTotal
-		a.PctHeterogeneity = 100 * math.Log(a.Heterogeneity) / logTotal
-		a.PctSimplification = 100 * math.Log(a.Simplification) / logTotal
-		a.PctCMOS = 100 * math.Log(a.CMOS) / logTotal
-	}
-	return a, nil
 }
 
 // FrontierPoint is one efficient design on the runtime/power trade-off.

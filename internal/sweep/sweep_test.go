@@ -73,7 +73,7 @@ func TestParamsValidate(t *testing.T) {
 func TestRunCoversGrid(t *testing.T) {
 	g := buildApp(t, "RED", 64)
 	p := tiny()
-	points, err := Run(g, p)
+	points, err := refRun(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestRunCoversGrid(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if _, err := Run(nil, tiny()); err == nil {
+	if _, err := refRun(nil, tiny()); err == nil {
 		t.Error("nil graph should error")
 	}
 	g := buildApp(t, "RED", 16)
-	if _, err := Run(g, Params{}); err == nil {
+	if _, err := refRun(g, Params{}); err == nil {
 		t.Error("empty params should error")
 	}
 }
@@ -130,7 +130,7 @@ func TestMemoizationCollapsesPlateau(t *testing.T) {
 
 func TestBestSelectsOptimum(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
-	points, err := Run(g, tiny())
+	points, err := refRun(g, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestBestSelectsOptimum(t *testing.T) {
 // the newest node, and the best-performance point uses heavy partitioning.
 func TestFig13OptimumShape(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
-	rows, best, err := Fig13(g, tiny(), 0)
+	rows, best, err := fig13(g, tiny(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFig13OptimumShape(t *testing.T) {
 	if best.Design.Simplification <= 1 {
 		t.Errorf("efficiency optimum uses simplification %d, want > 1", best.Design.Simplification)
 	}
-	if _, _, err := Fig13(nil, tiny(), 0); err == nil {
+	if _, _, err := fig13(nil, tiny(), 0); err == nil {
 		t.Error("Fig13 nil graph should error")
 	}
 }
@@ -186,7 +186,7 @@ func TestFig13OptimumShape(t *testing.T) {
 // of Figure 13 points down in power).
 func TestFig13CMOSPowerArrow(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
-	rows, _, err := Fig13(g, tiny(), 0)
+	rows, _, err := fig13(g, tiny(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestFig13CMOSPowerArrow(t *testing.T) {
 func TestAttributeDecomposition(t *testing.T) {
 	for _, objective := range []Objective{Performance, Efficiency} {
 		g := buildApp(t, "S3D", 3)
-		a, err := Attribute("S3D", g, tiny(), objective)
+		a, err := refAttribute("S3D", g, tiny(), objective)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestAttributeDecomposition(t *testing.T) {
 // relative to total gain for both targets.
 func TestAttributePaperShape(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
-	perf, err := Attribute("S3D", g, tiny(), Performance)
+	perf, err := refAttribute("S3D", g, tiny(), Performance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestAttributePaperShape(t *testing.T) {
 		t.Errorf("performance: partitioning share %.1f%% should dominate (het %.1f%%, simp %.1f%%)",
 			perf.PctPartitioning, perf.PctHeterogeneity, perf.PctSimplification)
 	}
-	eff, err := Attribute("S3D", g, tiny(), Efficiency)
+	eff, err := refAttribute("S3D", g, tiny(), Efficiency)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +268,11 @@ func TestAttributePaperShape(t *testing.T) {
 }
 
 func TestAttributeErrors(t *testing.T) {
-	if _, err := Attribute("x", nil, tiny(), Performance); err == nil {
+	if _, err := refAttribute("x", nil, tiny(), Performance); err == nil {
 		t.Error("nil graph should error")
 	}
 	g := buildApp(t, "RED", 16)
-	if _, err := Attribute("RED", g, Params{}, Performance); err == nil {
+	if _, err := refAttribute("RED", g, Params{}, Performance); err == nil {
 		t.Error("bad params should error")
 	}
 }
@@ -288,7 +288,7 @@ func TestObjectiveString(t *testing.T) {
 
 func TestDesignFrontier(t *testing.T) {
 	g := buildApp(t, "S3D", 3)
-	points, err := Run(g, tiny())
+	points, err := refRun(g, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,17 +319,17 @@ func TestDesignFrontier(t *testing.T) {
 	}
 }
 
-// RunParallel must return exactly what Run returns, in the same order, for
-// any worker count.
+// TestRunParallelMatchesRun: a fresh engine must return exactly what the
+// sequential reference returns, in the same order, for any worker count.
 func TestRunParallelMatchesRun(t *testing.T) {
 	g := buildApp(t, "GMM", 4)
 	p := tiny()
-	sequential, err := Run(g, p)
+	sequential, err := refRun(g, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 4, 16} {
-		parallel, err := RunParallel(g, p, workers)
+		parallel, err := runParallel(g, p, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -349,11 +349,11 @@ func TestRunParallelMatchesRun(t *testing.T) {
 }
 
 func TestRunParallelErrors(t *testing.T) {
-	if _, err := RunParallel(nil, tiny(), 2); err == nil {
+	if _, err := runParallel(nil, tiny(), 2); err == nil {
 		t.Error("nil graph should error")
 	}
 	g := buildApp(t, "RED", 8)
-	if _, err := RunParallel(g, Params{}, 2); err == nil {
+	if _, err := runParallel(g, Params{}, 2); err == nil {
 		t.Error("invalid params should error")
 	}
 }

@@ -38,7 +38,7 @@ func (l *wdRecorder) joined() string {
 // nothing leaks.
 func TestWatchdogSweepRescuesWedgedChunk(t *testing.T) {
 	g := buildApp(t, "FFT", 0)
-	ref, err := Run(g, tiny())
+	ref, err := refRun(g, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestWatchdogSweepRescuesWedgedChunk(t *testing.T) {
 			}))
 			defer faultinject.Disable()
 
-			pts, err := RunParallel(g, tiny(), workers)
+			pts, err := runParallel(g, tiny(), workers)
 			if err != nil {
 				t.Fatalf("wedged sweep failed: %v", err)
 			}
@@ -106,11 +106,11 @@ func TestWatchdogSweepDisabledNoOverhead(t *testing.T) {
 	leakcheck.Check(t)
 	resources.DisableWatchdog()
 	g := buildApp(t, "FFT", 0)
-	ref, err := Run(g, tiny())
+	ref, err := refRun(g, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := RunParallel(g, tiny(), 4)
+	pts, err := runParallel(g, tiny(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

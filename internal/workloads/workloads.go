@@ -77,6 +77,22 @@ func ByAbbrev(abbrev string) (Spec, error) {
 	return Spec{}, fmt.Errorf("workloads: unknown application %q", abbrev)
 }
 
+// Lookup resolves a kernel name across the three registries — an
+// application abbreviation (S3D), an algorithm variant (GMM/strassen), or
+// a case-study domain kernel (SHA256d) — onto its graph builder.
+func Lookup(name string) (func(n int) (*dfg.Graph, error), error) {
+	if s, err := ByAbbrev(name); err == nil {
+		return s.Build, nil
+	}
+	if v, err := VariantByName(name); err == nil {
+		return v.Build, nil
+	}
+	if k, err := DomainKernelByName(name); err == nil {
+		return k.Build, nil
+	}
+	return nil, fmt.Errorf("workloads: unknown kernel %q", name)
+}
+
 // defaultSize substitutes the kernel default when n is non-positive.
 func defaultSize(n, def int) int {
 	if n <= 0 {
