@@ -20,8 +20,11 @@
 //   - CMOS process: the node scales cycle time, per-op switching energy,
 //     and leakage through the device model of package cmos.
 //
-// The scheduler is a longest-path-first list scheduler over the DFG:
-// operations issue when their operands are ready and a lane is free;
+// The scheduler is a static critical-path-first list scheduler over the
+// DFG, whose vertex IDs the dfg builder numbers topologically: operations
+// are placed one at a time in order of their longest downstream latency
+// path (ties by ID), each at the earliest cycle its operands are ready and
+// a lane — and, for loads and stores, a memory bank port — is free;
 // functional units are fully pipelined. Runtime, dynamic energy, leakage
 // energy, power, and area fall out of the schedule; all values are in
 // consistent model units (cycle time in ns, energy in adder-cell units), so
@@ -148,29 +151,6 @@ func (r Result) Throughput() float64 { return 1 / r.RuntimeNS }
 // EnergyEfficiency returns kernel executions per energy unit — the
 // efficiency target function of the sweep.
 func (r Result) EnergyEfficiency() float64 { return 1 / r.Energy }
-
-// item is a ready operation in the scheduler's priority queue.
-type item struct {
-	id       dfg.NodeID
-	earliest int // earliest issue cycle (all operands ready)
-	priority int // length of the longest downstream path (critical path first)
-}
-
-type readyQueue []item
-
-func (q readyQueue) Len() int { return len(q) }
-func (q readyQueue) Less(i, j int) bool {
-	if q[i].earliest != q[j].earliest {
-		return q[i].earliest < q[j].earliest
-	}
-	if q[i].priority != q[j].priority {
-		return q[i].priority > q[j].priority
-	}
-	return q[i].id < q[j].id
-}
-func (q readyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *readyQueue) Push(x any)   { *q = append(*q, x.(item)) }
-func (q *readyQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // Simulate schedules the graph onto the design point and returns the
 // pre-RTL estimates. The graph must be valid (workload builders guarantee

@@ -9,7 +9,7 @@ import (
 	"accelwall/internal/workloads"
 )
 
-func mustBuild(t *testing.T, abbrev string, n int) *dfg.Graph {
+func mustBuild(t testing.TB, abbrev string, n int) *dfg.Graph {
 	t.Helper()
 	spec, err := workloads.ByAbbrev(abbrev)
 	if err != nil {

@@ -156,3 +156,58 @@ func TestFusionTransformVsSchedulerChaining(t *testing.T) {
 			chained.Cycles, transformed.Cycles)
 	}
 }
+
+// TestBankSkipPassesFullLanes pins the skip flags where a memory op's
+// bank-full run crosses cycles whose lanes are also full — the only lane
+// contention in either graph — so the datapath flag must still be set.
+// Partition 3, one bank, no fusion. In both graphs load B, placed last
+// among the loads, is ready at cycle 0 while loads A0 and A1 hold the bank
+// at cycles 0 and 1; B ends up at cycle 2 or 3.
+func TestBankSkipPassesFullLanes(t *testing.T) {
+	// inside: adds Z1, Z2 join A1 at cycle 1, filling its lanes in the
+	// middle of B's bank run.
+	inside := dfg.New("inside")
+	w := inside.MustOp(dfg.OpAdd, inside.AddInput("w"))
+	a0 := inside.MustOp(dfg.OpLoad, inside.AddInput("a0"))
+	a1 := inside.MustOp(dfg.OpLoad, inside.AddInput("a1"))
+	z1 := inside.MustOp(dfg.OpAdd, w)
+	z2 := inside.MustOp(dfg.OpAdd, w)
+	b := inside.MustOp(dfg.OpLoad, inside.AddInput("b"))
+	for _, id := range []dfg.NodeID{a0, a1, b, inside.MustOp(dfg.OpAdd, z1), inside.MustOp(dfg.OpAdd, z2)} {
+		inside.MustOutput("o", id)
+	}
+	// exit: multiplies X1..X3, whose latency ranks them before B, fill
+	// cycle 2, the first cycle after B's bank run.
+	exit := dfg.New("exit")
+	a0 = exit.MustOp(dfg.OpLoad, exit.AddInput("a0"))
+	a1 = exit.MustOp(dfg.OpLoad, exit.AddInput("a1"))
+	outs := []dfg.NodeID{a1}
+	for i := 0; i < 3; i++ {
+		outs = append(outs, exit.MustOp(dfg.OpMul, a0))
+	}
+	outs = append(outs, exit.MustOp(dfg.OpLoad, exit.AddInput("b")))
+	for _, id := range outs {
+		exit.MustOutput("o", id)
+	}
+
+	d := Design{NodeNM: 45, Partition: 3, Simplification: 1, MemoryBanks: 1}
+	for _, g := range []*dfg.Graph{inside, exit} {
+		c, err := Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, slots, err := referenceSimulate(g, d, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := c.Simulate(d); err != nil || got != want {
+			t.Fatalf("%s: compiled %+v (%v), reference %+v", g.Name, got, err, want)
+		}
+		if dp, bank, _, _ := referenceSkipFlags(g, d, slots); !dp || !bank {
+			t.Fatalf("%s: reference dp=%v bank=%v; the graph no longer reaches the case", g.Name, dp, bank)
+		}
+		if err := checkWalkSummary(c, g, d, slots); err != nil {
+			t.Errorf("%s: %v", g.Name, err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package aladdin
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -10,73 +11,6 @@ import (
 	"accelwall/internal/cmos"
 	"accelwall/internal/dfg"
 )
-
-// pitem is a ready-heap entry with the scheduler's three-way ordering
-// (earliest asc, priority desc, id asc) packed into one uint64: the high 32
-// bits hold the earliest issue cycle and the low 32 bits the node's rank in
-// the per-class (priority desc, id asc) total order. A single integer
-// compare then reproduces readyQueue.Less exactly; Compile rejects graphs
-// whose worst-case schedule length could overflow the 32-bit cycle field.
-type pitem struct {
-	key uint64
-	id  int32
-}
-
-// pushP inserts an item, maintaining the min-heap invariant of a 4-ary
-// heap (children of i at 4i+1..4i+4): half the depth of a binary heap,
-// which matters because each sift level is a likely cache miss on large
-// ready sets. The hand-rolled heap avoids container/heap's interface
-// boxing on every insert; because the key order is total (ranks are
-// unique), the pop sequence is independent of heap shape and identical to
-// container/heap's over readyQueue.
-func pushP(h []pitem, it pitem) []pitem {
-	h = append(h, it)
-	j := len(h) - 1
-	for j > 0 {
-		parent := (j - 1) / 4
-		if h[parent].key <= it.key {
-			break
-		}
-		h[j] = h[parent]
-		j = parent
-	}
-	h[j] = it
-	return h
-}
-
-// popP removes the minimum item and returns its node id.
-func popP(h []pitem) ([]pitem, int32) {
-	n := len(h) - 1
-	top := h[0].id
-	it := h[n]
-	h = h[:n]
-	if n > 0 {
-		i := 0
-		for {
-			l := 4*i + 1
-			if l >= n {
-				break
-			}
-			j, k := l, h[l].key
-			hi := l + 4
-			if hi > n {
-				hi = n
-			}
-			for m := l + 1; m < hi; m++ {
-				if h[m].key < k {
-					j, k = m, h[m].key
-				}
-			}
-			if k >= it.key {
-				break
-			}
-			h[i] = h[j]
-			i = j
-		}
-		h[i] = it
-	}
-	return h, top
-}
 
 // numExtraClasses is the number of distinct pipeline-depth penalties over
 // the legal simplification range 1..MaxSimplification. It mirrors the
@@ -93,10 +27,10 @@ const numExtraClasses = (MaxSimplification-1)/4 + 1
 // successor index slices instead of per-node slice-of-slice walks), per-op
 // cost metadata, the graph statistics that feed the area model, and — built
 // lazily per pipeline-depth class — the longest-downstream-path priorities
-// of the list scheduler. Per-call scratch buffers (ready heap, finish-time,
-// chain-depth, and lane-occupancy arrays) are pooled and reused, so a
-// Simulate call performs zero graph traversal and, in steady state, zero
-// per-node allocation.
+// and the static issue order the list scheduler follows. Per-call scratch
+// buffers (start, finish, chain-depth, and lane-occupancy arrays) are
+// pooled and reused, so a Simulate call performs zero graph traversal and,
+// in steady state, zero per-node allocation.
 //
 // A Compiled is immutable after Compile and safe for concurrent use by any
 // number of goroutines; the underlying graph must not be mutated once
@@ -127,12 +61,11 @@ type Compiled struct {
 
 	// Critical-path priorities depend on the design only through the
 	// pipeline-depth penalty extraLatency(Simplification), which takes
-	// numExtraClasses distinct values; each class's array is computed once
-	// on first use. rank[e][i] is node i's position in the class's
-	// (priority desc, id asc) total order — the heap's packed tiebreaker.
+	// numExtraClasses distinct values; each class's arrays are computed
+	// once on first use. order[e] is the class's issue order (see class).
 	prioOnce [numExtraClasses]sync.Once
 	prio     [numExtraClasses][]int32
-	rank     [numExtraClasses][]int32
+	order    [numExtraClasses][]int32
 
 	pool sync.Pool // of *scratch
 
@@ -150,20 +83,21 @@ type Compiled struct {
 	schedHits  atomic.Uint64 // designs served from a cached/reused summary
 }
 
-// scratch is the reusable per-simulation working memory.
+// scratch is the reusable per-simulation working memory. Vertices without
+// predecessors are never written: they keep the zero start, finish and
+// chain entries they were allocated with (inputs are available at cycle
+// 0), and a walk writes every other entry before reading it.
 type scratch struct {
-	start     []int
-	finish    []int
-	chain     []int // chained ops executed in the same cycle so far
-	pending   []int // unscheduled predecessor count
-	scheduled []bool
-	queue     []pitem
-	lanes     []int // cycle -> datapath lanes used
-	memLanes  []int // cycle -> memory bank ports used
+	start    []int
+	finish   []int
+	chain    []int // chained ops executed in the same cycle so far
+	lanes    []int // cycle -> datapath lanes used, or a full-cycle link (see nextFree)
+	memLanes []int // cycle -> memory bank ports used, likewise
 }
 
 // Compile analyzes the graph once and returns the compiled engine. The
-// graph must be valid (workload builders guarantee this) and must not be
+// graph must be valid (workload builders guarantee this), numbered in
+// topological order (the dfg builder guarantees this), and must not be
 // mutated afterwards.
 func Compile(g *dfg.Graph) (*Compiled, error) {
 	if g == nil {
@@ -201,14 +135,17 @@ func Compile(g *dfg.Graph) (*Compiled, error) {
 			}
 		}
 	}
-	// The packed heap key stores issue cycles in 32 bits. Every issue cycle
-	// is bounded by the sum of all op latencies plus one contention- and one
-	// bank-skip cycle per op, so n*(maxLat+5) bounds the whole schedule.
-	if int64(n)*int64(maxLat+5) >= 1<<32 {
+	// Priorities are int32 path sums, each at most n*(maxLat+extra).
+	if int64(n)*int64(maxLat+numExtraClasses) > math.MaxInt32 {
 		return nil, fmt.Errorf("aladdin: graph %q too large to compile (%d vertices)", g.Name, n)
 	}
 	// Flatten adjacency. Both directions preserve the builder's edge order.
 	for _, nd := range nodes {
+		for _, p := range g.Preds(nd.ID) {
+			if p >= nd.ID {
+				return nil, fmt.Errorf("aladdin: graph %q is not topologically numbered: vertex %d reads vertex %d", g.Name, nd.ID, p)
+			}
+		}
 		c.predStart[nd.ID+1] = c.predStart[nd.ID] + int32(len(g.Preds(nd.ID)))
 		c.succStart[nd.ID+1] = c.succStart[nd.ID] + int32(len(g.Succs(nd.ID)))
 	}
@@ -234,11 +171,9 @@ func Compile(g *dfg.Graph) (*Compiled, error) {
 	// panicking walk's scratch instead of re-pooling it.
 	c.pool.New = func() any {
 		return &scratch{
-			start:     make([]int, c.n),
-			finish:    make([]int, c.n),
-			chain:     make([]int, c.n),
-			pending:   make([]int, c.n),
-			scheduled: make([]bool, c.n),
+			start:  make([]int, c.n),
+			finish: make([]int, c.n),
+			chain:  make([]int, c.n),
 		}
 	}
 	return c, nil
@@ -254,15 +189,23 @@ func (c *Compiled) NumVertices() int { return c.n }
 // time). The WorkingSets slice is shared; do not mutate it.
 func (c *Compiled) Stats() dfg.Stats { return c.stats }
 
-// priorities returns the critical-path priority array for one
-// pipeline-depth class, computing it on first use. The priority of a node
-// is the longest downstream latency sum including the node's own latency.
-// The same pass derives the class's rank array: node ranks sorted by
-// (priority desc, id asc), so the ready heap can break ties with one
-// integer compare instead of re-deriving the order on every sift.
-func (c *Compiled) priorities(extra int) []int32 {
+// class returns one pipeline-depth class's critical-path priorities and
+// issue order, computing them on first use. The priority of a node is the
+// longest downstream latency sum including the node's own latency.
+//
+// The issue order lists every vertex that has predecessors, sorted by
+// (priority desc, id asc): the scheduler places vertices one at a time in
+// this static critical-path-first order, each at the earliest cycle its
+// operands and a free lane allow. The order is topological — a
+// predecessor's priority is at least its successor's, and equal
+// priorities fall back to the topological IDs — so a walk always finds
+// its operands' finish times already written. A counting sort over
+// priorities builds it: scanning IDs in ascending order into
+// per-priority buckets yields the ID tiebreak for free.
+func (c *Compiled) class(extra int) (prio, order []int32) {
 	c.prioOnce[extra].Do(func() {
 		p := make([]int32, c.n)
+		maxP := int32(0)
 		for i := c.n - 1; i >= 0; i-- {
 			best := int32(0)
 			for _, s := range c.succs[c.succStart[i]:c.succStart[i+1]] {
@@ -275,32 +218,30 @@ func (c *Compiled) priorities(extra int) []int32 {
 				lat = c.baseLat[i] + int32(extra)
 			}
 			p[i] = best + lat
+			maxP = max(maxP, p[i])
 		}
-		order := make([]int32, c.n)
-		for i := range order {
-			order[i] = int32(i)
-		}
-		sort.Slice(order, func(a, b int) bool {
-			if p[order[a]] != p[order[b]] {
-				return p[order[a]] > p[order[b]]
+		// next[maxP-p] is where the next vertex of priority p goes.
+		next := make([]int32, maxP+2)
+		for i := 0; i < c.n; i++ {
+			if c.predStart[i+1] > c.predStart[i] {
+				next[maxP-p[i]+1]++
 			}
-			return order[a] < order[b]
-		})
-		rank := make([]int32, c.n)
-		for pos, id := range order {
-			rank[id] = int32(pos)
+		}
+		for b := 1; b < len(next); b++ {
+			next[b] += next[b-1]
+		}
+		o := make([]int32, next[maxP+1])
+		for i := 0; i < c.n; i++ {
+			if c.predStart[i+1] > c.predStart[i] {
+				b := maxP - p[i]
+				o[next[b]] = int32(i)
+				next[b]++
+			}
 		}
 		c.prio[extra] = p
-		c.rank[extra] = rank
+		c.order[extra] = o
 	})
-	return c.prio[extra]
-}
-
-// ranks returns the class's packed-heap tiebreaker array, computing the
-// class on first use.
-func (c *Compiled) ranks(extra int) []int32 {
-	c.priorities(extra)
-	return c.rank[extra]
+	return c.prio[extra], c.order[extra]
 }
 
 // Simulate schedules the compiled graph onto the design point and returns
@@ -333,7 +274,7 @@ func (c *Compiled) CriticalPathCycles(d Design) (int, error) {
 	if err := d.Validate(); err != nil {
 		return 0, err
 	}
-	prio := c.priorities(extraLatency(d.Simplification))
+	prio, _ := c.class(extraLatency(d.Simplification))
 	best := int32(0)
 	for _, p := range prio {
 		if p > best {
@@ -353,8 +294,8 @@ func growTo(s []int, i int) []int {
 
 // simulate is the single scheduling core behind every Simulate and Trace
 // entry point; with capture set it records per-operation slots. The work
-// splits in two: walk runs the longest-path-first list scheduler (the part
-// that depends on the design only through its schedule class), and
+// splits in two: walk runs the critical-path-first list scheduler (the
+// part that depends on the design only through its schedule class), and
 // finishResult derives the per-design metrics from the walk's summary.
 // Without capture, a design whose class has already been walked skips the
 // scheduler entirely and pays only the metric derivation.
@@ -373,54 +314,60 @@ func (c *Compiled) simulate(d Design, capture bool) (Result, []OpSlot, error) {
 		}
 	}
 	s := c.pool.Get().(*scratch)
-	sum, slots, err := c.walk(key, s, capture)
-	// The scratch is re-pooled only after a clean walk: a panic below
+	sum, slots := c.walk(key, s, capture)
+	// The scratch is re-pooled only after a clean walk: a panic in walk
 	// propagates past this point and the possibly mid-schedule scratch is
 	// dropped for the collector instead of poisoning the pool.
 	c.pool.Put(s)
-	if err != nil {
-		return Result{}, nil, err
-	}
 	c.storeSched(sum)
 	return c.finishResult(d, node, sum), slots, nil
 }
 
-// walk runs the longest-path-first list scheduler for one schedule class
+// nextFree returns the first cycle at or after cyc whose occupancy entry
+// has room. An occupancy slice holds a count for each cycle with room; a
+// full cycle instead holds a negative link, minus the distance to a later
+// cycle that may have room. Following the links with path halving (each
+// visited link is redirected past its successor) makes the probe
+// amortized near-constant instead of a cycle-by-cycle scan of full
+// cycles. Cycles beyond the slice are untouched, i.e. free.
+func nextFree(occ []int, cyc int) int {
+	for cyc < len(occ) && occ[cyc] < 0 {
+		next := cyc - occ[cyc]
+		if next < len(occ) && occ[next] < 0 {
+			next -= occ[next]
+			occ[cyc] = cyc - next
+		}
+		cyc = next
+	}
+	return cyc
+}
+
+// occupy takes one unit of cycle cyc in occ, whose capacity is limit, and
+// returns the cycle's new occupancy; a cycle that fills becomes a link to
+// the next cycle.
+func occupy(occ []int, cyc, limit int) int {
+	occ[cyc]++
+	used := occ[cyc]
+	if used == limit {
+		occ[cyc] = -1
+	}
+	return used
+}
+
+// walk runs the critical-path-first list scheduler for one schedule class
 // over pooled scratch buffers with no graph traversal: all structure comes
-// from the compiled CSR slices. It returns the class's schedule summary —
-// everything finishResult needs plus the saturation facts (high-water lane
-// and bank occupancy, whether any contention skip fired) that let the
-// summary stand in for other lane capacities. With capture set it also
-// records per-operation slots.
-func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, []OpSlot, error) {
+// from the compiled CSR slices and the class's static issue order. It
+// returns the class's schedule summary — everything finishResult needs
+// plus the saturation facts (high-water lane and bank occupancy, whether
+// any contention skip fired) that let the summary stand in for other lane
+// capacities. With capture set it also records per-operation slots.
+func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, []OpSlot) {
 	partition, banks := key.partition, key.banks
 	extra, window := key.extra, key.window
-	rank := c.ranks(extra)
+	_, order := c.class(extra)
 	c.schedWalks.Add(1)
 
-	start, finish, chain, pending := s.start, s.finish, s.chain, s.pending
-	scheduledCount := 0
-	for i := 0; i < c.n; i++ {
-		pending[i] = int(c.predStart[i+1] - c.predStart[i])
-		s.scheduled[i] = false
-	}
-	q := s.queue[:0]
-	for i := 0; i < c.n; i++ {
-		if pending[i] != 0 {
-			continue
-		}
-		// Inputs are available at cycle 0.
-		s.scheduled[i] = true
-		scheduledCount++
-		start[i], finish[i], chain[i] = 0, 0, 0
-		for _, sc := range c.succs[c.succStart[i]:c.succStart[i+1]] {
-			pending[sc]--
-			if pending[sc] == 0 {
-				q = pushP(q, pitem{key: uint64(rank[sc]), id: sc})
-			}
-		}
-	}
-
+	start, finish, chain := s.start, s.finish, s.chain
 	maxCycle := 0
 	lanes, memLanes := s.lanes, s.memLanes
 	lanesHi, memHi := 0, 0 // exclusive high-water marks for cheap reset
@@ -429,17 +376,13 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 	maxLane, maxMem := 0, 0 // high-water per-cycle occupancy
 	dpSkipped, bankSkipped := false, false
 
-	for len(q) > 0 {
-		var nid int32
-		q, nid = popP(q)
+	for _, nid := range order {
 		id := int(nid)
 		predsOf := c.preds[c.predStart[id]:c.predStart[id+1]]
 		if c.ops[id] == dfg.OpOutput {
 			// Outputs materialize when their producer finishes; no lane use.
 			p := predsOf[0]
 			start[id], finish[id], chain[id] = finish[p], finish[p], 0
-			s.scheduled[id] = true
-			scheduledCount++
 			if finish[id] > maxCycle {
 				maxCycle = finish[id]
 			}
@@ -496,42 +439,37 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 		}
 		isMem := c.isMem[id]
 		if !chained {
-			// Find a cycle at or after earliest with a free lane — and,
-			// for memory operations, a free bank port. Cycles beyond the
-			// occupancy arrays' lengths are untouched, i.e. free. The skip
-			// flags record whether either capacity was ever binding: a walk
-			// that never skipped replays identically under any capacity at
-			// or above its high-water occupancy (see schedSummary.matches).
-			for {
-				if issue < len(lanes) && lanes[issue] >= partition {
-					dpSkipped = true
-					issue++
-					continue
+			// Find the first cycle at or after earliest with a free lane
+			// and, for memory operations, a free bank port. The skip flags
+			// record whether either capacity was ever binding: a walk that
+			// never skipped replays identically under any capacity at or
+			// above its high-water occupancy (see schedSummary.matches).
+			// They keep the meaning of a cycle-by-cycle probe that asks
+			// "lane full?" before "bank full?": a passed cycle with full
+			// lanes is a datapath skip, any other passed cycle a bank skip.
+			issue = nextFree(lanes, earliest)
+			dpSkipped = dpSkipped || issue > earliest
+			for isMem {
+				free := nextFree(memLanes, issue)
+				if free == issue {
+					break
 				}
-				if isMem && issue < len(memLanes) && memLanes[issue] >= banks {
-					bankSkipped = true
-					issue++
-					continue
+				// Cycles issue..free-1 have full banks; issue has a free
+				// lane, the others may not. memLanes never outgrows lanes.
+				bankSkipped = true
+				for cyc := issue + 1; cyc < free && !dpSkipped; cyc++ {
+					dpSkipped = lanes[cyc] < 0
 				}
-				break
+				issue = nextFree(lanes, free)
+				dpSkipped = dpSkipped || issue > free
 			}
 			lanes = growTo(lanes, issue)
-			lanes[issue]++
-			if lanes[issue] > maxLane {
-				maxLane = lanes[issue]
-			}
-			if issue+1 > lanesHi {
-				lanesHi = issue + 1
-			}
+			maxLane = max(maxLane, occupy(lanes, issue, partition))
+			lanesHi = max(lanesHi, issue+1)
 			if isMem {
 				memLanes = growTo(memLanes, issue)
-				memLanes[issue]++
-				if memLanes[issue] > maxMem {
-					maxMem = memLanes[issue]
-				}
-				if issue+1 > memHi {
-					memHi = issue + 1
-				}
+				maxMem = max(maxMem, occupy(memLanes, issue, banks))
+				memHi = max(memHi, issue+1)
 			}
 			chain[id] = 0
 		} else {
@@ -545,30 +483,15 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 		} else {
 			finish[id] = issue + int(c.baseLat[id]) + extra
 		}
-		s.scheduled[id] = true
-		scheduledCount++
 		if finish[id] > maxCycle {
 			maxCycle = finish[id]
 		}
-		for _, sc := range c.succs[c.succStart[id]:c.succStart[id+1]] {
-			pending[sc]--
-			if pending[sc] == 0 {
-				q = pushP(q, pitem{key: uint64(finish[id])<<32 | uint64(rank[sc]), id: sc})
-			}
-		}
 	}
-	// Return the grown buffers (and the heap's backing array) to the
-	// scratch, zeroing only the touched occupancy prefix.
+	// Return the grown buffers to the scratch, zeroing only the touched
+	// occupancy prefix.
 	clear(lanes[:lanesHi])
 	clear(memLanes[:memHi])
-	s.lanes, s.memLanes, s.queue = lanes, memLanes, q
-	if scheduledCount != c.n {
-		for i := 0; i < c.n; i++ {
-			if !s.scheduled[i] {
-				return nil, nil, fmt.Errorf("aladdin: scheduler failed to place vertex %d (graph not validated?)", i)
-			}
-		}
-	}
+	s.lanes, s.memLanes = lanes, memLanes
 	if maxCycle < 1 {
 		maxCycle = 1
 	}
@@ -604,7 +527,7 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 			})
 		}
 	}
-	return sum, slots, nil
+	return sum, slots
 }
 
 // finishResult derives one design point's metrics from its schedule-class

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -11,6 +12,29 @@ import (
 	"accelwall/internal/dfg"
 	"accelwall/internal/workloads"
 )
+
+// item is a ready operation in the reference scheduler's priority queue.
+type item struct {
+	id       dfg.NodeID
+	earliest int // earliest issue cycle (all operands ready)
+	priority int // length of the longest downstream path (critical path first)
+}
+
+type readyQueue []item
+
+func (q readyQueue) Len() int { return len(q) }
+func (q readyQueue) Less(i, j int) bool {
+	if q[i].earliest != q[j].earliest {
+		return q[i].earliest < q[j].earliest
+	}
+	if q[i].priority != q[j].priority {
+		return q[i].priority > q[j].priority
+	}
+	return q[i].id < q[j].id
+}
+func (q readyQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *readyQueue) Push(x any)   { *q = append(*q, x.(item)) }
+func (q *readyQueue) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // referenceSimulate is the pre-compiled-engine scheduler, kept verbatim as
 // the oracle for the equivalence suite: Compiled.Simulate must reproduce
@@ -238,6 +262,81 @@ func referenceSimulate(g *dfg.Graph, d Design, capture bool) (Result, []OpSlot, 
 	}, slots, nil
 }
 
+// referenceSkipFlags replays a reference schedule in the scheduler's issue
+// order (priority desc, id asc) and derives the saturation facts a walk's
+// summary records. Each non-chained op passed every cycle from its
+// operands' ready time to its start: a datapath skip where the ops placed
+// before it had filled the cycle's lanes, a bank skip otherwise. The
+// high-water lane and bank occupancies come from the same replay.
+func referenceSkipFlags(g *dfg.Graph, d Design, slots []OpSlot) (dpSkipped, bankSkipped bool, maxLane, maxMem int) {
+	extra := extraLatency(d.Simplification)
+	byID := make(map[dfg.NodeID]OpSlot, len(slots))
+	for _, s := range slots {
+		byID[s.ID] = s
+	}
+	nodes := g.Nodes()
+	prio := make([]int, len(nodes))
+	for i := len(nodes) - 1; i >= 0; i-- {
+		for _, s := range g.Succs(nodes[i].ID) {
+			prio[i] = max(prio[i], prio[s])
+		}
+		if nodes[i].Op.IsCompute() {
+			prio[i] += nodes[i].Op.Latency() + extra
+		}
+	}
+	var order []dfg.NodeID
+	for _, nd := range nodes {
+		if _, ok := byID[nd.ID]; ok {
+			order = append(order, nd.ID)
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return prio[order[a]] > prio[order[b]] })
+	lanes, mem := make(map[int]int), make(map[int]int)
+	for _, id := range order {
+		s := byID[id]
+		if s.Chained {
+			continue
+		}
+		earliest := 0
+		for _, p := range g.Preds(id) {
+			earliest = max(earliest, byID[p].Finish) // inputs: zero slot
+		}
+		for cyc := earliest; cyc < s.Start; cyc++ {
+			if lanes[cyc] >= d.Partition {
+				dpSkipped = true
+			} else {
+				bankSkipped = true
+			}
+		}
+		lanes[s.Start]++
+		maxLane = max(maxLane, lanes[s.Start])
+		if s.Op == dfg.OpLoad || s.Op == dfg.OpStore {
+			mem[s.Start]++
+			maxMem = max(maxMem, mem[s.Start])
+		}
+	}
+	return dpSkipped, bankSkipped, maxLane, maxMem
+}
+
+// checkWalkSummary walks d's schedule class on c directly and compares the
+// summary's saturation facts with referenceSkipFlags over the reference
+// schedule: summary reuse, and with it ScheduleCacheStats, depends on them
+// being exact.
+func checkWalkSummary(c *Compiled, g *dfg.Graph, d Design, refSlots []OpSlot) error {
+	if d.ClockGHz == 0 {
+		d.ClockGHz = 1
+	}
+	s := c.pool.Get().(*scratch)
+	sum, _ := c.walk(c.walkKey(d, cmos.MustLookup(d.NodeNM)), s, false)
+	c.pool.Put(s)
+	dp, bank, maxLane, maxMem := referenceSkipFlags(g, d, refSlots)
+	if sum.dpSkipped != dp || sum.bankSkipped != bank || sum.maxLane != maxLane || sum.maxMem != maxMem {
+		return fmt.Errorf("design %+v: summary dp=%v bank=%v maxLane=%d maxMem=%d, reference dp=%v bank=%v maxLane=%d maxMem=%d",
+			d, sum.dpSkipped, sum.bankSkipped, sum.maxLane, sum.maxMem, dp, bank, maxLane, maxMem)
+	}
+	return nil
+}
+
 // equivalenceDesigns spans every design axis, including the asymmetric
 // memory-bank and explicit-clock knobs the grid sweeps leave at defaults.
 func equivalenceDesigns() []Design {
@@ -260,16 +359,37 @@ func equivalenceDesigns() []Design {
 	return ds
 }
 
+// lookupNames lists every kernel workloads.Lookup resolves: the
+// applications, the algorithm variants and the case-study domain kernels.
+func lookupNames() []string {
+	var names []string
+	for _, s := range workloads.All() {
+		names = append(names, s.Abbrev)
+	}
+	for _, v := range workloads.Variants() {
+		names = append(names, v.Base+"/"+v.Name)
+	}
+	for _, k := range workloads.DomainKernels() {
+		names = append(names, k.Name)
+	}
+	return names
+}
+
 // TestCompiledMatchesReference asserts that the compiled engine reproduces
 // the pre-split scheduler bit for bit — same Result, same Schedule slots —
-// for every Table IV workload across the design axes. One Compiled instance
-// is reused across all designs of a workload, so the test also exercises
-// scratch-buffer reuse between calls.
+// for every kernel workloads.Lookup resolves across the design axes. One
+// Compiled instance is reused across all designs of a kernel, so the test
+// also exercises scratch-buffer reuse and schedule-summary reuse between
+// calls.
 func TestCompiledMatchesReference(t *testing.T) {
-	for _, spec := range workloads.All() {
-		spec := spec
-		t.Run(spec.Abbrev, func(t *testing.T) {
-			g, err := spec.Build(0)
+	for _, name := range lookupNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			build, err := workloads.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := build(0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -288,6 +408,9 @@ func TestCompiledMatchesReference(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("design %+v:\ncompiled  %+v\nreference %+v", d, got, want)
+				}
+				if err := checkWalkSummary(c, g, d, wantSlots); err != nil {
+					t.Fatal(err)
 				}
 				sched, err := c.Trace(d)
 				if err != nil {

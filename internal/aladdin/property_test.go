@@ -60,9 +60,15 @@ func randomGraph(seed int64) *dfg.Graph {
 	return g
 }
 
-// Fuzz the scheduler: every random graph under every random (but valid)
-// design must produce a schedule that passes the structural validator,
-// respect the critical-path bound without fusion, and conserve energy.
+// Fuzz the scheduler: every random graph under random (but valid) designs
+// must produce a schedule that passes the structural validator, respect
+// the critical-path bound without fusion, conserve energy, and match the
+// reference scheduler bit for bit through one warm Compiled shared by all
+// of the graph's designs. Sharing makes every design after the first a
+// candidate for schedule-summary reuse, which is sound only while the
+// walk's saturation flags are exact — in particular for memory banks
+// narrower than the datapath, the one case where a cycle with a free lane
+// can still be skipped.
 func TestSchedulerFuzz(t *testing.T) {
 	nodes := []float64{45, 28, 16, 10, 7, 5}
 	f := func(seed int64, pRaw uint16, sRaw, nRaw uint8, fusion bool, bRaw uint16) bool {
@@ -71,32 +77,55 @@ func TestSchedulerFuzz(t *testing.T) {
 			// Construction guarantees validity; failure here is a bug.
 			return false
 		}
-		d := Design{
-			NodeNM:         nodes[int(nRaw)%len(nodes)],
-			Partition:      1 + int(pRaw%1024),
-			Simplification: 1 + int(sRaw%MaxSimplification),
-			Fusion:         fusion,
-			MemoryBanks:    int(bRaw % 8), // 0 = banked with datapath
-		}
-		sched, err := Trace(g, d)
+		c, err := Compile(g)
 		if err != nil {
 			return false
 		}
-		if err := sched.Validate(g, d); err != nil {
-			t.Logf("seed %d design %+v: %v", seed, d, err)
-			return false
+		// The drawn design first, then narrow datapaths with explicit
+		// banks below the partition; banks fixed at 1 across ascending
+		// partitions invites reuse between their walks.
+		designs := []Design{{Partition: 1 + int(pRaw%1024), MemoryBanks: int(bRaw % 8)}} // 0 = banked with datapath
+		for _, p := range []int{2, 3, 4, 6, 9} {
+			designs = append(designs,
+				Design{Partition: p, MemoryBanks: 1},
+				Design{Partition: p, MemoryBanks: 1 + int(bRaw)%(p-1)})
 		}
-		r := sched.Result
-		if r.Cycles <= 0 || r.Energy <= 0 || r.Power <= 0 || r.Area <= 0 {
-			return false
-		}
-		if r.DynEnergy+r.LeakEnergy != r.Energy {
-			return false
-		}
-		if !fusion {
-			cp, err := CriticalPathCycles(g, d)
-			if err != nil || r.Cycles < cp {
+		for _, d := range designs {
+			d.NodeNM = nodes[int(nRaw)%len(nodes)]
+			d.Simplification = 1 + int(sRaw%MaxSimplification)
+			d.Fusion = fusion
+			want, wantSlots, err := referenceSimulate(g, d, true)
+			if err != nil {
 				return false
+			}
+			if got, err := c.Simulate(d); err != nil || got != want {
+				t.Logf("seed %d design %+v: shared Compiled %+v, reference %+v", seed, d, got, want)
+				return false
+			}
+			if err := checkWalkSummary(c, g, d, wantSlots); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			sched, err := c.Trace(d)
+			if err != nil {
+				return false
+			}
+			if err := sched.Validate(g, d); err != nil {
+				t.Logf("seed %d design %+v: %v", seed, d, err)
+				return false
+			}
+			r := sched.Result
+			if r != want || r.Cycles <= 0 || r.Energy <= 0 || r.Power <= 0 || r.Area <= 0 {
+				return false
+			}
+			if r.DynEnergy+r.LeakEnergy != r.Energy {
+				return false
+			}
+			if !d.Fusion {
+				cp, err := CriticalPathCycles(g, d)
+				if err != nil || r.Cycles < cp {
+					return false
+				}
 			}
 		}
 		return true

@@ -145,22 +145,33 @@ func (s *Store) List() ([]string, error) {
 	return names, nil
 }
 
-// Remove deletes a snapshot log (and any stray temp file a crash left
-// beside it), along with any in-memory snapshots stashed for the name.
+// Remove deletes the named snapshot logs (and any stray temp file a crash
+// left beside each), along with any in-memory snapshots stashed for them.
 // Missing files are not an error: Remove is the "run completed, forget
-// the progress" path and must be idempotent. The directory is fsynced
-// afterward — without it a crash can resurrect the just-forgotten log,
-// and a resurrected job manifest would re-run completed work.
-func (s *Store) Remove(name string) error {
-	s.dropStash(name)
-	os.Remove(s.Path(name) + ".tmp")
-	if err := os.Remove(s.Path(name)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("checkpoint: remove %s: %w", name, err)
+// the progress" path and must be idempotent. Once at least one log is
+// gone, the directory is fsynced once for all of them — without it a
+// crash can resurrect a just-forgotten log, and a resurrected job
+// manifest would re-run completed work. A stray temp file needs no fsync:
+// nothing reads one back.
+func (s *Store) Remove(names ...string) error {
+	var firstErr error
+	removed := false
+	for _, name := range names {
+		s.dropStash(name)
+		os.Remove(s.Path(name) + ".tmp")
+		switch err := os.Remove(s.Path(name)); {
+		case err == nil:
+			removed = true
+		case !os.IsNotExist(err) && firstErr == nil:
+			firstErr = fmt.Errorf("checkpoint: remove %s: %w", name, err)
+		}
 	}
-	if err := syncDir(s.dir); err != nil && !IsDiskFull(err) {
-		return err
+	if removed {
+		if err := syncDir(s.dir); err != nil && !IsDiskFull(err) && firstErr == nil {
+			firstErr = err
+		}
 	}
-	return nil
+	return firstErr
 }
 
 // ReadLast returns the newest intact snapshot payload in the named log,

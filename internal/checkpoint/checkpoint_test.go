@@ -139,6 +139,26 @@ func TestListAndRemove(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(s.Dir(), "a.ckpt.tmp")); !os.IsNotExist(err) {
 		t.Errorf("stray temp file survived Remove: %v", err)
 	}
+	// One directory fsync covers every log a call removes; a call that
+	// removes nothing pays none.
+	if err := s.Write("e", []byte("e")); err != nil {
+		t.Fatal(err)
+	}
+	inj := faultinject.New(1).Set(faultinject.SiteFSSync, faultinject.Rule{})
+	faultinject.Enable(inj)
+	defer faultinject.Disable()
+	if err := s.Remove("c", "b", "e"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Remove("c", "e"); err != nil {
+		t.Fatal(err)
+	}
+	if n := inj.Hits(faultinject.SiteFSSync); n != 1 {
+		t.Errorf("Remove fsynced the directory %d times, want 1", n)
+	}
+	if names, err := s.List(); err != nil || len(names) != 0 {
+		t.Errorf("List after removing every log = %v, %v", names, err)
+	}
 }
 
 func TestLogAppendsAndReadsNewest(t *testing.T) {

@@ -9,8 +9,10 @@
 //	<id>.progress.ckpt   append-only engine snapshot log (binary)
 //	<id>.result.ckpt     atomic single-record JSON result, once done
 //
-// The manifest is rewritten atomically on every state transition, so the
-// newest durable state is always readable. The progress log is written by
+// The manifest is written atomically when a job is submitted or adopted
+// and rewritten when it finishes or fails, so the newest durable state is
+// always readable; a running job's manifest still reads pending, which
+// recovery treats the same way. The progress log is written by
 // the compute engine itself (montecarlo / sweep checkpointing) through a
 // wrapping sink that also feeds the live progress counters. On startup the
 // manager scans the manifests before serving readiness: finished jobs are
@@ -303,9 +305,7 @@ func (jm *jobManager) writeManifest(j *job) error {
 
 // removeFiles deletes every file a job owns; used on eviction.
 func (jm *jobManager) removeFiles(id string) {
-	jm.store.Remove(manifestName(id)) //nolint:errcheck // eviction is best effort
-	jm.store.Remove(progressName(id)) //nolint:errcheck
-	jm.store.Remove(resultName(id))   //nolint:errcheck
+	jm.store.Remove(manifestName(id), progressName(id), resultName(id)) //nolint:errcheck // eviction is best effort
 }
 
 // recover scans the jobs directory: terminal jobs are re-listed with
@@ -630,11 +630,9 @@ func (jm *jobManager) run(j *job, resume []byte) {
 // (wrong build, wrong shape, flipped bits past the CRC) demotes the run
 // to a cold start rather than failing the job.
 func (jm *jobManager) execute(j *job, resume []byte) {
+	// Running is not written to disk: recovery resumes a pending manifest
+	// exactly like a running one. Replicas still learn the state.
 	j.setState(jobRunning)
-	if err := jm.writeManifest(j); err != nil {
-		jm.fail(j, fmt.Errorf("persisting running state: %w", err))
-		return
-	}
 	jm.srv.replicateJob(j, resume)
 	for attempt := 0; ; attempt++ {
 		log, err := jm.openProgress(j)
@@ -668,7 +666,7 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 			return
 		case jm.ctx.Err() != nil:
 			// Drain: the engine already saved its parting snapshot; the
-			// manifest stays "running" so the next process resumes it.
+			// manifest still reads pending, so the next process resumes it.
 			return
 		case attempt == 0 && len(resume) > 0 && isSnapshotErr(err):
 			jm.srv.logf("jobs: %s: snapshot rejected (%v), restarting cold", j.id, err)

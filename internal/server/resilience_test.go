@@ -41,9 +41,12 @@ func pumpUncertaintyBody(round int) string {
 func TestClusterPartitionBreakerFlapByteIdentity(t *testing.T) {
 	leakcheck.Check(t)
 	ref := singleNodeReference(t, "/v1/sweep", clusterSweepBody)
+	// The cooldown must outlast a whole round, or no request lands while
+	// the breaker is open and nothing is skipped: a race-mode round on
+	// one CPU takes about 0.5 s.
 	peers := startCluster(t, 3, func(i int, o *Options) {
 		o.BreakerThreshold = 2
-		o.BreakerCooldown = 50 * time.Millisecond
+		o.BreakerCooldown = 2 * time.Second
 	})
 	link := peers[0].url + "->" + peers[1].url
 	inj := faultinject.New(1).SetTransport(cluster.SiteTransportSlice,
