@@ -102,3 +102,20 @@ func TestRingOwnerAmongNobody(t *testing.T) {
 		t.Fatalf("owner among no alive peers = %q, want empty", got)
 	}
 }
+
+// TestRingPlacementPinned pins where fixed keys land on a fixed ring, so
+// a change to the ring hash cannot silently move jobs between peers.
+func TestRingPlacementPinned(t *testing.T) {
+	r := NewRing(testPeers(4))
+	var got []byte
+	for i := 1; i <= 24; i++ {
+		owner := r.Owner(fmt.Sprintf("job-%06d", i))
+		got = append(got, owner[len(owner)-1])
+	}
+	if want := "110113122211211313323222"; string(got) != want {
+		t.Errorf("owner ports end in %s, want %s", got, want)
+	}
+	if got, want := fmt.Sprintf("%016x", hashKey("job-000001")), "2ff8c637f0daa924"; got != want {
+		t.Errorf("hashKey(job-000001) = %s, want %s", got, want)
+	}
+}

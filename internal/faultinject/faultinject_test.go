@@ -2,6 +2,8 @@ package faultinject
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -116,5 +118,30 @@ func TestRegistry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("registered site missing from Sites(): %v", Sites())
+	}
+}
+
+// TestFireSchedulePinned pins which hits of a probabilistic rule fire for
+// a fixed seed and site, so a change to the firing hash cannot silently
+// reshuffle a recorded chaos run.
+func TestFireSchedulePinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed int64
+		site string
+		want string
+	}{
+		{7, "sweep.worker", "3,22,30,33,34,35,37,40,47,52,64"},
+		{424242, "fs.fsync", "1,4,5,6,7,12,13,14,17,19,23,24,25,27,32,34,40,43,44,49,52,57,62,63"},
+	} {
+		inj := New(tc.seed).Set(tc.site, Rule{Mode: ModeDelay, P: 0.25})
+		var fired []string
+		for n := 1; n <= 64; n++ {
+			if inj.hit(tc.site); inj.Fired(tc.site) > uint64(len(fired)) {
+				fired = append(fired, fmt.Sprint(n))
+			}
+		}
+		if got := strings.Join(fired, ","); got != tc.want {
+			t.Errorf("seed %d site %s: fired at %s, want %s", tc.seed, tc.site, got, tc.want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -140,5 +141,22 @@ func TestDoHonorsContextCancellation(t *testing.T) {
 func TestDoNilPermanent(t *testing.T) {
 	if Permanent(nil) != nil {
 		t.Fatal("Permanent(nil) != nil")
+	}
+}
+
+// TestBackoffJitterPinned pins the jittered delays for fixed keys, so a
+// change to the jitter hash cannot silently move a recorded retry
+// schedule.
+func TestBackoffJitterPinned(t *testing.T) {
+	p := Policy{Base: time.Second, Max: time.Hour, Seed: 7}
+	var got []string
+	for _, key := range []string{"job-000001", "http://127.0.0.1:9001/v1/internal/slice", ""} {
+		for attempt := 1; attempt <= 3; attempt++ {
+			got = append(got, fmt.Sprint(int64(p.Backoff(key, attempt))))
+		}
+	}
+	want := "532182645,1760853127,3719894427,757020703,1957171712,2531989746,683044008,1092378321,2977424080"
+	if s := strings.Join(got, ","); s != want {
+		t.Errorf("backoffs %s, want %s", s, want)
 	}
 }
