@@ -15,6 +15,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"accelwall/internal/mix"
 )
 
 // virtualNodes is how many ring points each peer owns. 64 keeps the
@@ -39,19 +41,7 @@ type Ring struct {
 
 // hashKey is the ring hash: FNV-1a finished with a SplitMix64-style
 // avalanche so nearby keys (job-000001, job-000002) land far apart.
-func hashKey(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	h *= 0x94D049BB133111EB
-	h ^= h >> 31
-	return h
-}
+func hashKey(s string) uint64 { return mix.Mix64(mix.FNV1a(s)) }
 
 // NewRing builds the ring over the peer list. Order does not matter; the
 // same membership always produces the same ring on every peer.

@@ -21,6 +21,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"accelwall/internal/mix"
 )
 
 // Mode selects what a firing site does.
@@ -125,27 +127,6 @@ func (inj *Injector) Hits(site string) uint64 {
 	return st.hits.Load()
 }
 
-// mix64 is the SplitMix64 finalizer; it turns (seed, site hash, n) into a
-// uniform 64-bit value.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// fnv64 hashes a site name (FNV-1a).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // hit evaluates one arrival at a site.
 func (inj *Injector) hit(site string) error {
 	inj.mu.Lock()
@@ -161,7 +142,7 @@ func (inj *Injector) hit(site string) error {
 	case r.Every > 0:
 		fire = n%r.Every == 0
 	case r.P > 0:
-		x := mix64(inj.seed ^ mix64(fnv64(site)+n))
+		x := mix.Mix64(inj.seed ^ mix.Mix64(mix.FNV1a(site)+n))
 		fire = float64(x>>11)/(1<<53) < r.P
 	}
 	if !fire {

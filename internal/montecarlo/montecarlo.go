@@ -41,6 +41,7 @@ import (
 	"accelwall/internal/cmos"
 	"accelwall/internal/faultinject"
 	"accelwall/internal/gains"
+	"accelwall/internal/mix"
 	"accelwall/internal/projection"
 	"accelwall/internal/resources"
 	"accelwall/internal/stats"
@@ -275,15 +276,7 @@ func New(corpusSeed int64) (*Engine, error) {
 // substream derives the PRNG seed of replicate i from the root seed with a
 // SplitMix64 mix, so every replicate owns an independent deterministic
 // stream no matter which worker executes it.
-func substream(root int64, i int) int64 {
-	x := uint64(root) + (uint64(i)+1)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return int64(x)
-}
+func substream(root int64, i int) int64 { return int64(mix.Substream(uint64(root), uint64(i))) }
 
 // domainOut holds one (target, domain) cell of a replicate.
 type domainOut struct {

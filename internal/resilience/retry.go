@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"accelwall/internal/mix"
 )
 
 // Policy is a bounded-retry schedule with deterministic exponential
@@ -73,7 +75,7 @@ func (p Policy) Backoff(key string, attempt int) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	x := mix64(p.Seed ^ mix64(fnv64(key)+uint64(attempt)))
+	x := mix.Mix64(p.Seed ^ mix.Mix64(mix.FNV1a(key)+uint64(attempt)))
 	return half + time.Duration(x%uint64(half))
 }
 
@@ -130,24 +132,4 @@ func (p Policy) Do(ctx context.Context, key string, op func(ctx context.Context)
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts failed: %w", p.Attempts, lastErr)
-}
-
-// mix64 is the SplitMix64 finalizer.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
-}
-
-// fnv64 hashes a retry key (FNV-1a).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
