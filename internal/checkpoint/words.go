@@ -26,6 +26,9 @@ func (w *Writer) U32(v uint32)  { w.buf = binary.LittleEndian.AppendUint32(w.buf
 func (w *Writer) U64(v uint64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// Raw appends p verbatim.
+func (w *Writer) Raw(p []byte) { w.buf = append(w.buf, p...) }
+
 // Reader is the bounds-checked little-endian cursor matching Writer. A
 // read past the end returns zero and marks the reader bad; decoders check
 // Bad once per section instead of after every word.
@@ -44,8 +47,16 @@ func (r *Reader) Bad() bool { return r.bad }
 // Rest reports how many bytes are left unread.
 func (r *Reader) Rest() int { return len(r.b) - r.off }
 
+// Fail marks the reader bad: decoders call it when a value they read is
+// out of range, so one Bad check covers truncation and validation alike.
+func (r *Reader) Fail() { r.bad = true }
+
+// Raw reads the next n bytes (aliasing the payload), or nil once the
+// reader is bad.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
 func (r *Reader) take(n int) []byte {
-	if r.bad || n > r.Rest() {
+	if r.bad || n < 0 || n > r.Rest() {
 		r.bad = true
 		return nil
 	}
@@ -85,3 +96,13 @@ func (r *Reader) U64() uint64 {
 }
 
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Finite reads a float and marks the reader bad if it is NaN or infinite:
+// the compute layers assume finite inputs, so no decoder lets one in.
+func (r *Reader) Finite() float64 {
+	v := r.F64()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		r.bad = true
+	}
+	return v
+}

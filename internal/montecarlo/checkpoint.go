@@ -10,11 +10,7 @@ package montecarlo
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 
 	"accelwall/internal/casestudy"
 	"accelwall/internal/checkpoint"
@@ -26,35 +22,20 @@ import (
 // disables checkpointing entirely — the engines pay one pointer test.
 type Checkpoint = checkpoint.Options
 
-// Named snapshot decode causes.
-var (
-	// ErrSnapshotVersion: the payload was written by an incompatible build.
-	ErrSnapshotVersion = errors.New("montecarlo: unsupported snapshot version")
-	// ErrSnapshotMismatch: the payload belongs to a different configuration.
-	ErrSnapshotMismatch = errors.New("montecarlo: snapshot does not match this configuration")
-	// ErrSnapshotCorrupt: the payload is structurally broken.
-	ErrSnapshotCorrupt = errors.New("montecarlo: corrupt snapshot payload")
-)
-
 const snapshotVersion = 1
 
 // configDigest fingerprints everything that determines replicate output:
 // the normalized config minus Workers (worker count never changes
 // results, so a snapshot taken at 8 workers resumes fine at 1).
 func configDigest(cfg Config) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(cfg.Replicates))
-	put(uint64(cfg.Seed))
-	put(uint64(cfg.CorpusSeed))
-	put(math.Float64bits(cfg.Confidence))
-	put(math.Float64bits(cfg.GainTarget))
-	put(math.Float64bits(cfg.CMOSJitter))
-	return h.Sum64()
+	h := checkpoint.NewDigest()
+	h.U64(uint64(cfg.Replicates))
+	h.U64(uint64(cfg.Seed))
+	h.U64(uint64(cfg.CorpusSeed))
+	h.F64(cfg.Confidence)
+	h.F64(cfg.GainTarget)
+	h.F64(cfg.CMOSJitter)
+	return h.Sum()
 }
 
 // snapshotDims returns the per-replicate vector lengths the codec frames.
@@ -70,8 +51,7 @@ func snapshotDims() (nNodes, nDomains int) {
 func encodeSnapshot(cfg Config, outs []replicateOut, n int) []byte {
 	nNodes, nDomains := snapshotDims()
 	w := checkpoint.NewWriter(26 + n*recordBytes(nNodes, nDomains))
-	w.U16(snapshotVersion)
-	w.U64(configDigest(cfg))
+	w.PutHeader(snapshotVersion, configDigest(cfg))
 	w.U32(uint32(cfg.Replicates))
 	w.U32(uint32(nNodes))
 	w.U32(uint32(nDomains))
@@ -138,35 +118,41 @@ func readReplicate(r *checkpoint.Reader, nNodes, nDomains int) replicateOut {
 // replicate prefix.
 func decodeSnapshot(cfg Config, payload []byte) ([]replicateOut, error) {
 	r := checkpoint.NewReader(payload)
-	if v := r.U16(); r.Bad() || v != snapshotVersion {
-		return nil, fmt.Errorf("%w: payload version %d, this build reads %d", ErrSnapshotVersion, v, snapshotVersion)
+	if err := r.CheckHeader("montecarlo", snapshotVersion, configDigest(cfg)); err != nil {
+		return nil, err
 	}
-	if d := r.U64(); r.Bad() || d != configDigest(cfg) {
-		return nil, fmt.Errorf("%w: config digest mismatch", ErrSnapshotMismatch)
+	total, err := readShape(r, cfg, "montecarlo")
+	if err != nil {
+		return nil, err
+	}
+	n := int(r.U32())
+	if r.Bad() || n < 0 || n > total {
+		return nil, fmt.Errorf("montecarlo: %w: prefix %d outside [0, %d]", checkpoint.ErrSnapshotCorrupt, n, total)
 	}
 	nNodes, nDomains := snapshotDims()
-	total, gotNodes, gotDomains, n := int(r.U32()), int(r.U32()), int(r.U32()), int(r.U32())
-	if r.Bad() {
-		return nil, fmt.Errorf("%w: truncated header", ErrSnapshotCorrupt)
-	}
-	if total != cfg.Replicates || gotNodes != nNodes || gotDomains != nDomains {
-		return nil, fmt.Errorf("%w: payload shape (%d replicates, %d nodes, %d domains) vs run (%d, %d, %d)",
-			ErrSnapshotMismatch, total, gotNodes, gotDomains, cfg.Replicates, nNodes, nDomains)
-	}
-	if n < 0 || n > total {
-		return nil, fmt.Errorf("%w: prefix %d outside [0, %d]", ErrSnapshotCorrupt, n, total)
-	}
 	outs := make([]replicateOut, n)
 	for i := range outs {
 		outs[i] = readReplicate(r, nNodes, nDomains)
 	}
-	if r.Bad() {
-		return nil, fmt.Errorf("%w: truncated replicate records", ErrSnapshotCorrupt)
-	}
-	if r.Rest() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
+	if err := r.End("montecarlo", "replicate records"); err != nil {
+		return nil, err
 	}
 	return outs, nil
+}
+
+// readShape reads the run shape that follows the snapshot and slice
+// headers — replicates, nodes and domains — and checks it against cfg.
+func readShape(r *checkpoint.Reader, cfg Config, engine string) (total int, err error) {
+	nNodes, nDomains := snapshotDims()
+	total, gotNodes, gotDomains := int(r.U32()), int(r.U32()), int(r.U32())
+	if r.Bad() {
+		return 0, fmt.Errorf("%s: %w: truncated header", engine, checkpoint.ErrSnapshotCorrupt)
+	}
+	if total != cfg.Replicates || gotNodes != nNodes || gotDomains != nDomains {
+		return 0, fmt.Errorf("%s: %w: payload shape (%d replicates, %d nodes, %d domains) vs run (%d, %d, %d)",
+			engine, checkpoint.ErrSnapshotMismatch, total, gotNodes, gotDomains, cfg.Replicates, nNodes, nDomains)
+	}
+	return total, nil
 }
 
 // SnapshotProgress reports how many of how many replicates a snapshot
@@ -174,16 +160,15 @@ func decodeSnapshot(cfg Config, payload []byte) ([]replicateOut, error) {
 // layers use it to surface job progress.
 func SnapshotProgress(payload []byte) (done, total int, err error) {
 	r := checkpoint.NewReader(payload)
-	if v := r.U16(); r.Bad() || v != snapshotVersion {
-		return 0, 0, ErrSnapshotVersion
+	if _, err := r.ReadHeader("montecarlo", snapshotVersion); err != nil {
+		return 0, 0, err
 	}
-	r.U64() // digest
 	total = int(r.U32())
 	r.U32() // nodes
 	r.U32() // domains
 	done = int(r.U32())
 	if r.Bad() || done < 0 || done > total {
-		return 0, 0, ErrSnapshotCorrupt
+		return 0, 0, fmt.Errorf("montecarlo: %w: progress %d of %d", checkpoint.ErrSnapshotCorrupt, done, total)
 	}
 	return done, total, nil
 }

@@ -228,26 +228,26 @@ func TestResumeRejectsWrongRun(t *testing.T) {
 
 	other := cfg
 	other.Seed++
-	if _, err := RunCheckpointed(context.Background(), other, &Checkpoint{Resume: snap}); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("resume with different seed = %v, want ErrSnapshotMismatch", err)
+	if _, err := RunCheckpointed(context.Background(), other, &Checkpoint{Resume: snap}); !errors.Is(err, checkpoint.ErrSnapshotMismatch) {
+		t.Errorf("resume with different seed = %v, want checkpoint.ErrSnapshotMismatch", err)
 	}
 
 	trunc := snap[:len(snap)-3]
-	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: trunc}); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("resume with truncated payload = %v, want ErrSnapshotCorrupt", err)
+	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: trunc}); !errors.Is(err, checkpoint.ErrSnapshotCorrupt) {
+		t.Errorf("resume with truncated payload = %v, want checkpoint.ErrSnapshotCorrupt", err)
 	}
 
 	trailing := append(append([]byte(nil), snap...), 0x00)
-	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: trailing}); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("resume with trailing bytes = %v, want ErrSnapshotCorrupt", err)
+	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: trailing}); !errors.Is(err, checkpoint.ErrSnapshotCorrupt) {
+		t.Errorf("resume with trailing bytes = %v, want checkpoint.ErrSnapshotCorrupt", err)
 	}
 
 	versioned := append([]byte(nil), snap...)
 	versioned[0] = 0xfe
-	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: versioned}); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("resume with alien version = %v, want ErrSnapshotVersion", err)
+	if _, err := RunCheckpointed(context.Background(), cfg, &Checkpoint{Resume: versioned}); !errors.Is(err, checkpoint.ErrSnapshotVersion) {
+		t.Errorf("resume with alien version = %v, want checkpoint.ErrSnapshotVersion", err)
 	}
-	if _, _, err := SnapshotProgress(versioned); !errors.Is(err, ErrSnapshotVersion) {
+	if _, _, err := SnapshotProgress(versioned); !errors.Is(err, checkpoint.ErrSnapshotVersion) {
 		t.Errorf("SnapshotProgress with alien version = %v", err)
 	}
 }

@@ -51,8 +51,7 @@ func (e *Engine) RunSlice(ctx context.Context, cfg Config, lo, hi int) ([]byte, 
 func encodeSlice(cfg Config, outs []replicateOut, lo, hi int) []byte {
 	nNodes, nDomains := snapshotDims()
 	w := checkpoint.NewWriter(34 + (hi-lo)*recordBytes(nNodes, nDomains))
-	w.U16(sliceVersion)
-	w.U64(configDigest(cfg))
+	w.PutHeader(sliceVersion, configDigest(cfg))
 	w.U32(uint32(cfg.Replicates))
 	w.U32(uint32(nNodes))
 	w.U32(uint32(nDomains))
@@ -68,33 +67,23 @@ func encodeSlice(cfg Config, outs []replicateOut, lo, hi int) []byte {
 // its range, reporting the range covered.
 func decodeSlice(cfg Config, outs []replicateOut, payload []byte) (lo, hi int, err error) {
 	r := checkpoint.NewReader(payload)
-	if v := r.U16(); r.Bad() || v != sliceVersion {
-		return 0, 0, fmt.Errorf("%w: slice version %d, this build reads %d", ErrSnapshotVersion, v, sliceVersion)
+	if err := r.CheckHeader("montecarlo slice", sliceVersion, configDigest(cfg)); err != nil {
+		return 0, 0, err
 	}
-	if d := r.U64(); r.Bad() || d != configDigest(cfg) {
-		return 0, 0, fmt.Errorf("%w: slice config digest mismatch", ErrSnapshotMismatch)
+	total, err := readShape(r, cfg, "montecarlo slice")
+	if err != nil {
+		return 0, 0, err
+	}
+	lo, hi = int(r.U32()), int(r.U32())
+	if r.Bad() || lo < 0 || hi > total || lo >= hi {
+		return 0, 0, fmt.Errorf("montecarlo slice: %w: range [%d, %d) outside [0, %d)", checkpoint.ErrSnapshotCorrupt, lo, hi, total)
 	}
 	nNodes, nDomains := snapshotDims()
-	total, gotNodes, gotDomains := int(r.U32()), int(r.U32()), int(r.U32())
-	lo, hi = int(r.U32()), int(r.U32())
-	if r.Bad() {
-		return 0, 0, fmt.Errorf("%w: truncated slice header", ErrSnapshotCorrupt)
-	}
-	if total != cfg.Replicates || gotNodes != nNodes || gotDomains != nDomains {
-		return 0, 0, fmt.Errorf("%w: slice shape (%d replicates, %d nodes, %d domains) vs run (%d, %d, %d)",
-			ErrSnapshotMismatch, total, gotNodes, gotDomains, cfg.Replicates, nNodes, nDomains)
-	}
-	if lo < 0 || hi > total || lo >= hi {
-		return 0, 0, fmt.Errorf("%w: slice range [%d, %d) outside [0, %d)", ErrSnapshotCorrupt, lo, hi, total)
-	}
 	for i := lo; i < hi; i++ {
 		outs[i] = readReplicate(r, nNodes, nDomains)
 	}
-	if r.Bad() {
-		return 0, 0, fmt.Errorf("%w: truncated slice records", ErrSnapshotCorrupt)
-	}
-	if r.Rest() != 0 {
-		return 0, 0, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, r.Rest())
+	if err := r.End("montecarlo slice", "slice records"); err != nil {
+		return 0, 0, err
 	}
 	return lo, hi, nil
 }

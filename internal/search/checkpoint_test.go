@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"accelwall/internal/aladdin"
+	"accelwall/internal/checkpoint"
 )
 
 // memSink captures every snapshot payload in order.
@@ -140,24 +141,24 @@ func TestSnapshotValidation(t *testing.T) {
 
 	bad := append([]byte(nil), snap...)
 	bad[0] ^= 0xFF // version
-	if err := resume(eng, searchCfg(), bad); !errors.Is(err, ErrSnapshotVersion) {
-		t.Errorf("tampered version: %v, want ErrSnapshotVersion", err)
+	if err := resume(eng, searchCfg(), bad); !errors.Is(err, checkpoint.ErrSnapshotVersion) {
+		t.Errorf("tampered version: %v, want checkpoint.ErrSnapshotVersion", err)
 	}
 
 	other := searchCfg()
 	other.Seed++
-	if err := resume(eng, other, snap); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("different seed: %v, want ErrSnapshotMismatch", err)
+	if err := resume(eng, other, snap); !errors.Is(err, checkpoint.ErrSnapshotMismatch) {
+		t.Errorf("different seed: %v, want checkpoint.ErrSnapshotMismatch", err)
 	}
-	if err := resume(buildEngine(t, "FFT"), searchCfg(), snap); !errors.Is(err, ErrSnapshotMismatch) {
-		t.Errorf("different workload: %v, want ErrSnapshotMismatch", err)
+	if err := resume(buildEngine(t, "FFT"), searchCfg(), snap); !errors.Is(err, checkpoint.ErrSnapshotMismatch) {
+		t.Errorf("different workload: %v, want checkpoint.ErrSnapshotMismatch", err)
 	}
 
-	if err := resume(eng, searchCfg(), snap[:len(snap)-3]); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("truncated payload: %v, want ErrSnapshotCorrupt", err)
+	if err := resume(eng, searchCfg(), snap[:len(snap)-3]); !errors.Is(err, checkpoint.ErrSnapshotCorrupt) {
+		t.Errorf("truncated payload: %v, want checkpoint.ErrSnapshotCorrupt", err)
 	}
-	if err := resume(eng, searchCfg(), append(append([]byte(nil), snap...), 0)); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Errorf("trailing byte: %v, want ErrSnapshotCorrupt", err)
+	if err := resume(eng, searchCfg(), append(append([]byte(nil), snap...), 0)); !errors.Is(err, checkpoint.ErrSnapshotCorrupt) {
+		t.Errorf("trailing byte: %v, want checkpoint.ErrSnapshotCorrupt", err)
 	}
 
 	if _, _, err := SnapshotProgress(snap); err != nil {
