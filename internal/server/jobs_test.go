@@ -10,10 +10,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"accelwall/internal/core"
+	"accelwall/internal/faultinject"
 	"accelwall/internal/leakcheck"
 	"accelwall/internal/montecarlo"
 )
@@ -366,6 +368,57 @@ func TestJobTableFullAndEviction(t *testing.T) {
 	status, resp := post(t, ts.URL+"/v1/jobs", `{"kind": "uncertainty", "uncertainty": {"replicates": 12}}`)
 	if status != http.StatusTooManyRequests || !bytes.Contains(resp, []byte(`"error"`)) {
 		t.Fatalf("submit over a full live table: want 429 envelope, got %d %s", status, resp)
+	}
+}
+
+// TestEvictionDoesNotBlockReads: evicting a finished job to admit a new
+// one removes its files after releasing the job table, so a GET of
+// another job is not held behind the unlinks and the directory fsync.
+func TestEvictionDoesNotBlockReads(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Options{JobsDir: dir, MaxJobs: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	small := `{"kind": "uncertainty", "uncertainty": {"replicates": 12, "workers": 1}}`
+	id1 := submitJob(t, ts.URL, small)
+	waitForJob(t, ts.URL, id1, terminal)
+	id2 := submitJob(t, ts.URL, small)
+	waitForJob(t, ts.URL, id2, terminal)
+
+	// Every fsync now stalls; the first one the at-cap submit reaches is
+	// the eviction's directory fsync.
+	const delay = time.Second
+	inj := faultinject.New(1).Set(faultinject.SiteFSSync, faultinject.Rule{Mode: faultinject.ModeDelay, Every: 1, Delay: delay})
+	faultinject.Enable(inj)
+	defer faultinject.Disable()
+	submitted := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(small))
+		if err != nil {
+			submitted <- 0
+			return
+		}
+		resp.Body.Close()
+		submitted <- resp.StatusCode
+	}()
+	for inj.Hits(faultinject.SiteFSSync) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	status, body := get(t, ts.URL+"/v1/jobs/"+id2)
+	elapsed := time.Since(start)
+	faultinject.Disable()
+	if status != http.StatusOK {
+		t.Fatalf("GET %s during eviction: %d %s", id2, status, body)
+	}
+	if elapsed > delay/2 {
+		t.Fatalf("GET %s took %v while the eviction's fsync stalled for %v", id2, elapsed, delay)
+	}
+	if code := <-submitted; code != http.StatusAccepted {
+		t.Fatalf("at-cap submit: status %d, want 202", code)
+	}
+	if _, err := os.Stat(filepath.Join(dir, id1+".manifest.ckpt")); !os.IsNotExist(err) {
+		t.Fatalf("evicted job %s still has a manifest: %v", id1, err)
 	}
 }
 
