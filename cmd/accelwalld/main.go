@@ -13,9 +13,9 @@
 // and a second signal aborts the drain.
 //
 // With -jobs DIR, the daemon also accepts durable asynchronous jobs
-// (POST /v1/jobs): each job's manifest, progress snapshots, and result
-// are persisted to DIR (0700, files 0600) through crash-safe atomic
-// writes, so a daemon killed mid-run — even with SIGKILL — re-lists its
+// (POST /v1/jobs): each job is one append-only log in DIR (0700, files
+// 0600) whose checksummed records carry its state, progress snapshots
+// and result, so a daemon killed mid-run — even with SIGKILL — re-lists its
 // jobs on restart and resumes each from its last snapshot instead of
 // starting over. GET /readyz reports 503 until that recovery completes
 // and again once a drain begins.

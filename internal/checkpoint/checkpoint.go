@@ -18,7 +18,7 @@
 // good snapshot before it. When a log outgrows its size bound it is
 // compacted to just its newest record via the atomic rewrite path
 // (temp file + fsync + rename + directory fsync), the same path Write
-// uses for single-shot records like job manifests.
+// uses for a log's first record, such as a job's submit record.
 //
 // Files are created 0600 and directories 0700: snapshots can embed
 // request payloads, which are nobody else's business.
@@ -150,8 +150,8 @@ func (s *Store) List() ([]string, error) {
 // Missing files are not an error: Remove is the "run completed, forget
 // the progress" path and must be idempotent. Once at least one log is
 // gone, the directory is fsynced once for all of them — without it a
-// crash can resurrect a just-forgotten log, and a resurrected job
-// manifest would re-run completed work. A stray temp file needs no fsync:
+// crash can resurrect a just-forgotten log, and a resurrected job log
+// brings an evicted job back. A stray temp file needs no fsync:
 // nothing reads one back.
 func (s *Store) Remove(names ...string) error {
 	var firstErr error
@@ -194,9 +194,9 @@ func (s *Store) ReadLast(name string) ([]byte, error) {
 }
 
 // Write atomically replaces the named log with one holding only payload:
-// temp file (0600) + fsync + rename + directory fsync. This is the
-// single-record path for small atomic state like job manifests. A disk
-// refusing the write with ENOSPC/EIO does not fail the caller: the
+// temp file (0600) + fsync + rename + directory fsync, the single-record
+// path for small atomic state like a job's submit record. A disk refusing
+// the write with ENOSPC/EIO does not fail the caller: the
 // payload is diverted to the in-memory stash, the store turns degraded,
 // and Flush lands it once space returns. If the rename never lands
 // (crash, or an injected fs.rename fault) the previous file remains

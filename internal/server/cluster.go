@@ -347,14 +347,14 @@ func (s *Server) replicateJob(j *job, snapshot []byte) {
 		j.mu.Unlock()
 		return
 	}
-	manifest, err := s.jobs.manifestJSON(j)
+	j.mu.Lock()
+	state, errMsg, result := j.state, j.errMsg, j.result
+	j.mu.Unlock()
+	manifest, err := j.manifest(state, errMsg)
 	if err != nil {
 		s.logf("cluster: jobs: %s: replica manifest marshal failed: %v", j.id, err)
 		return
 	}
-	j.mu.Lock()
-	result := j.result
-	j.mu.Unlock()
 	body, err := json.Marshal(jobReplica{Owner: s.cluster.Self(), Manifest: manifest, Snapshot: snapshot, Result: result})
 	if err != nil {
 		return

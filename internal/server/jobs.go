@@ -3,22 +3,20 @@
 // killed at any instant re-lists every job on restart and resumes
 // interrupted ones from their last durable snapshot.
 //
-// Each job owns three files in the jobs directory (a checkpoint.Store):
-//
-//	<id>.manifest.ckpt   atomic single-record JSON: kind, state, request
-//	<id>.progress.ckpt   append-only engine snapshot log (binary)
-//	<id>.result.ckpt     atomic single-record JSON result, once done
-//
-// The manifest is written atomically when a job is submitted or adopted
-// and rewritten when it finishes or fails, so the newest durable state is
-// always readable; a running job's manifest still reads pending, which
-// recovery treats the same way. The progress log is written by
-// the compute engine itself (montecarlo / sweep checkpointing) through a
-// wrapping sink that also feeds the live progress counters. On startup the
-// manager scans the manifests before serving readiness: finished jobs are
-// re-listed with their results, and pending or running jobs are re-queued
-// with whatever snapshot their progress log holds — a snapshot that fails
-// to decode just demotes the retry to a cold start.
+// Each job is one append-only checkpoint.Log in the jobs directory,
+// <id>.job.ckpt. Every record is self-contained: the job's manifest JSON
+// (id, kind, state, created, request, error) behind a u32 length, then a
+// payload — empty at submit, the engine snapshot in a progress record,
+// the result in a done record, empty in a failed one. A job's state is
+// its newest intact record, so submit writes the first record
+// atomically, the engine's snapshots append through a sink that also
+// feeds the live progress counters, finishing or failing appends one
+// record (the in-memory state flips only once it is durable), and
+// eviction removes the one file. On startup the manager reads each log's
+// newest record before serving readiness: finished jobs are re-listed
+// with their results, and pending or running ones are re-queued with the
+// record's snapshot — a snapshot that fails to decode just demotes the
+// retry to a cold start.
 package server
 
 import (
@@ -59,7 +57,8 @@ type jobRequest struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// jobManifest is the durable JSON record behind <id>.manifest.ckpt.
+// jobManifest is the JSON head of every job-log record, and the manifest
+// of a replica frame.
 type jobManifest struct {
 	ID      string          `json:"id"`
 	Kind    string          `json:"kind"`
@@ -68,6 +67,11 @@ type jobManifest struct {
 	Request json.RawMessage `json:"request"`
 	Error   string          `json:"error,omitempty"`
 }
+
+// ErrLegacyJobLayout: the jobs directory holds files of the three-file job
+// layout (<id>.manifest, <id>.progress, <id>.result) an earlier build
+// wrote. They are refused, not migrated.
+var ErrLegacyJobLayout = errors.New("jobs directory holds jobs in the old three-file layout")
 
 // job is one tracked job. The immutable identity fields are set at
 // submission (or recovery); everything behind mu is live state the runner
@@ -116,7 +120,7 @@ func (j *job) setState(state string) {
 }
 
 // setDegraded mirrors the checkpoint store's disk state onto the job
-// view, so manifests surface "degraded": "disk" while their snapshots
+// view, so job views surface "degraded": "disk" while their snapshots
 // live in memory only.
 func (j *job) setDegraded(degraded bool) {
 	j.mu.Lock()
@@ -185,7 +189,7 @@ type jobManager struct {
 	wg     sync.WaitGroup
 	sem    chan struct{} // capacity 1: the single execution slot
 
-	recovered chan struct{} // closed once the startup manifest scan is done
+	recovered chan struct{} // closed once the startup recovery scan is done
 
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -194,12 +198,23 @@ type jobManager struct {
 }
 
 // newJobManager opens (creating 0700) and write-probes dir, then starts
-// the recovery scan. An unusable directory fails here — at startup — with
-// the checkpoint store's error naming the path and cause.
+// the recovery scan. An unusable directory, or one holding jobs in the
+// old three-file layout, fails here — at startup — with an error naming
+// the path and cause.
 func newJobManager(srv *Server, dir string, max int) (*jobManager, error) {
 	store, err := checkpoint.Open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("jobs directory: %w", err)
+	}
+	names, err := store.List()
+	if err != nil {
+		return nil, fmt.Errorf("jobs directory: %w", err)
+	}
+	for _, name := range names {
+		switch filepath.Ext(name) {
+		case ".manifest", ".progress", ".result":
+			return nil, fmt.Errorf("%w (%s); finish those jobs with the previous build", ErrLegacyJobLayout, store.Path(name))
+		}
 	}
 	var replicas *checkpoint.Store
 	var prefix string
@@ -228,7 +243,7 @@ func newJobManager(srv *Server, dir string, max int) (*jobManager, error) {
 		jobs:      make(map[string]*job),
 	}
 	jm.wg.Add(1)
-	go jm.recover()
+	go jm.recover(names)
 	return jm, nil
 }
 
@@ -244,7 +259,7 @@ func (jm *jobManager) ready() bool {
 }
 
 // interrupt cancels every running job; their engines stop within one work
-// chunk and leave a final snapshot in the progress log.
+// chunk and append a final snapshot to the job log.
 func (jm *jobManager) interrupt() {
 	jm.mu.Lock()
 	jm.closed = true
@@ -267,78 +282,131 @@ func (jm *jobManager) wait(ctx context.Context) error {
 // waitAll is wait without a bound, for Close in tests and embedders.
 func (jm *jobManager) waitAll() { jm.wg.Wait() }
 
-// manifestName/progressName/resultName map a job id onto its store names.
-func manifestName(id string) string { return id + ".manifest" }
-func progressName(id string) string { return id + ".progress" }
-func resultName(id string) string   { return id + ".result" }
+// logName maps a job id onto its store name.
+func logName(id string) string { return id + ".job" }
 
-// manifestJSON marshals the job's current durable state.
-func (jm *jobManager) manifestJSON(j *job) ([]byte, error) {
+// encodeRecord frames one job-log record: the manifest behind its u32
+// length, then payload.
+func encodeRecord(manifest, payload []byte) []byte {
+	w := checkpoint.NewWriter(4 + len(manifest) + len(payload))
+	w.U32(uint32(len(manifest)))
+	w.Raw(manifest)
+	w.Raw(payload)
+	return w.Bytes()
+}
+
+// manifest marshals the job's durable identity in the given state.
+func (j *job) manifest(state, errMsg string) ([]byte, error) {
 	reqRaw, err := json.Marshal(j.req)
 	if err != nil {
 		return nil, err
 	}
-	j.mu.Lock()
-	m := jobManifest{
+	return json.Marshal(jobManifest{
 		ID:      j.id,
 		Kind:    j.req.Kind,
-		State:   j.state,
+		State:   state,
 		Created: j.created.UTC().Format(time.RFC3339),
 		Request: reqRaw,
-		Error:   j.errMsg,
-	}
-	j.mu.Unlock()
-	return json.Marshal(m)
+		Error:   errMsg,
+	})
 }
 
-// writeManifest persists the job's current durable state atomically.
-func (jm *jobManager) writeManifest(j *job) error {
-	payload, err := jm.manifestJSON(j)
+// record encodes one job-log record in the given state.
+func (j *job) record(state, errMsg string, payload []byte) ([]byte, error) {
+	m, err := j.manifest(state, errMsg)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return jm.store.Write(manifestName(j.id), payload)
+	return encodeRecord(m, payload), nil
 }
 
-// removeFiles deletes every file a job owns; used on eviction.
-func (jm *jobManager) removeFiles(id string) {
-	jm.store.Remove(manifestName(id), progressName(id), resultName(id)) //nolint:errcheck // eviction is best effort
+// decodeRecord splits a job-log record into its manifest and payload.
+func decodeRecord(rec []byte) (jobManifest, []byte, error) {
+	r := checkpoint.NewReader(rec)
+	raw := r.Raw(int(r.U32()))
+	var m jobManifest
+	if r.Bad() || json.Unmarshal(raw, &m) != nil {
+		return m, nil, errors.New("malformed job record")
+	}
+	return m, r.Raw(r.Rest()), nil
 }
 
-// recover scans the jobs directory: terminal jobs are re-listed with
-// their results, interrupted ones re-queued with their last snapshot.
-// Runs once, in a goroutine, before the manager reports ready.
-func (jm *jobManager) recover() {
+// restoreJob rebuilds job id from its newest log record, returning with it
+// the snapshot an interrupted job resumes from (nil: a cold start).
+func restoreJob(id string, rec []byte) (*job, []byte, error) {
+	m, payload, err := decodeRecord(rec)
+	if err == nil && m.ID != id {
+		err = fmt.Errorf("record names job %q", m.ID)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	j := &job{id: m.ID, state: m.State, errMsg: m.Error}
+	if t, err := time.Parse(time.RFC3339, m.Created); err == nil {
+		j.created = t
+	}
+	if err := json.Unmarshal(m.Request, &j.req); err != nil {
+		return nil, nil, fmt.Errorf("malformed request: %v", err)
+	}
+	spec, err := j.req.spec()
+	if err == nil {
+		err = spec.resolve()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	j.spec = spec
+	switch m.State {
+	case jobDone:
+		if !json.Valid(payload) {
+			return nil, nil, errors.New("malformed job result")
+		}
+		j.result = payload
+		j.finishProgress()
+	case jobFailed:
+	case jobPending, jobRunning:
+		j.state = jobPending
+		if len(payload) == 0 {
+			return j, nil, nil
+		}
+		if done, total, err := spec.progress(payload); err == nil {
+			j.setProgress(done, total)
+		}
+		return j, payload, nil
+	default:
+		return nil, nil, fmt.Errorf("unknown state %q", m.State)
+	}
+	return j, nil, nil
+}
+
+// finishProgress sets done == total on a finished job, whose record
+// holds its result instead of a snapshot.
+func (j *job) finishProgress() {
+	_, n := j.spec.units()
+	j.setProgress(n, n)
+}
+
+// recover reads each job log's newest record: terminal jobs are re-listed
+// with their results, interrupted ones re-queued with their snapshot,
+// oldest first since names come sorted. Runs once, in a goroutine, before
+// the manager reports ready.
+func (jm *jobManager) recover(names []string) {
 	defer jm.wg.Done()
 	defer close(jm.recovered)
-	names, err := jm.store.List()
-	if err != nil {
-		jm.srv.logf("jobs: recovery scan failed: %v", err)
-		return
-	}
-	type resumable struct {
-		j      *job
-		resume []byte
-	}
-	var queue []resumable
+	queued := 0
 	for _, name := range names {
-		id, ok := strings.CutSuffix(name, ".manifest")
+		id, ok := strings.CutSuffix(name, ".job")
 		if !ok {
 			continue
 		}
-		payload, err := jm.store.ReadLast(name)
-		if err != nil {
-			jm.srv.logf("jobs: skipping unreadable manifest %s: %v", name, err)
-			continue
+		rec, err := jm.store.ReadLast(name)
+		var j *job
+		var resume []byte
+		if err == nil {
+			j, resume, err = restoreJob(id, rec)
 		}
-		var m jobManifest
-		if err := json.Unmarshal(payload, &m); err != nil || m.ID != id {
-			jm.srv.logf("jobs: skipping malformed manifest %s", name)
-			continue
-		}
-		j, err := restoreJob(m)
 		if err != nil {
-			jm.srv.logf("jobs: skipping %s: %v", id, err)
+			jm.srv.logf("jobs: skipping %s: %v", name, err)
 			continue
 		}
 		// Adopted jobs carry another peer's prefix and never advance this
@@ -347,85 +415,18 @@ func (jm *jobManager) recover() {
 		if _, err := fmt.Sscanf(id, "job-"+jm.prefix+"%06d", &seq); err == nil && seq > jm.seq {
 			jm.seq = seq
 		}
-		switch m.State {
-		case jobDone:
-			res, err := jm.store.ReadLast(resultName(id))
-			if err != nil {
-				// The result never landed (crash between state write and
-				// result write cannot happen — result is written first —
-				// but a deleted file can). Re-run rather than lie.
-				j.state = jobPending
-				queue = append(queue, resumable{j: j, resume: jm.readResume(j)})
-				break
-			}
-			j.result = res
-			j.finishProgress()
-		case jobFailed:
-			// Terminal; nothing to resume.
-		case jobPending, jobRunning:
-			j.state = jobPending
-			r := resumable{j: j, resume: jm.readResume(j)}
-			if r.resume != nil {
-				jm.srv.metrics.JobsResumed.Add(1)
-			}
-			queue = append(queue, r)
-		default:
-			jm.srv.logf("jobs: skipping %s: unknown state %q", id, m.State)
-			continue
-		}
 		jm.jobs[id] = j
-	}
-	// Re-run interrupted jobs oldest first, preserving submission order.
-	sort.Slice(queue, func(a, b int) bool { return queue[a].j.id < queue[b].j.id })
-	if len(jm.jobs) > 0 {
-		jm.srv.logf("jobs: recovered %d job(s), %d to resume", len(jm.jobs), len(queue))
-	}
-	for _, r := range queue {
-		jm.run(r.j, r.resume)
-	}
-}
-
-// readResume loads the job's newest intact progress snapshot and primes
-// the live progress counters from it; nil means a cold start.
-func (jm *jobManager) readResume(j *job) []byte {
-	payload, err := jm.store.ReadLast(progressName(j.id))
-	if err != nil {
-		if !errors.Is(err, checkpoint.ErrNoSnapshot) {
-			jm.srv.logf("jobs: %s: no usable progress snapshot (%v), restarting cold", j.id, err)
+		if resume != nil {
+			jm.srv.metrics.JobsResumed.Add(1)
 		}
-		return nil
+		if j.state == jobPending {
+			queued++
+			jm.run(j, resume)
+		}
 	}
-	if done, total, err := j.spec.progress(payload); err == nil {
-		j.setProgress(done, total)
+	if len(jm.jobs) > 0 {
+		jm.srv.logf("jobs: recovered %d job(s), %d to resume", len(jm.jobs), queued)
 	}
-	return payload
-}
-
-// restoreJob rebuilds a job from its durable manifest.
-func restoreJob(m jobManifest) (*job, error) {
-	j := &job{id: m.ID, state: m.State, errMsg: m.Error}
-	if t, err := time.Parse(time.RFC3339, m.Created); err == nil {
-		j.created = t
-	}
-	if err := json.Unmarshal(m.Request, &j.req); err != nil {
-		return nil, fmt.Errorf("malformed request: %v", err)
-	}
-	spec, err := j.req.spec()
-	if err == nil {
-		err = spec.resolve()
-	}
-	if err != nil {
-		return nil, err
-	}
-	j.spec = spec
-	return j, nil
-}
-
-// finishProgress sets done == total on a finished job so the progress
-// fields stay truthful without its (removed) progress log.
-func (j *job) finishProgress() {
-	_, n := j.spec.units()
-	j.setProgress(n, n)
 }
 
 // submit validates, persists, and enqueues a new job, returning it or an
@@ -471,15 +472,19 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 	j := &job{id: id, req: req, spec: spec, created: time.Now(), state: jobPending, release: release, total: total}
 	jm.mu.Unlock()
 	if evicted != "" {
-		// The victim left the table under the lock; its files go after
-		// unlocking, so reads and polls never wait on the unlinks and the
+		// The victim left the table under the lock; its log goes after
+		// unlocking, so reads and polls never wait on the unlink and the
 		// directory fsync.
-		jm.removeFiles(evicted)
+		jm.store.Remove(logName(evicted)) //nolint:errcheck // eviction is best effort
 	}
 
-	if err := jm.writeManifest(j); err != nil {
+	rec, err := j.record(jobPending, "", nil)
+	if err == nil {
+		err = jm.store.Write(logName(id), rec)
+	}
+	if err != nil {
 		release()
-		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job manifest: %w", err)
+		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job: %w", err)
 	}
 	jm.mu.Lock()
 	jm.jobs[id] = j
@@ -495,12 +500,13 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 // from the last replicated snapshot. Returns nil when the id is
 // already tracked (a duplicate death notification).
 func (jm *jobManager) adopt(id string, rep jobReplica) *job {
-	var m jobManifest
-	if err := json.Unmarshal(rep.Manifest, &m); err != nil || m.ID != id {
-		jm.srv.logf("jobs: skipping malformed replica for %s", id)
-		return nil
+	// A replica frame carries a result only once its job is done.
+	payload := rep.Snapshot
+	if rep.Result != nil {
+		payload = rep.Result
 	}
-	j, err := restoreJob(m)
+	rec := encodeRecord(rep.Manifest, payload)
+	j, resume, err := restoreJob(id, rec)
 	if err != nil {
 		jm.srv.logf("jobs: skipping replica %s: %v", id, err)
 		return nil
@@ -520,28 +526,12 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	jm.jobs[id] = j
 	jm.mu.Unlock()
 
-	resume := rep.Snapshot
-	switch m.State {
-	case jobDone:
-		if err := jm.store.Write(resultName(id), rep.Result); err != nil {
-			jm.srv.logf("jobs: %s: adopted result write failed: %v", id, err)
-		}
-		j.result = rep.Result
-		j.finishProgress()
-	case jobFailed:
-		// Terminal; re-list only.
-	default:
-		j.state = jobPending
-	}
-	if err := jm.writeManifest(j); err != nil {
-		jm.srv.logf("jobs: %s: adopted manifest write failed: %v", id, err)
+	if err := jm.store.Write(logName(id), rec); err != nil {
+		jm.srv.logf("jobs: %s: adopted record write failed: %v", id, err)
 	}
 	if j.state == jobPending {
 		if resume != nil {
-			if done, total, err := j.spec.progress(resume); err == nil {
-				j.setProgress(done, total)
-				jm.srv.metrics.JobsResumed.Add(1)
-			}
+			jm.srv.metrics.JobsResumed.Add(1)
 		}
 		jm.run(j, resume)
 	}
@@ -550,7 +540,7 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 
 // clearDegraded resets every job's degraded marker once the disk has
 // healed and the stash is flushed: their snapshots and results are
-// durable again, so the manifests should stop advertising the outage.
+// durable again, so the job views should stop advertising the outage.
 func (jm *jobManager) clearDegraded() {
 	jm.mu.Lock()
 	defer jm.mu.Unlock()
@@ -569,7 +559,7 @@ func (jm *jobManager) tracked(id string) bool {
 }
 
 // evictTerminalLocked drops the oldest finished job from the table to
-// make room and returns its id for the caller to remove its files once
+// make room and returns its id for the caller to remove its log once
 // jm.mu is released; it returns "" when every tracked job is still live.
 func (jm *jobManager) evictTerminalLocked() string {
 	var victim *job
@@ -636,70 +626,50 @@ func (jm *jobManager) run(j *job, resume []byte) {
 // (wrong build, wrong shape, flipped bits past the CRC) demotes the run
 // to a cold start rather than failing the job.
 func (jm *jobManager) execute(j *job, resume []byte) {
-	// Running is not written to disk: recovery resumes a pending manifest
+	// Running is not written to disk: recovery resumes a pending record
 	// exactly like a running one. Replicas still learn the state.
 	j.setState(jobRunning)
 	jm.srv.replicateJob(j, resume)
-	for attempt := 0; ; attempt++ {
-		log, err := jm.openProgress(j)
-		if err != nil {
-			if !checkpoint.IsDiskFull(err) {
-				jm.fail(j, err)
-				return
-			}
-			// A disk too full to even create the progress log must not
-			// kill the job: run without durable progress (the job is
-			// simply not crash-resumable for the outage) and let the
-			// result land via the store's in-memory stash.
-			jm.srv.logf("jobs: %s: progress log unavailable (%v); running without durable progress", j.id, err)
-			j.setDegraded(true)
-			log = nil
-		}
-		payload, resumed, err := j.spec.runJob(jm.ctx, jm.srv, &checkpoint.Options{
-			Sink: &jobSink{jm: jm, j: j, log: log}, Every: j.req.CheckpointEvery, Resume: resume,
-			OnError: func(err error) { jm.srv.logf("jobs: %s: snapshot save failed, continuing without: %v", j.id, err) },
-		})
-		if log != nil {
-			log.Close()
-		}
-		switch {
-		case err == nil:
-			j.finishProgress()
-			j.mu.Lock()
-			j.resumed = resumed
-			j.mu.Unlock()
-			jm.finish(j, payload)
-			return
-		case jm.ctx.Err() != nil:
-			// Drain: the engine already saved its parting snapshot; the
-			// manifest still reads pending, so the next process resumes it.
-			return
-		case attempt == 0 && len(resume) > 0 && checkpoint.IsSnapshotErr(err):
-			jm.srv.logf("jobs: %s: snapshot rejected (%v), restarting cold", j.id, err)
-			jm.store.Remove(progressName(j.id)) //nolint:errcheck // cold start works either way
-			j.setProgress(0, 0)
-			resume = nil
-			continue
-		default:
-			jm.fail(j, err)
-			return
-		}
+	log, err := jm.store.OpenLog(logName(j.id))
+	switch {
+	case err == nil:
+		defer log.Close()
+	case checkpoint.IsDiskFull(err):
+		// The disk was too full to land even the submit record, so the log
+		// does not exist yet. Run without durable progress (the job is not
+		// crash-resumable for the outage) and let the terminal record land
+		// via the store's in-memory stash.
+		jm.srv.logf("jobs: %s: job log unavailable (%v); running without durable progress", j.id, err)
+		j.setDegraded(true)
+		log = nil
+	default:
+		jm.fail(j, nil, err)
+		return
+	}
+	ck := &checkpoint.Options{
+		Sink: &jobSink{jm: jm, j: j, log: log}, Every: j.req.CheckpointEvery, Resume: resume,
+		OnError: func(err error) { jm.srv.logf("jobs: %s: snapshot save failed, continuing without: %v", j.id, err) },
+	}
+	result, resumed, err := j.spec.runJob(jm.ctx, jm.srv, ck)
+	if len(resume) > 0 && checkpoint.IsSnapshotErr(err) && jm.ctx.Err() == nil {
+		jm.srv.logf("jobs: %s: snapshot rejected (%v), restarting cold", j.id, err)
+		j.setProgress(0, 0)
+		ck.Resume = nil
+		result, resumed, err = j.spec.runJob(jm.ctx, jm.srv, ck)
+	}
+	switch {
+	case err == nil:
+		jm.finish(j, log, result, resumed)
+	case jm.ctx.Err() != nil:
+		// Drain: the engine already appended its parting snapshot, which
+		// the next process resumes from.
+	default:
+		jm.fail(j, log, err)
 	}
 }
 
-// openProgress opens the job's snapshot log, clearing and retrying once
-// if a previous life left something unreadable behind.
-func (jm *jobManager) openProgress(j *job) (*checkpoint.Log, error) {
-	log, err := jm.store.OpenLog(progressName(j.id))
-	if err == nil {
-		return log, nil
-	}
-	jm.store.Remove(progressName(j.id)) //nolint:errcheck // about to recreate it
-	return jm.store.OpenLog(progressName(j.id))
-}
-
-// jobSink forwards engine snapshots to the durable log and mirrors their
-// progress counters into the live job view.
+// jobSink appends engine snapshots to the job log as progress records and
+// mirrors their progress counters into the live job view.
 type jobSink struct {
 	jm  *jobManager
 	j   *job
@@ -707,11 +677,15 @@ type jobSink struct {
 }
 
 func (s *jobSink) Save(payload []byte) error {
-	// A nil log means the disk was too full to even create the progress
-	// file; the job runs on without durable snapshots, already marked
-	// degraded by execute.
+	// A nil log means the disk was too full to even create the job log;
+	// the job runs on without durable snapshots, already marked degraded
+	// by execute.
 	if s.log != nil {
-		if err := s.log.Save(payload); err != nil {
+		rec, err := s.j.record(jobRunning, "", payload)
+		if err == nil {
+			err = s.log.Save(rec)
+		}
+		if err != nil {
 			return err
 		}
 		// A disk-full save succeeds by diverting to memory; mirror the
@@ -727,40 +701,48 @@ func (s *jobSink) Save(payload []byte) error {
 	return nil
 }
 
-// finish persists a successful result: result first, then the manifest
-// flip to done, then the progress log is dropped. A crash between any two
-// steps re-runs the job deterministically — never serves a half-state.
-func (jm *jobManager) finish(j *job, payload json.RawMessage) {
-	defer j.releaseBudget()
-	if err := jm.store.Write(resultName(j.id), payload); err != nil {
-		jm.fail(j, fmt.Errorf("persisting result: %w", err))
+// land makes one terminal record durable: appended to the job's open log,
+// or written atomically when the disk was too full to open it (a full
+// disk then stashes it in memory until space returns).
+func (jm *jobManager) land(j *job, log *checkpoint.Log, state, errMsg string, payload []byte) error {
+	rec, err := j.record(state, errMsg, payload)
+	switch {
+	case err != nil:
+		return err
+	case log != nil:
+		return log.Save(rec)
+	default:
+		return jm.store.Write(logName(j.id), rec)
+	}
+}
+
+// finish lands the done record and only then flips the job to done, so
+// no client sees a result that a crash could take back.
+func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage, resumed int) {
+	if err := jm.land(j, log, jobDone, "", result); err != nil {
+		jm.fail(j, log, fmt.Errorf("persisting result: %w", err))
 		return
 	}
+	defer j.releaseBudget()
+	j.finishProgress()
 	j.mu.Lock()
-	j.state = jobDone
-	j.result = payload
+	j.state, j.result, j.resumed = jobDone, result, resumed
 	j.degraded = jm.store.Degraded()
 	j.mu.Unlock()
-	if err := jm.writeManifest(j); err != nil {
-		jm.srv.logf("jobs: %s: done, but manifest write failed (will re-run on restart): %v", j.id, err)
-	}
-	jm.store.Remove(progressName(j.id)) //nolint:errcheck // a leftover log is removed with the job's other files at eviction
 	jm.srv.metrics.JobsCompleted.Add(1)
 	jm.srv.replicateJob(j, nil)
 	jm.srv.logf("jobs: %s done", j.id)
 }
 
-// fail records a terminal failure.
-func (jm *jobManager) fail(j *job, err error) {
+// fail lands a failed record, then flips the job to failed.
+func (jm *jobManager) fail(j *job, log *checkpoint.Log, err error) {
 	defer j.releaseBudget()
-	j.mu.Lock()
-	j.state = jobFailed
-	j.errMsg = err.Error()
-	j.mu.Unlock()
-	if werr := jm.writeManifest(j); werr != nil {
-		jm.srv.logf("jobs: %s: failure manifest write failed: %v", j.id, werr)
+	if werr := jm.land(j, log, jobFailed, err.Error(), nil); werr != nil {
+		jm.srv.logf("jobs: %s: failure record write failed: %v", j.id, werr)
 	}
-	jm.store.Remove(progressName(j.id)) //nolint:errcheck // deterministic failure; no point resuming
+	j.mu.Lock()
+	j.state, j.errMsg = jobFailed, err.Error()
+	j.mu.Unlock()
 	jm.srv.metrics.JobsFailed.Add(1)
 	jm.srv.replicateJob(j, nil)
 	jm.srv.logf("jobs: %s failed: %v", j.id, err)
@@ -779,7 +761,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	j, status, err := s.jobs.submit(req)
 	if err != nil {
-		if status == http.StatusTooManyRequests {
+		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 			w.Header().Set("Retry-After", "1")
 		}
 		writeError(w, status, "%v", err)

@@ -76,16 +76,18 @@ func (s *Server) repairLocalJobs() {
 }
 
 // repushJob queues a fresh replica frame built from the job's durable
-// state: manifest and result from the live job, the resume snapshot
-// from the progress log (only meaningful for non-terminal jobs).
+// state: manifest and result from the live job, the resume snapshot from
+// the job log's newest record (only meaningful for non-terminal jobs).
 func (s *Server) repushJob(j *job) {
 	var snap []byte
 	j.mu.Lock()
 	state := j.state
 	j.mu.Unlock()
 	if state == jobPending || state == jobRunning {
-		if payload, err := s.jobs.store.ReadLast(progressName(j.id)); err == nil {
-			snap = payload
+		if rec, err := s.jobs.store.ReadLast(logName(j.id)); err == nil {
+			if _, payload, err := decodeRecord(rec); err == nil && len(payload) > 0 {
+				snap = payload
+			}
 		}
 	}
 	s.replicateJob(j, snap)

@@ -239,10 +239,11 @@ func TestDiskFullJobRunsDegradedThenHeals(t *testing.T) {
 	if b := waitForReadyz(t, ts.URL, func(body []byte) bool { return !bytes.Contains(body, []byte("degraded")) }); b == nil {
 		t.Fatal("readyz never recovered after the disk healed")
 	}
-	// The stashed result is now durable on disk and the job view is clean.
-	res, err := s.jobs.store.ReadLast(resultName(id))
-	if err != nil {
-		t.Fatalf("healed result on disk: %v", err)
+	// The stashed done record is now durable on disk and the job view is
+	// clean.
+	head, res := lastRecord(t, s.jobs.store.Dir(), id)
+	if head.State != jobDone {
+		t.Fatalf("healed record on disk: state %q", head.State)
 	}
 	var onDisk any
 	if err := json.Unmarshal(res, &onDisk); err != nil {

@@ -97,17 +97,18 @@ type Options struct {
 	// (<= 0: 15 s).
 	ShutdownTimeout time.Duration
 
-	// JobsDir enables the durable async-job API (POST /v1/jobs): job
-	// manifests, progress snapshots, and results are persisted here
-	// (directory 0700, files 0600), and jobs found on startup are
-	// re-listed and resumed from their last snapshot. Empty disables the
-	// jobs endpoints. New fails if the directory cannot be created or is
-	// not writable.
+	// JobsDir enables the durable async-job API (POST /v1/jobs): each
+	// job's state, progress snapshots and result are persisted here as
+	// one append-only log (directory 0700, files 0600), and jobs found on
+	// startup are re-listed and resumed from their last snapshot. Empty
+	// disables the jobs endpoints. New fails if the directory cannot be
+	// created, is not writable, or holds jobs in the old three-file
+	// layout (ErrLegacyJobLayout).
 	JobsDir string
 
 	// MaxJobs bounds tracked jobs — queued, running, and finished
 	// together. A submission at the bound evicts the oldest finished job
-	// (and its files) or, if every job is still live, is rejected with
+	// (and its log) or, if every job is still live, is rejected with
 	// 429 (<= 0: 64).
 	MaxJobs int
 
