@@ -91,24 +91,25 @@ func putReplicate(w *checkpoint.Writer, o replicateOut) {
 }
 
 // readReplicate decodes one putReplicate record; a failed replicate
-// decodes to the zero (ok=false) slot.
+// decodes to the zero (ok=false) slot, and a non-finite figure marks the
+// reader bad.
 func readReplicate(r *checkpoint.Reader, nNodes, nDomains int) replicateOut {
 	if r.U8() == 0 {
 		return replicateOut{}
 	}
 	o := replicateOut{ok: true, nodeTP: make([]float64, nNodes), nodeEff: make([]float64, nNodes)}
-	o.fitA, o.fitB = r.F64(), r.F64()
+	o.fitA, o.fitB = r.Finite(), r.Finite()
 	for j := range o.nodeTP {
-		o.nodeTP[j] = r.F64()
+		o.nodeTP[j] = r.Finite()
 	}
 	for j := range o.nodeEff {
-		o.nodeEff[j] = r.F64()
+		o.nodeEff[j] = r.Finite()
 	}
 	o.domains = make([]domainOut, nDomains)
 	for j := range o.domains {
 		o.domains[j] = domainOut{
-			physLimit: r.F64(), remainLog: r.F64(),
-			remainLinear: r.F64(), finalCSR: r.F64(),
+			physLimit: r.Finite(), remainLog: r.Finite(),
+			remainLinear: r.Finite(), finalCSR: r.Finite(),
 		}
 	}
 	return o
