@@ -2,10 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"os"
 	"testing"
 
+	"accelwall/internal/checkpoint"
+	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
 )
 
@@ -171,3 +176,77 @@ func FuzzCSRRequestDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzJobRecordDecode hammers what start-up parses from disk: a job log
+// (or a bare record, or a file of the old three-file layout) through
+// checkpoint.DecodeLast and restoreJob. No input may panic, and every
+// input is either refused with an error or restored to a job in a known
+// state whose view marshals.
+func FuzzJobRecordDecode(f *testing.F) {
+	const id = "job-000001"
+	manifest := func(state, extra string) []byte {
+		return []byte(`{"id": "` + id + `", "kind": "uncertainty", "state": "` + state + `", "created": "2026-01-02T03:04:05Z", "request": {"kind": "uncertainty", "uncertainty": {"replicates": 10, "seed": 7}, "checkpoint_every": 5}` + extra + `}`)
+	}
+	var snapshot []byte
+	sink := sinkFunc(func(p []byte) error { snapshot = append([]byte(nil), p...); return nil })
+	res, err := montecarlo.RunCheckpointed(context.Background(), montecarlo.Config{Replicates: 10, Seed: 7, Workers: 1}, &checkpoint.Options{Sink: sink, Every: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	result, err := json.Marshal(core.NewUncertaintyJSON(res))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(encodeRecord(manifest(jobPending, ""), nil))
+	f.Add(encodeRecord(manifest(jobRunning, ""), snapshot))
+	f.Add(encodeRecord(manifest(jobDone, ""), result))
+	f.Add(encodeRecord(manifest(jobFailed, `, "error": "boom"`), nil))
+	// A whole job log, and a manifest file of the old layout.
+	store, err := checkpoint.Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for name, payload := range map[string][]byte{
+		logName(id):      encodeRecord(manifest(jobDone, ""), result),
+		id + ".manifest": manifest(jobPending, ""),
+	} {
+		if err := store.Write(name, payload); err != nil {
+			f.Fatal(err)
+		}
+		file, err := os.ReadFile(store.Path(name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(file)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := checkpoint.DecodeLast(data)
+		if err != nil {
+			rec = data // not a log file: decode the input as a bare record
+		}
+		j, resume, err := restoreJob(id, rec)
+		if err != nil {
+			return
+		}
+		switch {
+		case j.id != id || j.spec == nil:
+			t.Fatalf("restored job %q without its identity", j.id)
+		case j.state == jobDone && (!json.Valid(j.result) || resume != nil):
+			t.Fatalf("done job with result %q, resume %d bytes", j.result, len(resume))
+		case j.state == jobFailed && resume != nil:
+			t.Fatalf("failed job with a %d-byte resume snapshot", len(resume))
+		case j.state == jobPending && resume != nil && len(resume) == 0:
+			t.Fatal("pending job with an empty, non-nil resume snapshot")
+		case j.state != jobDone && j.state != jobFailed && j.state != jobPending:
+			t.Fatalf("restored job in state %q", j.state)
+		}
+		if _, err := json.Marshal(j.json(true)); err != nil {
+			t.Fatalf("restored job view does not marshal: %v", err)
+		}
+	})
+}
+
+// sinkFunc adapts a function to checkpoint.Sink.
+type sinkFunc func([]byte) error
+
+func (f sinkFunc) Save(p []byte) error { return f(p) }
