@@ -33,7 +33,6 @@
 package aladdin
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -166,37 +165,4 @@ func Simulate(g *dfg.Graph, d Design) (Result, error) {
 		return Result{}, err
 	}
 	return c.Simulate(d)
-}
-
-// CriticalPathCycles returns the schedule-independent lower bound on cycles
-// for the graph under a design's latency model: the longest latency path.
-// Partitioning can never beat it; the sweep uses it to find the taper point.
-func CriticalPathCycles(g *dfg.Graph, d Design) (int, error) {
-	if g == nil {
-		return 0, errors.New("aladdin: nil graph")
-	}
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	extra := extraLatency(d.Simplification)
-	nodes := g.Nodes()
-	dist := make([]int, len(nodes))
-	best := 0
-	for _, nd := range nodes {
-		lat := 0
-		if nd.Op.IsCompute() {
-			lat = nd.Op.Latency() + extra
-		}
-		d0 := 0
-		for _, p := range g.Preds(nd.ID) {
-			if dist[p] > d0 {
-				d0 = dist[p]
-			}
-		}
-		dist[nd.ID] = d0 + lat
-		if dist[nd.ID] > best {
-			best = dist[nd.ID]
-		}
-	}
-	return best, nil
 }

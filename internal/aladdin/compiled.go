@@ -267,23 +267,6 @@ func (c *Compiled) Trace(d Design) (Schedule, error) {
 	return Schedule{Result: res, Slots: slots}, nil
 }
 
-// CriticalPathCycles returns the schedule-independent lower bound on cycles
-// under the design's latency model: the longest latency path. Partitioning
-// can never beat it; the sweep uses it to find the taper point.
-func (c *Compiled) CriticalPathCycles(d Design) (int, error) {
-	if err := d.Validate(); err != nil {
-		return 0, err
-	}
-	prio, _ := c.class(extraLatency(d.Simplification))
-	best := int32(0)
-	for _, p := range prio {
-		if p > best {
-			best = p
-		}
-	}
-	return int(best), nil
-}
-
 // growTo extends s with zeros until index i is addressable.
 func growTo(s []int, i int) []int {
 	if i < len(s) {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -495,14 +496,12 @@ func TestCompiledErrors(t *testing.T) {
 		if _, err := c.Trace(d); err == nil {
 			t.Errorf("design %d should be rejected by Trace", i)
 		}
-		if _, err := c.CriticalPathCycles(d); err == nil {
-			t.Errorf("design %d should be rejected by CriticalPathCycles", i)
-		}
 	}
 }
 
-// TestCompiledCriticalPath pins the compiled critical-path bound to the
-// graph-walking one.
+// TestCompiledCriticalPath pins the scheduler's priority classes to the
+// graph-walking critical path: the largest priority of a class is the
+// longest latency path under that class's latency model.
 func TestCompiledCriticalPath(t *testing.T) {
 	spec, err := workloads.ByAbbrev("FFT")
 	if err != nil {
@@ -518,15 +517,9 @@ func TestCompiledCriticalPath(t *testing.T) {
 	}
 	for _, s := range []int{1, 5, 9, 13} {
 		d := Design{NodeNM: 22, Partition: 4, Simplification: s}
-		want, err := CriticalPathCycles(g, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.CriticalPathCycles(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		want := criticalPathCycles(g, d)
+		prio, _ := c.class(extraLatency(s))
+		if got := int(slices.Max(prio)); got != want {
 			t.Errorf("simplification %d: compiled bound %d, reference %d", s, got, want)
 		}
 	}

@@ -121,11 +121,8 @@ func TestSchedulerFuzz(t *testing.T) {
 			if r.DynEnergy+r.LeakEnergy != r.Energy {
 				return false
 			}
-			if !d.Fusion {
-				cp, err := CriticalPathCycles(g, d)
-				if err != nil || r.Cycles < cp {
-					return false
-				}
+			if !d.Fusion && r.Cycles < criticalPathCycles(g, d) {
+				return false
 			}
 		}
 		return true

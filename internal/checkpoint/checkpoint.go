@@ -34,7 +34,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"accelwall/internal/faultinject"
 )
@@ -97,7 +96,6 @@ type Store struct {
 	// in-memory rings instead of failing the run.
 	mu       sync.Mutex
 	degraded bool
-	since    time.Time
 	stash    map[string]*stashEntry
 	memSaves int64
 }

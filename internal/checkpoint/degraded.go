@@ -15,7 +15,6 @@ import (
 	"os"
 	"path/filepath"
 	"syscall"
-	"time"
 
 	"accelwall/internal/faultinject"
 )
@@ -51,17 +50,6 @@ func (s *Store) Degraded() bool {
 	return s.degraded
 }
 
-// DegradedSince reports when the current outage began (zero when
-// healthy).
-func (s *Store) DegradedSince() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.degraded {
-		return time.Time{}
-	}
-	return s.since
-}
-
 // Stashed reports how many names currently hold in-memory snapshots.
 func (s *Store) Stashed() int {
 	s.mu.Lock()
@@ -84,10 +72,7 @@ func (s *Store) degradeStash(name string, payload []byte, l *Log) {
 	cp := append([]byte(nil), payload...)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.degraded {
-		s.degraded = true
-		s.since = time.Now()
-	}
+	s.degraded = true
 	e := s.stash[name]
 	if e == nil {
 		e = &stashEntry{}

@@ -394,62 +394,3 @@ func parseRecord(rec []string) (Chip, error) {
 	}
 	return ch, nil
 }
-
-// EraSummary aggregates one node era's datasheet statistics — the compact
-// per-era view the Figure 3b/3c renderings print.
-type EraSummary struct {
-	Era            cmos.Era
-	Chips          int
-	MedianDieMM2   float64
-	MedianTDPW     float64
-	MedianFreqGHz  float64
-	MedianTC       float64
-	MedianDensityF float64 // median density factor D
-}
-
-// Summarize computes per-era medians over the corpus, oldest era first.
-// Eras absent from the corpus are omitted.
-func (c *Corpus) Summarize() []EraSummary {
-	byEra := c.ByEra()
-	var out []EraSummary
-	for _, era := range cmos.Eras() {
-		sub, ok := byEra[era]
-		if !ok || sub.Len() == 0 {
-			continue
-		}
-		var die, tdp, freq, tc, d []float64
-		for _, ch := range sub.Chips {
-			die = append(die, ch.DieMM2)
-			tdp = append(tdp, ch.TDPW)
-			freq = append(freq, ch.FreqGHz)
-			tc = append(tc, ch.Transistors)
-			d = append(d, ch.DensityFactor())
-		}
-		out = append(out, EraSummary{
-			Era:            era,
-			Chips:          sub.Len(),
-			MedianDieMM2:   median(die),
-			MedianTDPW:     median(tdp),
-			MedianFreqGHz:  median(freq),
-			MedianTC:       median(tc),
-			MedianDensityF: median(d),
-		})
-	}
-	return out
-}
-
-// median returns the middle value of xs (average of the central pair for
-// even lengths). xs is not modified.
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
-}

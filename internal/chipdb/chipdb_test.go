@@ -280,52 +280,3 @@ func TestSyntheticSanityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	c := Synthetic(1)
-	sums := c.Summarize()
-	if len(sums) != 5 {
-		t.Fatalf("summaries = %d, want 5 eras", len(sums))
-	}
-	total := 0
-	for i, s := range sums {
-		total += s.Chips
-		if s.MedianDieMM2 <= 0 || s.MedianTDPW <= 0 || s.MedianFreqGHz <= 0 || s.MedianTC <= 0 {
-			t.Errorf("era %v has non-positive medians: %+v", s.Era, s)
-		}
-		if i > 0 {
-			// Transistor counts grow monotonically across eras.
-			if s.MedianTC <= sums[i-1].MedianTC {
-				t.Errorf("median TC did not grow from %v to %v", sums[i-1].Era, s.Era)
-			}
-			// Frequencies grow too (newer nodes switch faster).
-			if s.MedianFreqGHz <= sums[i-1].MedianFreqGHz {
-				t.Errorf("median frequency did not grow from %v to %v", sums[i-1].Era, s.Era)
-			}
-		}
-	}
-	if total != c.Len() {
-		t.Errorf("summaries cover %d chips of %d", total, c.Len())
-	}
-	if got := (&Corpus{}).Summarize(); got != nil {
-		t.Errorf("empty corpus summary = %v, want nil", got)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %g, want 2", got)
-	}
-	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %g, want 2.5", got)
-	}
-	if got := median(nil); got != 0 {
-		t.Errorf("empty median = %g, want 0", got)
-	}
-	// Input must not be mutated.
-	in := []float64{3, 1, 2}
-	median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Error("median mutated its input")
-	}
-}

@@ -20,7 +20,6 @@ package cmos
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // FinalNode is the last CMOS node the paper projects ("currently projected
@@ -207,9 +206,6 @@ func Fig3a() ([]Fig3aRow, error) {
 	return rows, nil
 }
 
-// Newer reports whether node a is a newer (smaller) process than node b.
-func Newer(a, b float64) bool { return a < b }
-
 // Era buckets a node into one of the four datasheet eras the paper groups
 // its transistor-count regression by in Figure 3b: 180–90 nm, 80–45 nm,
 // 40–20 nm, and 16–12 nm (extended downward to cover projections).
@@ -261,58 +257,3 @@ func EraOf(nm float64) (Era, error) {
 
 // Eras returns all eras in chronological (oldest first) order.
 func Eras() []Era { return []Era{Era180to90, Era80to45, Era40to20, Era16to12, Era10to5} }
-
-// SortNodesDescending sorts a node list from oldest (largest feature size)
-// to newest in place, the order the paper's roadmap tables use.
-func SortNodesDescending(nms []float64) {
-	sort.Sort(sort.Reverse(sort.Float64Slice(nms)))
-}
-
-// EnergyDelayProduct returns the node's relative energy-delay product:
-// switching energy (C·V²) times gate delay (1/speed), normalized to
-// 45 nm = 1. EDP is the figure of merit that keeps improving even when
-// neither energy nor delay alone does, which is why it flatters late-CMOS
-// marketing; the model exposes it so analyses can avoid being flattered.
-func (n Node) EnergyDelayProduct() float64 { return n.DynEnergy() / n.Freq }
-
-// DennardRow contrasts the modeled scaling of a node against ideal
-// Dennard scaling from the 45 nm reference, where a linear shrink s = 45/N
-// would deliver frequency ×s, VDD ×1/s, capacitance ×1/s, and dynamic
-// power per transistor ×1/s².
-type DennardRow struct {
-	NodeNM float64
-	// Ideal Dennard factors.
-	DennardFreq, DennardVDD, DennardPower float64
-	// Modeled (post-Dennard) factors.
-	ModelFreq, ModelVDD, ModelPower float64
-	// Shortfall is modeled dynamic power divided by Dennard dynamic power:
-	// how many times hotter than the classical promise each transistor
-	// runs. Values >> 1 are the root cause of dark silicon.
-	Shortfall float64
-}
-
-// DennardComparison tabulates ideal-vs-modeled scaling for the Figure 3a
-// nodes. It quantifies the paper's premise that "classic device scaling
-// rules no longer apply to modern CMOS nodes".
-func DennardComparison() ([]DennardRow, error) {
-	var rows []DennardRow
-	for _, nm := range Fig3aNodes() {
-		n, err := Lookup(nm)
-		if err != nil {
-			return nil, err
-		}
-		s := ReferenceNode / nm
-		ideal := DennardRow{
-			NodeNM:       nm,
-			DennardFreq:  s,
-			DennardVDD:   1 / s,
-			DennardPower: 1 / (s * s),
-			ModelFreq:    n.Freq,
-			ModelVDD:     n.VDD,
-			ModelPower:   n.DynPower(),
-		}
-		ideal.Shortfall = ideal.ModelPower / ideal.DennardPower
-		rows = append(rows, ideal)
-	}
-	return rows, nil
-}

@@ -221,20 +221,6 @@ func TestEraOf(t *testing.T) {
 	}
 }
 
-func TestNewerAndSort(t *testing.T) {
-	if !Newer(7, 16) || Newer(16, 7) {
-		t.Error("Newer comparison wrong")
-	}
-	nms := []float64{16, 45, 5, 28}
-	SortNodesDescending(nms)
-	want := []float64{45, 28, 16, 5}
-	for i := range want {
-		if nms[i] != want[i] {
-			t.Fatalf("SortNodesDescending = %v, want %v", nms, want)
-		}
-	}
-}
-
 func TestMustLookupPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -242,50 +228,4 @@ func TestMustLookupPanics(t *testing.T) {
 		}
 	}()
 	MustLookup(1000)
-}
-
-func TestEnergyDelayProduct(t *testing.T) {
-	// EDP keeps improving toward newer nodes even as per-metric gains slow.
-	prev := math.Inf(1)
-	for _, nm := range Fig3aNodes() {
-		edp := MustLookup(nm).EnergyDelayProduct()
-		if edp >= prev {
-			t.Errorf("EDP did not improve at %gnm: %g -> %g", nm, prev, edp)
-		}
-		prev = edp
-	}
-	if got := MustLookup(45).EnergyDelayProduct(); got != 1 {
-		t.Errorf("45nm EDP = %g, want 1", got)
-	}
-}
-
-func TestDennardComparison(t *testing.T) {
-	rows, err := DennardComparison()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != len(Fig3aNodes()) {
-		t.Fatalf("rows = %d, want %d", len(rows), len(Fig3aNodes()))
-	}
-	for i, r := range rows {
-		if r.NodeNM == 45 {
-			if math.Abs(r.Shortfall-1) > 1e-12 {
-				t.Errorf("45nm shortfall = %g, want 1", r.Shortfall)
-			}
-			continue
-		}
-		// Post-Dennard reality: every newer node runs hotter per
-		// transistor than the classical rule promised, and the shortfall
-		// compounds toward 5nm.
-		if r.NodeNM < 45 && r.Shortfall <= 1 {
-			t.Errorf("%gnm shortfall = %g, want > 1 (Dennard is dead)", r.NodeNM, r.Shortfall)
-		}
-		if i > 0 && r.NodeNM < rows[i-1].NodeNM && r.Shortfall < rows[i-1].Shortfall {
-			t.Errorf("shortfall shrank from %gnm to %gnm", rows[i-1].NodeNM, r.NodeNM)
-		}
-		// Modeled frequency lags the Dennard promise at every shrunk node.
-		if r.NodeNM < 45 && r.ModelFreq >= r.DennardFreq {
-			t.Errorf("%gnm modeled frequency %g should lag Dennard's %g", r.NodeNM, r.ModelFreq, r.DennardFreq)
-		}
-	}
 }

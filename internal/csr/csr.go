@@ -131,28 +131,12 @@ type AppGains map[string]map[string]float64
 type RelationMatrix struct {
 	archs []string
 	rel   map[[2]string]float64
-	// direct marks pairs established from shared applications (Equation 3)
-	// as opposed to transitive closure (Equation 4).
-	direct map[[2]string]bool
-}
-
-// Archs returns the architecture names in sorted order.
-func (rm *RelationMatrix) Archs() []string {
-	out := make([]string, len(rm.archs))
-	copy(out, rm.archs)
-	return out
 }
 
 // Gain returns Gain(x->y) and whether the pair is related.
 func (rm *RelationMatrix) Gain(x, y string) (float64, bool) {
 	v, ok := rm.rel[[2]string{x, y}]
 	return v, ok
-}
-
-// Direct reports whether the (x, y) relation came from shared applications
-// rather than transitive closure.
-func (rm *RelationMatrix) Direct(x, y string) bool {
-	return rm.direct[[2]string{x, y}]
 }
 
 // Complete reports whether every ordered pair of distinct architectures is
@@ -177,10 +161,7 @@ func BuildRelations(appGains AppGains, minShared int) (*RelationMatrix, error) {
 	if len(appGains) == 0 {
 		return nil, errors.New("csr: no architectures")
 	}
-	rm := &RelationMatrix{
-		rel:    make(map[[2]string]float64),
-		direct: make(map[[2]string]bool),
-	}
+	rm := &RelationMatrix{rel: make(map[[2]string]float64)}
 	for arch, apps := range appGains {
 		for app, g := range apps {
 			if g <= 0 {
@@ -205,7 +186,6 @@ func BuildRelations(appGains AppGains, minShared int) (*RelationMatrix, error) {
 				return nil, fmt.Errorf("csr: relating %q to %q: %w", x, y, err)
 			}
 			rm.rel[[2]string{x, y}] = g
-			rm.direct[[2]string{x, y}] = true
 		}
 	}
 	// Equation 4: iterative transitive completion. "We iteratively

@@ -123,9 +123,6 @@ func TestBuildRelationsDirect(t *testing.T) {
 	if math.Abs(g-2) > 1e-12 {
 		t.Errorf("Gain(Kepler->Tesla) = %g, want 2", g)
 	}
-	if !rm.Direct("Kepler", "Tesla") {
-		t.Error("pair with 5 shared apps should be direct")
-	}
 	inv, _ := rm.Gain("Tesla", "Kepler")
 	if math.Abs(g*inv-1) > 1e-12 {
 		t.Errorf("relation not reciprocal: %g * %g", g, inv)
@@ -151,9 +148,6 @@ func TestBuildRelationsTransitive(t *testing.T) {
 	// Gain(A->B) = 2, Gain(B->C) = 1/4, so Gain(A->C) = 1/2.
 	if math.Abs(g-0.5) > 1e-12 {
 		t.Errorf("Gain(A->C) = %g, want 0.5", g)
-	}
-	if rm.Direct("A", "C") {
-		t.Error("A->C should be transitive, not direct")
 	}
 	if !rm.Complete() {
 		t.Error("three mutually-reachable architectures should form a complete matrix")
@@ -192,25 +186,6 @@ func TestBuildRelationsErrors(t *testing.T) {
 	}
 }
 
-func TestArchsSortedAndCopied(t *testing.T) {
-	ag := AppGains{
-		"Zeta": {"x": 1},
-		"Alfa": {"x": 2},
-	}
-	rm, err := BuildRelations(ag, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	archs := rm.Archs()
-	if archs[0] != "Alfa" || archs[1] != "Zeta" {
-		t.Errorf("Archs = %v, want sorted", archs)
-	}
-	archs[0] = "mutated"
-	if rm.Archs()[0] != "Alfa" {
-		t.Error("Archs must return a copy")
-	}
-}
-
 // Property: for any generated app-gain table where every pair shares all
 // apps, the relation matrix is reciprocal and transitively consistent.
 func TestRelationsReciprocalProperty(t *testing.T) {
@@ -225,8 +200,9 @@ func TestRelationsReciprocalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, x := range rm.Archs() {
-			for _, y := range rm.Archs() {
+		archs := []string{"X", "Y", "Z"}
+		for _, x := range archs {
+			for _, y := range archs {
 				if x == y {
 					continue
 				}

@@ -354,16 +354,6 @@ func (g *Graph) ComputeStats() Stats {
 	return s
 }
 
-// TotalEnergy returns the sum of per-operation switching energies — the
-// inherent dynamic work of one graph evaluation, before any scheduling.
-func (g *Graph) TotalEnergy() float64 {
-	var e float64
-	for _, n := range g.nodes {
-		e += n.Op.Energy()
-	}
-	return e
-}
-
 // TotalArea returns the sum of per-operation functional-unit areas if every
 // node received a dedicated unit (the fully spatial design point).
 func (g *Graph) TotalArea() float64 {

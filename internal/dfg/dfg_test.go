@@ -205,12 +205,8 @@ func TestOpMetadata(t *testing.T) {
 	}
 }
 
-func TestTotalEnergyAndArea(t *testing.T) {
+func TestTotalArea(t *testing.T) {
 	g := paperExample(t)
-	wantE := 2*OpAdd.Energy() + OpDiv.Energy() + OpSub.Energy()
-	if got := g.TotalEnergy(); math.Abs(got-wantE) > 1e-12 {
-		t.Errorf("TotalEnergy = %g, want %g", got, wantE)
-	}
 	wantA := 2*OpAdd.Area() + OpDiv.Area() + OpSub.Area()
 	if got := g.TotalArea(); math.Abs(got-wantA) > 1e-12 {
 		t.Errorf("TotalArea = %g, want %g", got, wantA)

@@ -94,13 +94,6 @@ func Permanent(err error) error {
 	return &permanentError{err: err}
 }
 
-// IsPermanent reports whether err (or anything it wraps) was marked
-// with Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
 // Do runs op up to Attempts times, sleeping Backoff(key, attempt)
 // between tries. It stops early on success, a Permanent error
 // (returned unwrapped), or ctx cancellation. The returned error is the

@@ -111,9 +111,6 @@ func TestDoPermanentStopsImmediately(t *testing.T) {
 	if !errors.Is(err, inner) {
 		t.Fatalf("error %v lost the permanent cause", err)
 	}
-	if IsPermanent(Permanent(inner)) != true || IsPermanent(inner) != false {
-		t.Fatal("IsPermanent misclassifies")
-	}
 	if len(delays) != 0 {
 		t.Fatalf("slept %d times after a permanent error", len(delays))
 	}

@@ -329,40 +329,6 @@ func solve3(m [3][4]float64) ([3]float64, error) {
 	return out, nil
 }
 
-// Exponential is a fitted curve y = A * exp(B*x). The paper's Fig 3c labels
-// its TDP curves "exponential"; in that figure they are power laws of TDP,
-// but the general exponential form is also needed for time-series trends.
-type Exponential struct {
-	A, B float64
-	R2   float64 // R² in semilog space
-}
-
-// Eval returns A * exp(B*x).
-func (e Exponential) Eval(x float64) float64 { return e.A * math.Exp(e.B*x) }
-
-// String renders the curve in A·e^(B·x) form.
-func (e Exponential) String() string { return fmt.Sprintf("y = %.4g*exp(%.4g*x)", e.A, e.B) }
-
-// FitExponential fits y = A*exp(B*x) by OLS on (x, ln y). All y must be
-// strictly positive.
-func FitExponential(xs, ys []float64) (Exponential, error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return Exponential{}, fmt.Errorf("%w: exponential fit needs >= 2 paired points", ErrInsufficientData)
-	}
-	ly := make([]float64, len(ys))
-	for i, y := range ys {
-		if y <= 0 {
-			return Exponential{}, fmt.Errorf("%w: exponential fit requires positive y, got %g", ErrDomain, y)
-		}
-		ly[i] = math.Log(y)
-	}
-	line, err := FitLinear(xs, ly)
-	if err != nil {
-		return Exponential{}, err
-	}
-	return Exponential{A: math.Exp(line.Beta), B: line.Alpha, R2: line.R2}, nil
-}
-
 // Point is a two-dimensional observation used by the Pareto-frontier
 // routines: X is the physical capability axis, Y the observed gain axis.
 type Point struct {
@@ -408,24 +374,6 @@ func ParetoFrontier(pts []Point) []Point {
 // least one axis.
 func Dominates(p, q Point) bool {
 	return p.X <= q.X && p.Y >= q.Y && (p.X < q.X || p.Y > q.Y)
-}
-
-// MinMax returns the smallest and largest elements of xs. It returns
-// (0, 0) for empty input.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Normalize divides every element of xs by the first element, producing the

@@ -78,7 +78,10 @@ func TestGeoMeanBetweenMinAndMax(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		min, max := MinMax(xs)
+		min, max := xs[0], xs[0]
+		for _, x := range xs {
+			min, max = math.Min(min, x), math.Max(max, x)
+		}
 		return g >= min*(1-1e-9) && g <= max*(1+1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -288,21 +291,6 @@ func TestFitQuadraticDegenerate(t *testing.T) {
 	}
 }
 
-func TestFitExponentialExact(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 2 * math.Exp(0.5*x)
-	}
-	e, err := FitExponential(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(e.A, 2, 1e-9) || !almostEq(e.B, 0.5, 1e-9) {
-		t.Errorf("FitExponential = (%g, %g), want (2, 0.5)", e.A, e.B)
-	}
-}
-
 func TestParetoFrontierBasic(t *testing.T) {
 	pts := []Point{
 		{1, 1}, {2, 3}, {3, 2}, {4, 5}, {2.5, 4.5}, {4, 4},
@@ -468,17 +456,6 @@ func TestGeoInterpExponentialBetweenKnots(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = (%g, %g), want (-1, 7)", min, max)
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Errorf("MinMax(nil) = (%g, %g), want (0, 0)", min, max)
-	}
-}
-
 func TestStringers(t *testing.T) {
 	// Stringers exist so fitted models can be printed on experiment rows;
 	// just ensure they produce non-empty output.
@@ -487,7 +464,6 @@ func TestStringers(t *testing.T) {
 		PowerLaw{A: 1, B: 2},
 		Logarithmic{Alpha: 1, Beta: 2},
 		Quadratic{A: 1, B: 2, C: 3},
-		Exponential{A: 1, B: 2},
 	} {
 		if s.String() == "" {
 			t.Errorf("%T.String() is empty", s)
