@@ -10,7 +10,8 @@ import (
 // BenchmarkCheckpointOverhead measures the cost of durable progress
 // snapshots on a full run: "off" is the plain engine, "on" persists to a
 // real fsynced log at the default cadence. The delta is the price of
-// crash safety; bench.sh reports it as a percentage, with 5% the budget.
+// crash safety; bench.sh records on/off as checkpoint_on_off, with 1.05
+// (a 5% overhead) the budget.
 func BenchmarkCheckpointOverhead(b *testing.B) {
 	e, err := New(1)
 	if err != nil {

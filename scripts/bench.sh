@@ -1,47 +1,26 @@
 #!/usr/bin/env bash
-# bench.sh — verify correctness, then regenerate the BENCH_*.json
-# baselines (sweep, server, uncertainty, cancel, checkpoint, batch,
-# search).
+# bench.sh — verify correctness, then regenerate the nine BENCH_*.json
+# baselines from `go test -bench` output.
 #
 # Runs, in order:
 #   1. tier-1 verify:  go build ./... && go test ./...
 #   2. go vet ./...
-#   3. race detector over the scheduler, sweep, server, and Monte Carlo
-#      packages (hammers one shared *aladdin.Compiled / *sweep.Engine /
-#      *montecarlo.Engine from many goroutines)
-#   4. the headline benchmarks (BenchmarkSimulate, BenchmarkTable3,
-#      BenchmarkFig13, plus BenchmarkCompile for the amortized cost, and
-#      BenchmarkScheduleWalk from internal/aladdin for the cold list
-#      scheduler walk in ns per graph vertex), writing the measured ns/op
-#      into BENCH_sweep.json.
-#   5. the served-throughput benchmarks over accelwalld's handler
-#      (BenchmarkSweepWarm: steady-state sweep requests against a warm
-#      engine cache; BenchmarkCaseStudy: a stateless analytical
-#      endpoint), writing ns/op and requests/sec into BENCH_server.json.
-#   6. the Monte Carlo scaling benchmarks (BenchmarkUncertainty at pool
-#      widths 1, 4, and 8), writing ns/op and replicates/sec into
-#      BENCH_uncertainty.json.
-#   7. the checkpoint benchmarks (snapshot overhead on/off, fsynced
-#      snapshot write latency, resume-from-half vs cold), writing
-#      BENCH_checkpoint.json.
-#   8. the schedule-class cache benchmarks (BenchmarkBatch: points/sec
-#      for sequential Simulate on a warm engine, plus a cold full-grid
-#      pass reporting the incremental schedule-reuse rate), writing
-#      BENCH_batch.json with the Table 3 speedup over the recorded
-#      compiled engine from before the schedule-class cache.
-#   9. the design-space search benchmark (BenchmarkSearchTable3: the
-#      default NSGA-II search on a cold engine vs the exhaustive Table
-#      III frontier), writing BENCH_search.json with evaluation
-#      throughput, frontier coverage (target >= 95%), and the fraction
-#      of the grid's unique evaluations spent (target <= 25%).
+#   3. the race detector over the scheduler, sweep, server and Monte Carlo
+#      packages (many goroutines share one *aladdin.Compiled /
+#      *sweep.Engine / *montecarlo.Engine)
+#   4. one `go test -run='^$' -bench=<regex> -benchmem` run per row of the
+#      table at the bottom, each turned into its BENCH file by one parser.
 #
-# The "before" column of BENCH_sweep.json is the seed per-call engine on
-# the Table 3 and Figure 13 sweeps, measured once at the commit that
-# introduced the compiled engine; it is kept as recorded constants below
-# so the speedup stays comparable. BenchmarkSimulate rows carry no
-# speedup: they time the warm path (a schedule-summary hit), which the
-# seed engine's cold per-call walk cannot be divided by. The comparable
-# cold number is BenchmarkScheduleWalk's ns_per_node.
+# Every file has one schema:
+#   {description, command, host{cpu, cpus, goos, goarch, go}, date,
+#    benchmarks: [{name, layer, iterations, ns_op, bytes_op, allocs_op,
+#                  metrics: {<b.ReportMetric unit>: value}}],
+#    ratios: [{name, numerator, denominator, value}]}
+# layer is the benchmark's package (the `pkg:` line). A ratio is the
+# numerator row's ns_op over the denominator row's, two rows of one file;
+# only ratios with a stated target are recorded. Every number is measured
+# on this host by this run: nothing is carried over from another machine.
+# TestBenchFilesShareSchema (root package) checks the committed files.
 #
 # Usage: scripts/bench.sh [benchtime]   (default 1s)
 
@@ -59,342 +38,80 @@ go vet ./...
 echo "== race detector (shared *Compiled / *Engine) =="
 go test -race ./internal/sweep/... ./internal/aladdin/... ./internal/server/... ./internal/montecarlo/...
 
-echo "== benchmarks (-benchtime=$BENCHTIME) =="
 OUT=$(mktemp)
-trap 'rm -f "$OUT"' EXIT
-go test -run='^$' \
-  -bench='^(BenchmarkSimulate|BenchmarkTable3|BenchmarkFig13|BenchmarkCompile)$' \
-  -benchtime="$BENCHTIME" . | tee "$OUT"
-go test -run='^$' -bench='^BenchmarkScheduleWalk$' \
-  -benchtime="$BENCHTIME" ./internal/aladdin/ | tee -a "$OUT"
+trap 'rm -f "$OUT" "$OUT.json"' EXIT
 
-# Seed (pre-compiled-engine) baselines, ns/op.
-declare -A BEFORE=(
-  [BenchmarkTable3]=1184683606
-  [BenchmarkFig13]=46321734
-)
+# tojson DESCRIPTION COMMAND [RATIO...] < go-test-output > json
+# Each RATIO is "name numerator denominator" (recorded benchmark names).
+tojson() {
+  local desc=$1 cmd=$2; shift 2
+  local IFS=';'
+  awk -v desc="$desc" -v cmd="$cmd" -v ratios="$*" -v cpus="$(nproc)" \
+    -v goos="$(go env GOOS)" -v goarch="$(go env GOARCH)" -v gover="$(go env GOVERSION)" \
+    -v date="$(date +%F)" '
+    function q(s) { gsub(/\\/, "\\\\", s); gsub(/"/, "\\\"", s); return "\"" s "\"" }
+    /^pkg: / { layer = $2 }
+    /^cpu: / { cpu = substr($0, 6) }
+    /^Benchmark/ && $4 == "ns/op" {
+      name = $1; sub(/-[0-9]+$/, "", name)
+      ns[name] = $3; bytes = allocs = "null"; m = ""
+      for (i = 5; i < NF; i += 2) {
+        if ($(i + 1) == "B/op") bytes = $i
+        else if ($(i + 1) == "allocs/op") allocs = $i
+        else m = m (m == "" ? "" : ", ") q($(i + 1)) ": " $i
+      }
+      rows[++n] = sprintf("    {\"name\": %s, \"layer\": %s, \"iterations\": %s, \"ns_op\": %s, \"bytes_op\": %s, \"allocs_op\": %s, \"metrics\": {%s}}", \
+        q(name), q(layer), $2, $3, bytes, allocs, m)
+    }
+    END {
+      if (n == 0) { print "tojson: no benchmark rows" > "/dev/stderr"; exit 1 }
+      printf "{\n  \"description\": %s,\n  \"command\": %s,\n", q(desc), q(cmd)
+      printf "  \"host\": {\"cpu\": %s, \"cpus\": %s, \"goos\": %s, \"goarch\": %s, \"go\": %s},\n", \
+        q(cpu), cpus, q(goos), q(goarch), q(gover)
+      printf "  \"date\": %s,\n  \"benchmarks\": [\n", q(date)
+      for (i = 1; i <= n; i++) print rows[i] (i < n ? "," : "")
+      printf "  ],\n  \"ratios\": ["
+      k = split(ratios, r, ";")
+      for (i = 1; i <= k; i++) {
+        split(r[i], f, " ")
+        if (!(f[2] in ns) || !(f[3] in ns)) { print "tojson: ratio " f[1] " names a missing row" > "/dev/stderr"; exit 1 }
+        printf "%s\n    {\"name\": %s, \"numerator\": %s, \"denominator\": %s, \"value\": %.4g}", \
+          (i > 1 ? "," : ""), q(f[1]), q(f[2]), q(f[3]), ns[f[2]] / ns[f[3]]
+      }
+      printf "%s]\n}\n", (k > 0 ? "\n  " : "")
+    }'
+}
 
-CPU=$(awk -F': ' '/^cpu:/{print $2; exit}' "$OUT")
-GOVER=$(go env GOVERSION)
-GOOS=$(go env GOOS)
-GOARCH=$(go env GOARCH)
-DATE=$(date +%F)
+# bench FILE PACKAGES REGEX DESCRIPTION [RATIO...]
+bench() {
+  local file=$1 pkgs=$2 regex=$3 desc=$4; shift 4
+  local cmd="go test -run='^\$' -bench='$regex' -benchmem -benchtime=$BENCHTIME $pkgs"
+  echo "== $file: $cmd =="
+  # shellcheck disable=SC2086 # PACKAGES is a word list
+  go test -run='^$' -bench="$regex" -benchmem -benchtime="$BENCHTIME" $pkgs | tee "$OUT"
+  tojson "$desc" "$cmd" "$@" <"$OUT" >"$OUT.json"
+  mv "$OUT.json" "$file"
+  echo "wrote $file"
+}
 
-{
-  printf '{\n'
-  printf '  "description": "Before/after benchmarks for the compiled-graph simulation engine (internal/aladdin Compile + Compiled.Simulate replacing per-call graph analysis). BenchmarkSimulate repeats one design, so it times the warm path (a schedule-summary hit plus the per-design metrics) and carries no speedup; BenchmarkScheduleWalk times cold scheduler walks over every schedule class of the reduced grid, and its ns_per_node rows are the comparable cold numbers. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench -benchtime=%s; before column is the recorded seed per-call engine baseline for Table3 and Fig13; ns_per_node = walk time per graph vertex. Results are bit-identical between engines (see internal/aladdin/compiled_test.go and internal/sweep/equivalence_test.go).",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$OUT" | while read -r name _ ns _ pernode _; do
-    name="${name%-*}" # strip -GOMAXPROCS suffix if present
-    before="${BEFORE[$name]:-}"
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    if [ -n "$pernode" ]; then
-      printf '    {"name": "%s", "after_ns_op": %s, "ns_per_node": %s}' "$name" "$ns" "$pernode"
-    elif [ -n "$before" ]; then
-      speedup=$(awk -v b="$before" -v a="$ns" 'BEGIN{printf "%.2f", b/a}')
-      printf '    {"name": "%s", "before_ns_op": %s, "after_ns_op": %s, "speedup": %s}' \
-        "$name" "$before" "$ns" "$speedup"
-    else
-      printf '    {"name": "%s", "after_ns_op": %s}' "$name" "$ns"
-    fi
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_sweep.json
-
-echo "wrote BENCH_sweep.json"
-
-echo "== server benchmarks (-benchtime=$BENCHTIME) =="
-SRVOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT"' EXIT
-go test -run='^$' \
-  -bench='^(BenchmarkSweepWarm|BenchmarkCaseStudy)$' \
-  -benchtime="$BENCHTIME" ./internal/server/ | tee "$SRVOUT"
-
-{
-  printf '{\n'
-  printf '  "description": "Served throughput of accelwalld (internal/server) over httptest: BenchmarkSweepWarm is a steady-state POST /v1/sweep against a warm engine cache (RunParallel, all client CPUs); BenchmarkCaseStudy is GET /v1/casestudy/bitcoin. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench -benchtime=%s ./internal/server/; requests_per_sec = 1e9 / ns_op.",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$SRVOUT" | while read -r name _ ns _; do
-    name="${name%-*}"
-    rps=$(awk -v a="$ns" 'BEGIN{printf "%.1f", 1e9/a}')
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    printf '    {"name": "%s", "ns_op": %s, "requests_per_sec": %s}' \
-      "$name" "$ns" "$rps"
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_server.json
-
-echo "wrote BENCH_server.json"
-
-echo "== uncertainty benchmarks (-benchtime=$BENCHTIME) =="
-MCOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT"' EXIT
-go test -run='^$' \
-  -bench='^BenchmarkUncertainty$' \
-  -benchtime="$BENCHTIME" ./internal/montecarlo/ | tee "$MCOUT"
-
-# Must match benchReplicates in internal/montecarlo/bench_test.go.
-REPLICATES=40
-
-{
-  printf '{\n'
-  printf '  "description": "Monte Carlo uncertainty engine scaling (internal/montecarlo): one full run = %s replicates, each resampling the corpus, refitting the Figure 3b/3c budget, jittering the CMOS table, and projecting the wall for every (domain, target) pair. Results are bit-identical at every pool width. Regenerated by scripts/bench.sh.",\n' "$REPLICATES"
-  printf '  "methodology": "go test -bench -benchtime=%s ./internal/montecarlo/; replicates_per_sec = replicates * 1e9 / ns_op.",\n' "$BENCHTIME"
-  printf '  "replicates_per_run": %s,\n' "$REPLICATES"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$MCOUT" | while read -r name _ ns _; do
-    name="${name%-*}"
-    rps=$(awk -v a="$ns" -v r="$REPLICATES" 'BEGIN{printf "%.1f", r*1e9/a}')
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    printf '    {"name": "%s", "ns_op": %s, "replicates_per_sec": %s}' \
-      "$name" "$ns" "$rps"
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_uncertainty.json
-
-echo "wrote BENCH_uncertainty.json"
-
-echo "== cancellation latency (-benchtime=$BENCHTIME) =="
-# BenchmarkCancelLatency measures cancel-to-quiescence: the timer starts
-# at cancel() and stops when the worker pool has fully returned, so ns/op
-# is how long a mid-flight sweep / Monte Carlo run keeps computing after
-# its context dies (the "stops within one chunk" guarantee, quantified).
-CXOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT"' EXIT
-for pkg in ./internal/sweep/ ./internal/montecarlo/; do
-  go test -run='^$' -bench='^BenchmarkCancelLatency$' -benchtime="$BENCHTIME" "$pkg" |
-    sed "s|^Benchmark|${pkg#./internal/}Benchmark|" | tee -a "$CXOUT"
-done
-
-{
-  printf '{\n'
-  printf '  "description": "Cancellation latency of the parallel compute engines: ns/op is the delay between cancelling a mid-flight run (sweep grid / Monte Carlo replicate set) and full worker-pool quiescence. Bounded by one chunk of work per worker, not by remaining grid size. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench=BenchmarkCancelLatency -benchtime=%s; timer runs from cancel() to pool return.",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E 'Benchmark' "$CXOUT" | while read -r name _ ns _; do
-    name="${name%-*}"
-    ms=$(awk -v a="$ns" 'BEGIN{printf "%.3f", a/1e6}')
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    printf '    {"name": "%s", "cancel_to_quiescence_ns": %s, "cancel_to_quiescence_ms": %s}' \
-      "$name" "$ns" "$ms"
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_cancel.json
-
-echo "wrote BENCH_cancel.json"
-
-echo "== checkpoint benchmarks (-benchtime=$BENCHTIME) =="
-# The durability tax and its payoff: overhead of checkpointing a full
-# Monte Carlo run at the default cadence (budget: within 5% of the plain
-# engine), the fsynced write latency of one snapshot, and the speedup of
-# resuming a half-complete run over recomputing it cold (target: < 60%).
-CKOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT" "$CKOUT"' EXIT
-go test -run='^$' \
-  -bench='^(BenchmarkCheckpointOverhead|BenchmarkSnapshotSave|BenchmarkResume)$' \
-  -benchtime="$BENCHTIME" ./internal/montecarlo/ | tee "$CKOUT"
-
-ns_of() { awk -v pat="^$1" '$0 ~ pat {print $3; exit}' "$CKOUT"; }
-OFF=$(ns_of 'BenchmarkCheckpointOverhead/off')
-ON=$(ns_of 'BenchmarkCheckpointOverhead/on')
-SAVE=$(ns_of 'BenchmarkSnapshotSave')
-COLD=$(ns_of 'BenchmarkResume/cold')
-HALF=$(ns_of 'BenchmarkResume/half')
-OVERHEAD_PCT=$(awk -v off="$OFF" -v on="$ON" 'BEGIN{printf "%.2f", (on-off)*100/off}')
-RESUME_RATIO=$(awk -v c="$COLD" -v h="$HALF" 'BEGIN{printf "%.3f", h/c}')
-RESUME_SPEEDUP=$(awk -v c="$COLD" -v h="$HALF" 'BEGIN{printf "%.2f", c/h}')
-SAVE_MS=$(awk -v s="$SAVE" 'BEGIN{printf "%.3f", s/1e6}')
-
-{
-  printf '{\n'
-  printf '  "description": "Crash-safe checkpointing (internal/checkpoint wired through the Monte Carlo engine): the overhead of durable fsynced snapshots at the default cadence on a full run, the write latency of one snapshot, and the cost of resuming a half-complete run versus recomputing it cold. Resumed runs are bit-identical to uninterrupted ones. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench -benchtime=%s ./internal/montecarlo/; overhead_pct = (on-off)/off; resume ratio = half/cold (lower is better, < 0.6 target).",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "checkpoint_overhead": {"off_ns_op": %s, "on_ns_op": %s, "overhead_pct": %s},\n' \
-    "$OFF" "$ON" "$OVERHEAD_PCT"
-  printf '  "snapshot_save": {"ns_op": %s, "ms": %s},\n' "$SAVE" "$SAVE_MS"
-  printf '  "resume": {"cold_ns_op": %s, "half_ns_op": %s, "ratio_vs_cold": %s, "speedup": %s}\n' \
-    "$COLD" "$HALF" "$RESUME_RATIO" "$RESUME_SPEEDUP"
-  printf '}\n'
-} > BENCH_checkpoint.json
-
-echo "wrote BENCH_checkpoint.json"
-
-echo "== schedule-class cache benchmarks (-benchtime=$BENCHTIME) =="
-# points/sec of per-design Simulate on the warm path, plus the cold
-# full-grid pass whose reuse-% metric is the fraction of grid points
-# served by an incremental schedule summary instead of a fresh scheduler
-# walk. The Table 3 "before" column is the compiled engine recorded just
-# before the schedule-class cache landed.
-BATCHOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT" "$CKOUT" "$BATCHOUT"' EXIT
-go test -run='^$' -bench='^BenchmarkBatch$' -benchtime="$BENCHTIME" . | tee "$BATCHOUT"
-
-# Compiled-engine baseline for BenchmarkTable3 before the schedule-class
-# cache, ns/op (the after_ns_op recorded in BENCH_sweep.json then).
-TABLE3_PREBATCH=310365442
-TABLE3_NOW=$(awk '/^BenchmarkTable3/{print $3; exit}' "$OUT")
-TABLE3_SPEEDUP=$(awk -v b="$TABLE3_PREBATCH" -v a="$TABLE3_NOW" 'BEGIN{printf "%.2f", b/a}')
-
-{
-  printf '{\n'
-  printf '  "description": "Per-design Compiled.Simulate with incremental re-simulation via the schedule-class summary cache: points/sec for the warm sequential path, a cold full-grid pass with its incremental schedule-reuse rate, and the Table 3 sweep speedup over the compiled engine from before the cache. Cached results are bit-identical to fresh scheduler walks (internal/sweep/equivalence_test.go). Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench=BenchmarkBatch -benchtime=%s; points/sec reported by the benchmark; reuse_pct = schedule-cache hits / (walks + hits) over one cold full grid; table3 before column is the recorded compiled baseline from before the schedule-class cache.",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "table3": {"before_ns_op": %s, "after_ns_op": %s, "speedup": %s},\n' \
-    "$TABLE3_PREBATCH" "$TABLE3_NOW" "$TABLE3_SPEEDUP"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$BATCHOUT" | while read -r line; do
-    name=$(awk '{print $1}' <<<"$line"); name="${name%-*}"
-    ns=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="ns/op"){print $i; exit}}' <<<"$line")
-    pps=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="points/sec"){print $i; exit}}' <<<"$line")
-    reuse=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="reuse-%"){print $i; exit}}' <<<"$line")
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    if [ -n "$reuse" ]; then
-      printf '    {"name": "%s", "ns_op": %s, "points_per_sec": %s, "incremental_reuse_pct": %s}' \
-        "$name" "$ns" "$pps" "$reuse"
-    else
-      printf '    {"name": "%s", "ns_op": %s, "points_per_sec": %s}' \
-        "$name" "$ns" "$pps"
-    fi
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_batch.json
-
-echo "wrote BENCH_batch.json"
-
-echo "== design-space search benchmark (-benchtime=$BENCHTIME) =="
-# The guided-search quality bar: the default NSGA-II configuration must
-# recover >= 95% of the exhaustive Table III Pareto frontier while
-# spending <= 25% of the grid's unique evaluations (it is exact on the
-# tested kernels — see internal/search/coverage_test.go for the
-# per-strategy, per-kernel assertions).
-SEARCHOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT" "$CKOUT" "$BATCHOUT" "$SEARCHOUT"' EXIT
-go test -run='^$' -bench='^BenchmarkSearchTable3$' -benchtime="$BENCHTIME" \
-  ./internal/search/ | tee "$SEARCHOUT"
-
-{
-  printf '{\n'
-  printf '  "description": "Guided design-space search (internal/search): the default NSGA-II run over the full Table III knob space on a cold engine, scored against the exhaustive grid frontier. Deterministic in the seed at any worker count; checkpointed runs resume bit-identically. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench=BenchmarkSearchTable3 -benchtime=%s ./internal/search/; coverage_pct = recovered true-frontier points / exhaustive frontier size; grid_evals_pct = unique designs evaluated / unique grid points. Targets: coverage >= 95, grid evals <= 25.",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$SEARCHOUT" | while read -r line; do
-    name=$(awk '{print $1}' <<<"$line"); name="${name%-*}"
-    ns=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="ns/op"){print $i; exit}}' <<<"$line")
-    eps=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="evals/sec"){print $i; exit}}' <<<"$line")
-    cov=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="coverage-%"){print $i; exit}}' <<<"$line")
-    frac=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="grid-evals-%"){print $i; exit}}' <<<"$line")
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    printf '    {"name": "%s", "ns_op": %s, "evals_per_sec": %s, "coverage_pct": %s, "grid_evals_pct": %s}' \
-      "$name" "$ns" "$eps" "$cov" "$frac"
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_search.json
-
-echo "wrote BENCH_search.json"
-
-echo "== resource-admission benchmark (-benchtime=$BENCHTIME) =="
-# The price of memory-budgeted admission: "ledger" is the cost estimate
-# plus one TryReserve/release round trip on the shared byte budget (the
-# only work admission adds to a costed request); "warm-sweep" is the
-# full served warm sweep it rides on. overhead_pct is the estimator's
-# share of a steady-state request — the budget should be invisible at
-# the request scale (target: < 1%).
-RESOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT" "$CKOUT" "$BATCHOUT" "$SEARCHOUT" "$RESOUT"' EXIT
-go test -run='^$' -bench='^BenchmarkResources$' -benchtime="$BENCHTIME" \
-  ./internal/server/ | tee "$RESOUT"
-
-LEDGER=$(awk '/^BenchmarkResources\/ledger/{print $3; exit}' "$RESOUT")
-WARM=$(awk '/^BenchmarkResources\/warm-sweep/{print $3; exit}' "$RESOUT")
-ADMIT_PCT=$(awk -v l="$LEDGER" -v w="$WARM" 'BEGIN{printf "%.4f", l*100/w}')
-
-{
-  printf '{\n'
-  printf '  "description": "Memory-budgeted admission overhead (internal/resources threaded through internal/server): the ledger entry is one cost estimate plus a TryReserve/release round trip on the shared byte budget — everything admission adds to a costed request — measured against the full served warm sweep it guards. Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench=BenchmarkResources -benchtime=%s ./internal/server/; overhead_pct = ledger ns_op * 100 / warm-sweep ns_op (target < 1).",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "admission": {"ledger_ns_op": %s, "warm_sweep_ns_op": %s, "overhead_pct": %s}\n' \
-    "$LEDGER" "$WARM" "$ADMIT_PCT"
-  printf '}\n'
-} > BENCH_resources.json
-
-echo "wrote BENCH_resources.json"
-
-echo "== cluster scatter-gather benchmark (-benchtime=$BENCHTIME) =="
-# Warm sweep requests round-robined across an in-process consistent-hash
-# cluster, 1 peer vs 3. Shard scaling is a multi-core property: with
-# fewer cores than peers the peers time-slice one CPU and aggregate
-# req/s cannot rise, so judge the peers=3/peers=1 ratio against
-# host.cpus (>= 2x expected only when cpus >= 3).
-CLOUT=$(mktemp)
-trap 'rm -f "$OUT" "$SRVOUT" "$MCOUT" "$CXOUT" "$CKOUT" "$BATCHOUT" "$SEARCHOUT" "$RESOUT" "$CLOUT"' EXIT
-go test -run='^$' -bench='^BenchmarkClusterSweep$' -benchtime="$BENCHTIME" \
-  ./internal/server/ | tee "$CLOUT"
-
-{
-  printf '{\n'
-  printf '  "description": "Sharded cluster scatter-gather (internal/cluster + internal/server): warm Table-style sweep requests round-robined across all peers of an in-process consistent-hash cluster, 1 peer vs 3. Responses are byte-identical to a single node at every shard count; the cluster trades nothing for correctness. Aggregate req/s scales with peers only when the host has at least as many cores as peers (see host.cpus). Regenerated by scripts/bench.sh.",\n'
-  printf '  "methodology": "go test -bench=BenchmarkClusterSweep -benchtime=%s ./internal/server/; each sub-benchmark boots N in-process peers, warms the sweep memo on every peer, then round-robins identical sweep requests across them from parallel clients. req/s = completed requests / wall time; p99_ms from per-request latencies; hedges/steals from the coordinator ring metrics.",\n' "$BENCHTIME"
-  printf '  "host": {"cpu": "%s", "cpus": %s, "goos": "%s", "goarch": "%s", "go": "%s"},\n' \
-    "$CPU" "$(nproc)" "$GOOS" "$GOARCH" "$GOVER"
-  printf '  "date": "%s",\n' "$DATE"
-  printf '  "benchmarks": [\n'
-  first=1
-  grep -E '^Benchmark' "$CLOUT" | while read -r line; do
-    name=$(awk '{print $1}' <<<"$line"); name="${name%-*}"
-    ns=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="ns/op"){print $i; exit}}' <<<"$line")
-    rps=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="req/s"){print $i; exit}}' <<<"$line")
-    p99=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="p99_ms"){print $i; exit}}' <<<"$line")
-    hedges=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="hedges"){print $i; exit}}' <<<"$line")
-    steals=$(awk '{for(i=2;i<NF;i++) if($(i+1)=="steals"){print $i; exit}}' <<<"$line")
-    [ "$first" = 1 ] || printf ',\n'
-    first=0
-    if [ -n "$hedges" ]; then
-      printf '    {"name": "%s", "ns_op": %s, "req_per_sec": %s, "p99_ms": %s, "hedges": %s, "steals": %s}' \
-        "$name" "$ns" "$rps" "$p99" "$hedges" "$steals"
-    else
-      printf '    {"name": "%s", "ns_op": %s, "req_per_sec": %s, "p99_ms": %s}' \
-        "$name" "$ns" "$rps" "$p99"
-    fi
-  done
-  printf '\n  ]\n}\n'
-} > BENCH_cluster.json
-
-echo "wrote BENCH_cluster.json"
+bench BENCH_sweep.json ". ./internal/aladdin/" '^(BenchmarkTable3|BenchmarkFig13|BenchmarkSimulate|BenchmarkCompile|BenchmarkScheduleWalk)$' \
+  "Compiled-graph simulation engine (internal/aladdin Compile + Compiled.Simulate): the Table III and Figure 13 sweeps, per-design Simulate on the warm path (a schedule-summary hit plus the per-design metrics), Compile per workload, and cold scheduler walks over every schedule class of the reduced grid (ns/node is walk time per graph vertex). Results are bit-identical to the per-call reference scheduler (internal/aladdin/compiled_test.go, internal/sweep/equivalence_test.go)."
+bench BENCH_server.json ./internal/server/ '^(BenchmarkSweepWarm|BenchmarkCaseStudy)$' \
+  "Served throughput of accelwalld (internal/server) over httptest. BenchmarkSweepWarm is a steady-state POST /v1/sweep against one warmed server (engine compiled, grid memoized): serial from one client, parallel from GOMAXPROCS clients through RunParallel. BenchmarkCaseStudy is GET /v1/casestudy/bitcoin, a stateless analytical endpoint."
+bench BENCH_uncertainty.json ./internal/montecarlo/ '^BenchmarkUncertainty$' \
+  "Monte Carlo uncertainty engine scaling (internal/montecarlo) at pool widths 1, 4 and 8: one op is a full 40-replicate run, each replicate resampling the corpus, refitting the Figure 3b/3c budget, jittering the CMOS table and projecting the wall for every (domain, target) pair. One engine is shared across ops, so engine construction is left out. Results are bit-identical at every pool width."
+bench BENCH_cancel.json "./internal/sweep/ ./internal/montecarlo/" '^BenchmarkCancelLatency$' \
+  "Cancellation latency of the parallel compute engines: ns_op is the delay from cancelling a mid-flight run (layer internal/sweep: a sweep grid; layer internal/montecarlo: a Monte Carlo replicate set) to full worker-pool quiescence. It is bounded by one chunk of work per worker, not by the remaining grid size."
+bench BENCH_checkpoint.json ./internal/montecarlo/ '^(BenchmarkCheckpointOverhead|BenchmarkSnapshotSave|BenchmarkResume)$' \
+  "Crash-safe checkpointing through the Monte Carlo engine (internal/checkpoint, internal/montecarlo): a full run with fsynced snapshots at the default cadence (on) and without (off), the fsynced write of one snapshot, and resuming a half-complete run (half) against recomputing it cold. Resumed runs are bit-identical to uninterrupted ones. Targets: checkpoint_on_off <= 1.05 (a 5% budget), resume_half_cold < 0.6." \
+  "checkpoint_on_off BenchmarkCheckpointOverhead/on BenchmarkCheckpointOverhead/off" \
+  "resume_half_cold BenchmarkResume/half BenchmarkResume/cold"
+bench BENCH_batch.json . '^BenchmarkBatch$' \
+  "Per-design Compiled.Simulate with incremental re-simulation through the schedule-class summary cache: points/sec on the warm sequential path, and one cold full-grid pass whose reuse-% is the share of grid points served by an incremental schedule summary instead of a fresh scheduler walk. Cached results are bit-identical to fresh walks (internal/sweep/equivalence_test.go)."
+bench BENCH_search.json ./internal/search/ '^BenchmarkSearchTable3$' \
+  "Guided design-space search (internal/search): the default NSGA-II run over the full Table III knob space on a cold engine, scored against the exhaustive grid frontier. coverage-% is recovered true-frontier points over the exhaustive frontier size (target >= 95); grid-evals-% is unique designs evaluated over unique grid points (target <= 25). Deterministic in the seed at any worker count."
+bench BENCH_resources.json ./internal/server/ '^(BenchmarkSweepWarm|BenchmarkResources)$/^(serial|ledger)$' \
+  "Memory-budgeted admission overhead (internal/resources through internal/server): BenchmarkResources/ledger is one cost estimate plus a TryReserve/release round trip on the shared byte budget, everything admission adds to a costed request; BenchmarkSweepWarm/serial is the served warm sweep it guards. Target: admission_ledger_sweep < 0.01." \
+  "admission_ledger_sweep BenchmarkResources/ledger BenchmarkSweepWarm/serial"
+bench BENCH_cluster.json ./internal/server/ '^BenchmarkClusterSweep$' \
+  "Sharded cluster scatter-gather (internal/cluster + internal/server): warm sweep requests round-robined by RunParallel clients across the peers of an in-process consistent-hash cluster, 1 peer vs 3, after warming every peer. peers=1 builds no cluster (the server's cluster is nil), so it runs the same single-node path as BenchmarkSweepWarm/parallel in BENCH_server.json. req/s is completed requests over wall time, p99_ms comes from per-request latencies, and hedges and steals (peers=3 only) from the coordinator's ring metrics. Responses are byte-identical to a single node at every shard count; aggregate req/s can rise with peers only when host.cpus >= peers."
