@@ -264,9 +264,7 @@ func run(ctx context.Context, args []string) error {
 	if store != nil {
 		study.Ckpt = store
 		study.CkptResume = *resume
-		study.CkptLogf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "accelwall: "+format+"\n", args...)
-		}
+		study.CkptLogf = ckptLogf
 	}
 
 	if *jsonOut {
@@ -307,39 +305,9 @@ func run(ctx context.Context, args []string) error {
 	return nil
 }
 
-// openCheckpoint prepares a durable run over the store's named snapshot
-// log (nil options without a store): with resume it restores the log's
-// newest intact snapshot, starting cold when there is none. The caller
-// defers closeLog, and calls drop once the run finished — its progress
-// log then owes nobody anything.
-func openCheckpoint(store *checkpoint.Store, name string, resume bool) (ck *checkpoint.Options, closeLog, drop func(), err error) {
-	if store == nil {
-		return nil, func() {}, func() {}, nil
-	}
-	ck = &checkpoint.Options{
-		OnError: func(e error) { fmt.Fprintf(os.Stderr, "accelwall: checkpointing disabled: %v\n", e) },
-	}
-	if resume {
-		payload, err := store.ReadLast(name)
-		switch {
-		case err == nil:
-			ck.Resume = payload
-		case errors.Is(err, checkpoint.ErrNoSnapshot), errors.Is(err, checkpoint.ErrCorrupt):
-			fmt.Fprintf(os.Stderr, "accelwall: no usable snapshot (%v), starting cold\n", err)
-		default:
-			return nil, nil, nil, err
-		}
-	}
-	log, err := store.OpenLog(name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ck.Sink = log
-	return ck, func() { log.Close() }, func() {
-		if err := store.Remove(name); err != nil {
-			fmt.Fprintf(os.Stderr, "accelwall: could not remove finished checkpoint: %v\n", err)
-		}
-	}, nil
+// ckptLogf reports a durable run's checkpoint notes on stderr.
+func ckptLogf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "accelwall: "+format+"\n", args...)
 }
 
 // uncertaintyLog names the snapshot log a checkpointed -uncertainty run
@@ -365,7 +333,7 @@ func runUncertainty(ctx context.Context, seed int64, replicates int, conf, gainT
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	ck, closeLog, drop, err := openCheckpoint(store, uncertaintyLog, resume)
+	ck, closeLog, drop, err := store.Durable(uncertaintyLog, resume, ckptLogf)
 	if err != nil {
 		return err
 	}
@@ -450,7 +418,7 @@ func runSearch(ctx context.Context, f searchFlags, store *checkpoint.Store) erro
 	if err != nil {
 		return err
 	}
-	ck, closeLog, drop, err := openCheckpoint(store, searchLog, f.resume)
+	ck, closeLog, drop, err := store.Durable(searchLog, f.resume, ckptLogf)
 	if err != nil {
 		return err
 	}

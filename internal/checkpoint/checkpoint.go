@@ -98,6 +98,7 @@ type Store struct {
 	degraded bool
 	stash    map[string]*stashEntry
 	memSaves int64
+	wmu      sync.Mutex // orders Write against Flush, so a stale flush never lands over it
 }
 
 // Open creates (0700) and write-probes dir, returning a store over it.
@@ -200,6 +201,8 @@ func (s *Store) ReadLast(name string) ([]byte, error) {
 // (crash, or an injected fs.rename fault) the previous file remains
 // untouched and valid.
 func (s *Store) Write(name string, payload []byte) error {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	err := s.writeDisk(name, payload)
 	switch {
 	case err == nil:
@@ -474,6 +477,36 @@ func (l *Log) Close() error {
 	err := l.f.Close()
 	l.f = nil
 	return err
+}
+
+// Durable prepares a run over the named log (a nil store: no snapshots).
+// With resume it restores the newest intact snapshot, or starts cold when
+// there is none (noted through logf, like a failed save or removal). The
+// caller defers closeLog and calls finish, which removes the log, on success.
+func (s *Store) Durable(name string, resume bool, logf func(format string, args ...any)) (ck *Options, closeLog, finish func(), err error) {
+	if s == nil {
+		return nil, func() {}, func() {}, nil
+	}
+	ck = &Options{OnError: func(e error) { logf("checkpointing disabled: %v", e) }}
+	if resume {
+		switch ck.Resume, err = s.ReadLast(name); {
+		case errors.Is(err, ErrNoSnapshot), errors.Is(err, ErrCorrupt):
+			logf("no usable snapshot (%v), starting cold", err)
+		case err != nil:
+			return nil, nil, nil, err
+		}
+	}
+	log, err := s.OpenLog(name)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ck.Sink, closeLog = log, func() { log.Close() }
+	return ck, closeLog, func() {
+		closeLog()
+		if err := s.Remove(name); err != nil {
+			logf("could not remove finished checkpoint: %v", err)
+		}
+	}, nil
 }
 
 // syncDir fsyncs a directory so a just-committed rename survives power

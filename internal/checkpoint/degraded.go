@@ -10,6 +10,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -155,7 +156,11 @@ func (s *Store) Flush() error {
 		if it.log != nil {
 			err = it.log.heal(it.payload)
 		} else {
-			err = s.writeDisk(it.name, it.payload)
+			s.wmu.Lock()
+			if p, ok := s.stashedPayload(it.name); ok && bytes.Equal(p, it.payload) {
+				err = s.writeDisk(it.name, it.payload) // no newer Write landed meanwhile
+			}
+			s.wmu.Unlock()
 		}
 		if err != nil {
 			if firstErr == nil {

@@ -253,10 +253,12 @@ func (c *Cluster) Start() {
 	go c.probeLoop()
 }
 
-// Stop halts the prober and waits for it; idempotent.
+// Stop halts the prober, waits for it and closes idle client connections
+// (each would hold a peer's drain for net/http's 5 s grace); idempotent.
 func (c *Cluster) Stop() {
 	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
+	c.http.CloseIdleConnections()
 }
 
 // alive reports the failure detector's view of one peer; self is always

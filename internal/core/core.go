@@ -72,8 +72,7 @@ func (s *Study) ckptLogf(format string, args ...any) {
 // shared by the table, plot, and JSON renderings. With a checkpoint store
 // attached the sweep is durable: progress snapshots land in the
 // "sweep-fig13" log, CkptResume restores a prior run's completed prefix,
-// and the log is removed once the sweep finishes (a finished run owes its
-// successor nothing).
+// and the log is removed once the sweep finishes.
 func (s *Study) fig13Sweep() ([]sweep.Fig13Row, sweep.Point, error) {
 	spec, err := workloads.ByAbbrev("S3D")
 	if err != nil {
@@ -87,42 +86,21 @@ func (s *Study) fig13Sweep() ([]sweep.Fig13Row, sweep.Point, error) {
 	if err != nil {
 		return nil, sweep.Point{}, err
 	}
-	if s.Ckpt == nil {
-		rows, best, _, err := eng.Fig13(s.ctx(), s.Sweep, s.Workers, nil)
-		return rows, best, err
-	}
-	const name = "sweep-fig13"
-	var resume []byte
-	if s.CkptResume {
-		resume, err = s.Ckpt.ReadLast(name)
-		if err != nil {
-			if !errors.Is(err, checkpoint.ErrNoSnapshot) && !errors.Is(err, checkpoint.ErrCorrupt) {
-				return nil, sweep.Point{}, fmt.Errorf("core: reading fig13 checkpoint: %w", err)
-			}
-			s.ckptLogf("fig13: no usable checkpoint (%v), starting cold", err)
-			resume = nil
-		}
-	}
-	log, err := s.Ckpt.OpenLog(name)
-	if err != nil {
-		return nil, sweep.Point{}, fmt.Errorf("core: opening fig13 checkpoint log: %w", err)
-	}
-	defer log.Close()
-	rows, best, resumed, err := eng.Fig13(s.ctx(), s.Sweep, s.Workers, &sweep.Checkpoint{
-		Sink:    log,
-		Resume:  resume,
-		OnError: func(e error) { s.ckptLogf("fig13: checkpointing disabled: %v", e) },
+	ck, closeLog, finish, err := s.Ckpt.Durable("sweep-fig13", s.CkptResume, func(format string, args ...any) {
+		s.ckptLogf("fig13: "+format, args...)
 	})
+	if err != nil {
+		return nil, sweep.Point{}, fmt.Errorf("core: fig13 checkpoint: %w", err)
+	}
+	defer closeLog()
+	rows, best, resumed, err := eng.Fig13(s.ctx(), s.Sweep, s.Workers, ck)
 	if err != nil {
 		return nil, sweep.Point{}, err
 	}
 	if resumed > 0 {
 		s.ckptLogf("fig13: resumed from checkpoint, skipped %d unique design points", resumed)
 	}
-	log.Close()
-	if err := s.Ckpt.Remove(name); err != nil {
-		s.ckptLogf("fig13: could not remove finished checkpoint: %v", err)
-	}
+	finish()
 	return rows, best, nil
 }
 

@@ -325,6 +325,9 @@ const (
 	replicaPushBudget  = 30 * time.Second
 )
 
+// replRetry is the bounded-retry schedule of one replica push.
+var replRetry = resilience.Policy{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: 1}
+
 // replicateJob queues the job's current durable state for push to its
 // ring successor. Pushes are asynchronous and never fail the job — the
 // single-node durability story is unchanged — but unlike the
@@ -367,11 +370,13 @@ func (s *Server) replicateJob(j *job, snapshot []byte) {
 	}
 	j.replActive = true
 	j.mu.Unlock()
+	s.jobs.pushes.Add(1)
 	go s.replicaWorker(j)
 }
 
 // replicaWorker drains a job's queued replica frames latest-wins.
 func (s *Server) replicaWorker(j *job) {
+	defer s.jobs.pushes.Done()
 	for {
 		j.mu.Lock()
 		body, peer := j.replBody, j.replWant
@@ -393,17 +398,12 @@ func (s *Server) replicaWorker(j *job) {
 	}
 }
 
-// pushReplicaFrame delivers one replica frame with bounded retries. The
-// push context descends from the job manager's, so a drain cancels
-// in-flight retries promptly.
+// pushReplicaFrame delivers one replica frame with bounded retries, until
+// a drain has waited out the queued pushes and cancels jobs.pushCtx.
 func (s *Server) pushReplicaFrame(id, peer string, body []byte) error {
-	parent := context.Background()
-	if s.jobs != nil {
-		parent = s.jobs.ctx
-	}
-	ctx, cancel := context.WithTimeout(parent, replicaPushBudget)
+	ctx, cancel := context.WithTimeout(s.jobs.pushCtx, replicaPushBudget)
 	defer cancel()
-	return s.replRetry.Do(ctx, id, func(ctx context.Context) error {
+	return replRetry.Do(ctx, id, func(ctx context.Context) error {
 		op := faultinject.Transport(cluster.SiteTransportReplicate, s.cluster.Self()+"->"+peer)
 		if op.Delay > 0 {
 			time.Sleep(op.Delay)
@@ -496,10 +496,12 @@ func (s *Server) handleJobReplicate(w http.ResponseWriter, r *http.Request) {
 // immediately pushes the job's state onward to the adopter's own ring
 // successor, so the adopted job is never left with zero standby copies.
 func (s *Server) maybeAdoptReplica(id string, rep jobReplica) bool {
-	if s.cluster.PeerAlive(rep.Owner) {
+	if s.cluster.PeerAlive(rep.Owner) || s.cluster.OwnerOf(id) != s.cluster.Self() {
 		return false
 	}
-	if s.cluster.OwnerOf(id) != s.cluster.Self() {
+	// The failure view lags: an owner that restarted or only lost its
+	// probes answers for the job it runs, which adopting would run twice.
+	if _, running := s.fetchJob(context.Background(), rep.Owner, id); running {
 		return false
 	}
 	j := s.jobs.adopt(id, rep)
@@ -529,45 +531,38 @@ func (s *Server) handleInternalJobGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, j.json(true))
 }
 
-// proxyJobGet asks every alive peer for the job and relays the first
-// hit verbatim; reports false when nobody has it.
-func (s *Server) proxyJobGet(w http.ResponseWriter, r *http.Request, id string) bool {
+// remoteJob asks every other alive peer for the job and returns the
+// first hit's view; ok is false when nobody tracks it.
+func (s *Server) remoteJob(ctx context.Context, id string) (body []byte, ok bool) {
 	if !s.clusterEnabled() || !validJobID(id) {
-		return false
+		return nil, false
 	}
 	for _, peer := range s.cluster.Alive() {
 		if peer == s.cluster.Self() {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), 5*time.Second)
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/internal/jobs/"+id, nil)
-		if err != nil {
-			cancel()
-			continue
+		if body, ok := s.fetchJob(ctx, peer, id); ok {
+			return body, true
 		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck
-			resp.Body.Close()
-			cancel()
-			continue
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxInternalSliceMiB<<20))
-		resp.Body.Close()
-		cancel()
-		if err != nil {
-			continue
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body) //nolint:errcheck // client gone
-		return true
 	}
-	return false
+	return nil, false
+}
+
+// fetchJob is one peer's strictly local view of the job.
+func (s *Server) fetchJob(ctx context.Context, peer, id string) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+"/v1/internal/jobs/"+id, nil)
+	if err != nil {
+		return nil, false
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, false
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxInternalSliceMiB<<20))
+	return body, err == nil && resp.StatusCode == http.StatusOK
 }
 
 // adoptFrom is the OnDeath hook: scan the replica store for jobs owned

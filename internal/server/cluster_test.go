@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -14,10 +15,7 @@ import (
 	"time"
 
 	"accelwall/internal/cluster"
-	"accelwall/internal/faultinject"
-	"accelwall/internal/leakcheck"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/sweep"
 )
 
 // clusterPeer is one in-process accelwalld peer bound to a real loopback
@@ -25,6 +23,7 @@ import (
 type clusterPeer struct {
 	s    *Server
 	url  string
+	opts Options // what New was given, for a restart over the same state
 	kill context.CancelFunc
 	done chan struct{}
 }
@@ -61,7 +60,7 @@ func startCluster(t testing.TB, n int, mutate func(i int, o *Options)) []*cluste
 			t.Fatalf("peer %d: New: %v", i, err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		p := &clusterPeer{s: s, url: urls[i], kill: cancel, done: make(chan struct{})}
+		p := &clusterPeer{s: s, url: urls[i], opts: opts, kill: cancel, done: make(chan struct{})}
 		go func(ln net.Listener) {
 			defer close(p.done)
 			p.s.Serve(ctx, ln) //nolint:errcheck // drain errors are test noise
@@ -133,20 +132,14 @@ func singleNodeReference(t testing.TB, path, body string) []byte {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	ref := readAll(t, resp.Body)
+	ref, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reference %s: %d %s", path, resp.StatusCode, ref)
 	}
 	return ref
-}
-
-func readAll(t testing.TB, r interface{ Read([]byte) (int, error) }) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // A sweep grid wide enough (48 points) that every tested shard count
@@ -245,73 +238,6 @@ func TestClusterAnyPeerCoordinates(t *testing.T) {
 	}
 }
 
-// TestClusterChaosPeerDeathMidSweep: with the shed seam armed and one
-// peer killed while work is in flight, every sweep still answers 200
-// with bytes identical to a single node, nothing deadlocks, and no
-// goroutine leaks.
-func TestClusterChaosPeerDeathMidSweep(t *testing.T) {
-	leakcheck.Check(t)
-	refFFT := singleNodeReference(t, "/v1/sweep", clusterSweepBody)
-	gemBody := `{"workload": "GMM", "objective": "efficiency", "include_points": true,
-		"grid": {"nodes": [45, 32, 22, 16], "partitions": [1, 2, 4], "simplifications": [1, 2], "fusion": [false, true]}}`
-	refGEM := singleNodeReference(t, "/v1/sweep", gemBody)
-
-	peers := startCluster(t, 3, nil)
-
-	// Arm the chaos seams: every 2nd internal slice is shed with 503
-	// (exercising work-stealing), and each simulated design costs 2 ms so
-	// the second sweep is still in flight when the peer dies.
-	inj := faultinject.New(1).
-		Set(cluster.SiteSlice, faultinject.Rule{Mode: faultinject.ModeError, Every: 2}).
-		Set(sweep.SiteSimulate, faultinject.Rule{Mode: faultinject.ModeDelay, Every: 1, Delay: 2 * time.Millisecond})
-	faultinject.Enable(inj)
-	t.Cleanup(faultinject.Disable)
-
-	// Phase 1: healthy membership, shedding peers. Stealing must keep the
-	// response correct.
-	status, got := post(t, peers[0].url+"/v1/sweep", clusterSweepBody)
-	if status != http.StatusOK {
-		t.Fatalf("sweep under shedding: %d %s", status, got)
-	}
-	if !bytes.Equal(got, refFFT) {
-		t.Fatal("sweep under shedding diverges from single node")
-	}
-
-	// Phase 2: kill a peer while a cold sweep is mid-scatter.
-	sweepErr := make(chan error, 1)
-	go func() {
-		status, got := post2(peers[0].url+"/v1/sweep", gemBody)
-		if status != http.StatusOK {
-			sweepErr <- fmt.Errorf("sweep across peer death: %d %s", status, got)
-			return
-		}
-		if !bytes.Equal(got, refGEM) {
-			sweepErr <- fmt.Errorf("sweep across peer death diverges from single node")
-			return
-		}
-		sweepErr <- nil
-	}()
-	time.Sleep(15 * time.Millisecond)
-	peers[2].kill()
-	<-peers[2].done
-	if err := <-sweepErr; err != nil {
-		t.Fatal(err)
-	}
-
-	// The failure detector must declare the death; survivors keep serving.
-	deadline := time.Now().Add(5 * time.Second)
-	for peers[0].s.cluster.Metrics.Deaths.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never declared the killed peer dead")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	status, got = post(t, peers[1].url+"/v1/sweep", clusterSweepBody)
-	if status != http.StatusOK || !bytes.Equal(got, refFFT) {
-		t.Fatalf("survivor sweep after death: %d", status)
-	}
-}
-
 // post2 is post without a testing.TB, for goroutines that cannot Fatal.
 func post2(url, body string) (int, []byte) {
 	resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(body)))
@@ -322,74 +248,6 @@ func post2(url, body string) (int, []byte) {
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body) //nolint:errcheck
 	return resp.StatusCode, buf.Bytes()
-}
-
-// TestClusterJobAdoption: a durable job whose owner is SIGKILLed mid-run
-// is adopted by the ring's new owner among the survivors and driven to
-// completion from its last replicated snapshot — and stays reachable
-// through any surviving peer via the job proxy.
-func TestClusterJobAdoption(t *testing.T) {
-	leakcheck.Check(t)
-	// Slow the replicate loop so the job is still running when its owner
-	// dies, with plenty of snapshots replicated before that.
-	inj := faultinject.New(1).Set(montecarlo.SiteReplicate, faultinject.Rule{
-		Mode: faultinject.ModeDelay, Every: 1, Delay: 2 * time.Millisecond,
-	})
-	faultinject.Enable(inj)
-	t.Cleanup(faultinject.Disable)
-
-	peers := startCluster(t, 3, func(i int, o *Options) {
-		o.JobsDir = t.TempDir()
-	})
-
-	body := `{"kind": "uncertainty", "checkpoint_every": 1,
-		"uncertainty": {"replicates": 600, "seed": 7, "corpus_seed": 7, "workers": 1}}`
-	id := submitJob(t, peers[0].url, body)
-
-	// Wait until the job has made real progress (so snapshots have been
-	// pushed to its replica peer), then kill the owner.
-	waitForJob(t, peers[0].url, id, func(j jobJSON) bool { return j.ProgressDone >= 100 })
-	time.Sleep(50 * time.Millisecond) // let the async replica push land
-	peers[0].kill()
-	<-peers[0].done
-
-	// A survivor adopts and finishes the job; the proxy makes it visible
-	// from every surviving peer. Unlike waitForJob, tolerate 404 here: the
-	// job is legitimately unknown to the survivors until the failure
-	// detector declares the owner dead and adoption runs.
-	var j jobJSON
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		status, body := get(t, peers[1].url+"/v1/jobs/"+id)
-		if status == http.StatusOK {
-			if err := json.Unmarshal(body, &j); err != nil {
-				t.Fatalf("job body %s: %v", body, err)
-			}
-			if terminal(j) {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s never adopted and finished; last: %d %s", id, status, body)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if j.State != jobDone {
-		t.Fatalf("adopted job did not finish: %+v", j)
-	}
-	if len(j.Result) == 0 {
-		t.Fatal("adopted job finished without a result")
-	}
-	var adopted int64
-	for _, p := range peers[1:] {
-		adopted += p.s.metrics.ClusterJobsAdopted.Value()
-	}
-	if adopted != 1 {
-		t.Fatalf("adopted %d times across survivors, want exactly 1", adopted)
-	}
-	if status, _ := get(t, peers[2].url+"/v1/jobs/"+id); status != http.StatusOK {
-		t.Fatalf("job not visible from the other survivor: %d", status)
-	}
 }
 
 // TestClusterMetricsExposed: /v1/metrics on a cluster peer carries the

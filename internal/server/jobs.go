@@ -184,36 +184,42 @@ type jobManager struct {
 	prefix   string            // cluster mode: per-peer id prefix ("p0-")
 	max      int
 
-	ctx    context.Context // cancelled to interrupt running jobs (drain)
+	// ctx is cancelled to interrupt running jobs (drain): their engines
+	// stop within one work chunk and append a final snapshot.
+	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 	sem    chan struct{} // capacity 1: the single execution slot
 
+	// Replica pushes outlive the interrupt so a drain delivers them.
+	pushCtx    context.Context
+	pushCancel context.CancelFunc
+	pushes     sync.WaitGroup
+
 	recovered chan struct{} // closed once the startup recovery scan is done
 
-	mu     sync.Mutex
-	jobs   map[string]*job
-	seq    int
-	closed bool
+	mu   sync.Mutex
+	jobs map[string]*job
+	seq  int
 }
 
-// newJobManager opens (creating 0700) and write-probes dir, then starts
-// the recovery scan. An unusable directory, or one holding jobs in the
+// newJobManager opens (creating 0700) and write-probes dir, installs the
+// manager as srv.jobs, then starts the recovery scan. An unusable directory, or one holding jobs in the
 // old three-file layout, fails here — at startup — with an error naming
 // the path and cause.
-func newJobManager(srv *Server, dir string, max int) (*jobManager, error) {
+func newJobManager(srv *Server, dir string, max int) error {
 	store, err := checkpoint.Open(dir)
 	if err != nil {
-		return nil, fmt.Errorf("jobs directory: %w", err)
+		return fmt.Errorf("jobs directory: %w", err)
 	}
 	names, err := store.List()
 	if err != nil {
-		return nil, fmt.Errorf("jobs directory: %w", err)
+		return fmt.Errorf("jobs directory: %w", err)
 	}
 	for _, name := range names {
 		switch filepath.Ext(name) {
 		case ".manifest", ".progress", ".result":
-			return nil, fmt.Errorf("%w (%s); finish those jobs with the previous build", ErrLegacyJobLayout, store.Path(name))
+			return fmt.Errorf("%w (%s); finish those jobs with the previous build", ErrLegacyJobLayout, store.Path(name))
 		}
 	}
 	var replicas *checkpoint.Store
@@ -226,25 +232,29 @@ func newJobManager(srv *Server, dir string, max int) (*jobManager, error) {
 		prefix = fmt.Sprintf("p%d-", srv.cluster.SelfIndex())
 		replicas, err = checkpoint.Open(filepath.Join(dir, "replicas"))
 		if err != nil {
-			return nil, fmt.Errorf("job replica directory: %w", err)
+			return fmt.Errorf("job replica directory: %w", err)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	pushCtx, pushCancel := context.WithCancel(context.Background())
 	jm := &jobManager{
-		srv:       srv,
-		store:     store,
-		replicas:  replicas,
-		prefix:    prefix,
-		max:       max,
-		ctx:       ctx,
-		cancel:    cancel,
-		sem:       make(chan struct{}, 1),
-		recovered: make(chan struct{}),
-		jobs:      make(map[string]*job),
+		srv:        srv,
+		store:      store,
+		replicas:   replicas,
+		prefix:     prefix,
+		max:        max,
+		ctx:        ctx,
+		cancel:     cancel,
+		pushCtx:    pushCtx,
+		pushCancel: pushCancel,
+		sem:        make(chan struct{}, 1),
+		recovered:  make(chan struct{}),
+		jobs:       make(map[string]*job),
 	}
+	srv.jobs = jm // recovered jobs replicate through it before New returns
 	jm.wg.Add(1)
 	go jm.recover(names)
-	return jm, nil
+	return nil
 }
 
 // ready reports whether the startup recovery scan has finished; /readyz
@@ -258,29 +268,21 @@ func (jm *jobManager) ready() bool {
 	}
 }
 
-// interrupt cancels every running job; their engines stop within one work
-// chunk and append a final snapshot to the job log.
-func (jm *jobManager) interrupt() {
-	jm.mu.Lock()
-	jm.closed = true
-	jm.mu.Unlock()
-	jm.cancel()
-}
-
-// wait blocks until every job goroutine has returned or ctx expires.
-func (jm *jobManager) wait(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() { jm.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("jobs still draining: %w", ctx.Err())
+// drain waits, bounded by ctx, for the job goroutines and then for the
+// replica pushes they queued (none starts after them), then cancels pushes.
+func (jm *jobManager) drain(ctx context.Context) error {
+	defer jm.pushCancel()
+	for _, wg := range []*sync.WaitGroup{&jm.wg, &jm.pushes} {
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return fmt.Errorf("jobs still draining: %w", ctx.Err())
+		}
 	}
+	return nil
 }
-
-// waitAll is wait without a bound, for Close in tests and embedders.
-func (jm *jobManager) waitAll() { jm.wg.Wait() }
 
 // logName maps a job id onto its store name.
 func logName(id string) string { return id + ".job" }
@@ -415,6 +417,15 @@ func (jm *jobManager) recover(names []string) {
 		if _, err := fmt.Sscanf(id, "job-"+jm.prefix+"%06d", &seq); err == nil && seq > jm.seq {
 			jm.seq = seq
 		}
+		// A survivor may have adopted the job while this peer was down;
+		// running it here too would finish it twice.
+		if j.state == jobPending {
+			if _, ok := jm.srv.remoteJob(jm.ctx, id); ok {
+				jm.srv.logf("jobs: %s: adopted by another peer while this one was down; dropping the local copy", id)
+				jm.store.Remove(name) //nolint:errcheck // best effort: a leftover log is re-checked at the next start
+				continue
+			}
+		}
 		jm.jobs[id] = j
 		if resume != nil {
 			jm.srv.metrics.JobsResumed.Add(1)
@@ -452,7 +463,7 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 
 	<-jm.recovered // ids are allocated only once recovery has fixed the sequence
 	jm.mu.Lock()
-	if jm.closed {
+	if jm.ctx.Err() != nil { // draining
 		jm.mu.Unlock()
 		release()
 		return nil, http.StatusServiceUnavailable, errors.New("server is draining; job not accepted")
@@ -513,7 +524,7 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	}
 
 	jm.mu.Lock()
-	if jm.closed {
+	if jm.ctx.Err() != nil { // draining
 		jm.mu.Unlock()
 		return nil
 	}
@@ -797,7 +808,8 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		// Cluster mode: a job submitted to (or adopted by) another peer is
 		// visible from any peer via a one-hop internal proxy.
-		if s.proxyJobGet(w, r, r.PathValue("id")) {
+		if body, ok := s.remoteJob(r.Context(), r.PathValue("id")); ok {
+			writeJSONBytes(w, http.StatusOK, body)
 			return
 		}
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))

@@ -798,7 +798,7 @@ func TestJobSubmitDrainingRetryAfter(t *testing.T) {
 	s := newTestServer(t, Options{JobsDir: t.TempDir()})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	s.jobs.interrupt()
+	s.jobs.cancel()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"kind": "uncertainty"}`))
 	if err != nil {
 		t.Fatal(err)

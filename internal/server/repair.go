@@ -23,21 +23,21 @@ import (
 )
 
 // repairLoop runs the anti-entropy sweeps at Options.RepairInterval
-// until stopRepair. Started only with both cluster mode and JobsDir.
-func (s *Server) repairLoop() {
-	defer close(s.repairDone)
+// until ctx ends. Started only with both cluster mode and JobsDir.
+func (s *Server) repairLoop(ctx context.Context) {
+	defer s.loops.Done()
 	// Never race the startup recovery scan: adopting or GCing replicas
 	// while recover() is mid-listing would double-track jobs.
 	select {
 	case <-s.jobs.recovered:
-	case <-s.repairStop:
+	case <-ctx.Done():
 		return
 	}
 	t := time.NewTicker(s.opts.RepairInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-s.repairStop:
+		case <-ctx.Done():
 			return
 		case <-t.C:
 		}

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"accelwall/internal/chipdb"
+	"accelwall/internal/resilience"
 	"accelwall/internal/resources"
 )
 
@@ -70,34 +71,31 @@ func (s *Server) resourcesSnapshot() map[string]any {
 	return out
 }
 
-// healInterval is the cadence of the degraded-disk flush loop.
+// healInterval is the cadence of the degraded-disk flush loop, and
+// healRetry the bounded-retry schedule of each tick's flush.
 const healInterval = time.Second
+
+var healRetry = resilience.Policy{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: 2}
 
 // healLoop retries the checkpoint store's in-memory snapshots against
 // the disk while the store is degraded, on a steady cadence with a
-// bounded-retry policy per tick. It exits when healStop closes; a store
-// that heals through a job's own successful write just makes every tick
-// a no-op.
-func (s *Server) healLoop() {
-	defer close(s.healDone)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		<-s.healStop
-		cancel()
-	}()
+// bounded-retry policy per tick. It exits when ctx ends; a store that
+// heals through a job's own successful write just makes every tick a
+// no-op.
+func (s *Server) healLoop(ctx context.Context) {
+	defer s.loops.Done()
 	tick := time.NewTicker(healInterval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-s.healStop:
+		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
 		if !s.jobs.store.Degraded() {
 			continue
 		}
-		err := s.healRetry.Do(ctx, "checkpoint.flush", func(context.Context) error {
+		err := healRetry.Do(ctx, "checkpoint.flush", func(context.Context) error {
 			return s.jobs.store.Flush()
 		})
 		switch {

@@ -50,7 +50,6 @@ import (
 	"accelwall/internal/cluster"
 	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/resilience"
 	"accelwall/internal/resources"
 	"accelwall/internal/sweep"
 )
@@ -226,15 +225,9 @@ type Server struct {
 	draining    atomic.Bool       // set once a graceful drain begins; gates /readyz
 	handler     http.Handler
 
-	replRetry      resilience.Policy // bounded-retry schedule for replica pushes
-	repairStop     chan struct{}     // closes to halt the anti-entropy loop
-	repairDone     chan struct{}     // closed when the loop has exited
-	repairStopOnce sync.Once
-
-	healRetry    resilience.Policy // bounded-retry schedule per degraded-disk flush tick
-	healStop     chan struct{}     // closes to halt the heal loop
-	healDone     chan struct{}     // closed when the loop has exited
-	healStopOnce sync.Once
+	// Repair and heal loops share one server-lifetime context; stop ends it.
+	cancel context.CancelFunc
+	loops  sync.WaitGroup
 }
 
 // New builds a server; no model state is fitted until the first request
@@ -284,66 +277,49 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.cluster = cl
-	s.replRetry = resilience.Policy{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: 1}
 	if opts.JobsDir != "" {
-		jm, err := newJobManager(s, opts.JobsDir, opts.MaxJobs)
-		if err != nil {
+		if err := newJobManager(s, opts.JobsDir, opts.MaxJobs); err != nil {
 			return nil, err
 		}
-		s.jobs = jm
 	}
 	s.handler = s.routes()
 	s.metrics.publish()
 	if s.cluster != nil {
 		s.cluster.Start()
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.cancel = cancel
 	if s.cluster != nil && s.jobs != nil {
-		s.repairStop = make(chan struct{})
-		s.repairDone = make(chan struct{})
-		go s.repairLoop()
+		s.loops.Add(1)
+		go s.repairLoop(ctx)
 	}
 	if s.jobs != nil {
-		s.healRetry = resilience.Policy{Attempts: 3, Base: 100 * time.Millisecond, Max: 2 * time.Second, Seed: 2}
-		s.healStop = make(chan struct{})
-		s.healDone = make(chan struct{})
-		go s.healLoop()
+		s.loops.Add(1)
+		go s.healLoop(ctx)
 	}
 	return s, nil
 }
 
-// stopHeal halts the degraded-disk flush loop and waits for it;
-// idempotent, a no-op when the loop never started.
-func (s *Server) stopHeal() {
-	if s.healStop == nil {
-		return
-	}
-	s.healStopOnce.Do(func() { close(s.healStop) })
-	<-s.healDone
-}
-
-// stopRepair halts the anti-entropy loop and waits for it; idempotent,
-// a no-op when the loop never started.
-func (s *Server) stopRepair() {
-	if s.repairStop == nil {
-		return
-	}
-	s.repairStopOnce.Do(func() { close(s.repairStop) })
-	<-s.repairDone
-}
-
-// Close stops the job subsystem, if any: running jobs are interrupted
-// (each leaves a final resumable snapshot) and their goroutines waited
-// out. Serve performs this itself during a graceful drain; Close is for
-// embedders and tests that use Handler directly.
-func (s *Server) Close() {
-	s.stopRepair()
-	s.stopHeal()
+// stop, shared by Close and Serve, halts and waits out the background
+// loops, stops the prober, then interrupts running jobs. Idempotent.
+func (s *Server) stop() {
+	s.cancel()
+	s.loops.Wait()
 	if s.cluster != nil {
 		s.cluster.Stop()
 	}
 	if s.jobs != nil {
-		s.jobs.interrupt()
-		s.jobs.waitAll()
+		s.jobs.cancel()
+	}
+}
+
+// Close stops the server's background work and waits out its job
+// goroutines. Serve performs this itself during a graceful drain; Close
+// is for embedders and tests that use Handler directly.
+func (s *Server) Close() {
+	s.stop()
+	if s.jobs != nil {
+		s.jobs.drain(context.Background()) //nolint:errcheck // unbounded: cannot expire
 	}
 }
 
@@ -437,14 +413,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	// a final snapshot the next process resumes from — while the HTTP
 	// side drains in parallel.
 	s.draining.Store(true)
-	s.stopRepair()
-	s.stopHeal()
-	if s.cluster != nil {
-		s.cluster.Stop()
-	}
-	if s.jobs != nil {
-		s.jobs.interrupt()
-	}
+	s.stop()
 	s.logf("shutting down: draining in-flight requests (timeout %s)", s.opts.ShutdownTimeout)
 	drainCtx, cancel := context.WithTimeout(context.Background(), s.opts.ShutdownTimeout)
 	defer cancel()
@@ -453,7 +422,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}
 	<-errc // srv.Serve has returned http.ErrServerClosed
 	if s.jobs != nil {
-		if err := s.jobs.wait(drainCtx); err != nil {
+		if err := s.jobs.drain(drainCtx); err != nil {
 			return fmt.Errorf("shutdown: %w", err)
 		}
 	}

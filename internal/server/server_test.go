@@ -349,12 +349,19 @@ func TestSweepDesignsAndValidation(t *testing.T) {
 		"no designs/grid":  `{"workload": "RED"}`,
 		"both":             `{"workload": "RED", "preset": "reduced", "designs": [{"node_nm": 45, "partition": 1, "simplification": 1}]}`,
 		"bad preset":       `{"workload": "RED", "preset": "huge"}`,
-		"invalid design":   `{"workload": "RED", "designs": [{"node_nm": 45, "partition": 0, "simplification": 1}]}`,
 		"bad grid":         `{"workload": "RED", "grid": {"nodes": [45], "partitions": [3000000], "simplifications": [1], "fusion": [false]}}`,
 	} {
 		if status, body := post(t, ts.URL+"/v1/sweep", bad); status != http.StatusBadRequest {
 			t.Fatalf("%s: want 400, got %d %s", name, status, body)
 		}
+	}
+
+	// An invalid design is refused before any engine work, naming it.
+	invalid := `{"workload": "RED", "designs": [{"node_nm": 45, "partition": 1, "simplification": 1},
+		{"node_nm": 45, "partition": 0, "simplification": 1}]}`
+	status, body = post(t, ts.URL+"/v1/sweep", invalid)
+	if status != http.StatusBadRequest || !bytes.Contains(body, []byte(`designs[1]`)) {
+		t.Fatalf("invalid design: want 400 naming designs[1], got %d %s", status, body)
 	}
 }
 

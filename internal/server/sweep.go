@@ -115,6 +115,11 @@ func (r *sweepRequest) check(s *Server, job bool) error {
 			return fmt.Errorf("grid has %d points, limit %d", n, s.opts.MaxGridPoints)
 		}
 	}
+	for i, d := range r.Designs {
+		if err := d.Design().Validate(); err != nil {
+			return badField(fmt.Sprintf("designs[%d]", i), "%v", err)
+		}
+	}
 	return jobWorkload(job, r.Workload)
 }
 
@@ -241,7 +246,8 @@ func (r *sweepRequest) serve(s *Server, w http.ResponseWriter, req *http.Request
 		if s.cancelled(w, req, err) {
 			return
 		}
-		writeError(w, http.StatusBadRequest, "%v", err)
+		// check validated every design and the grid: a failure is ours.
+		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	resp := r.response(points, eng.CachedPoints())
