@@ -51,6 +51,7 @@ func main() {
 // the test suite.
 func run(ctx context.Context, args []string, logDst io.Writer) error {
 	fs := flag.NewFlagSet("accelwalld", flag.ContinueOnError)
+	fs.SetOutput(logDst)
 	addr := fs.String("addr", ":8080", "listen address")
 	seed := fs.Int64("seed", 1, "synthetic datasheet corpus seed for the default study")
 	published := fs.Bool("published", false, "use published regression constants (skip corpus fitting)")
@@ -67,13 +68,11 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 	peers := fs.String("peers", "", "comma-separated cluster peer URLs including this peer's own, or @FILE with one URL per line (>= 2 peers enables cluster mode)")
 	self := fs.String("self", "", "this peer's own URL within -peers; requires -peers")
 	probeInterval := fs.Duration("probe-interval", 0, "cluster peer health-probe cadence (0 = 500ms)")
-	hedgeDelay := fs.Duration("hedge-delay", 0, "how long a scatter waits on a straggler slice before duplicating it (0 = 2s)")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive slice failures that trip a peer's circuit breaker open (0 = 5); requires -peers")
 	repairInterval := fs.Duration("repair-interval", 0, "anti-entropy replica repair cadence (0 = 5s); requires -peers and -jobs")
 	apiKeysFile := fs.String("api-keys", "", "API key file (lines of name:key[:rps[:burst]]); enables per-tenant auth + quotas on heavy endpoints")
 	memBudget := fs.Int64("mem-budget", 0, "memory budget in bytes for admitted heavy requests and queued jobs (0 = half the Go memory limit, else 2 GiB; negative disables)")
 	maxBody := fs.Int64("max-body", 0, "max request body bytes before a 413 (0 = 8 MiB)")
-	watchdogDeadline := fs.Duration("watchdog-deadline", 0, "how long a worker-pool chunk or remote slice may stall before the watchdog dumps stacks and requeues it once (0 = 30s; negative disables)")
+	watchdogDeadline := fs.Duration("watchdog-deadline", 0, "how long a worker-pool chunk may stall before the watchdog dumps stacks and requeues it once (0 = 30s; negative disables)")
 	quiet := fs.Bool("quiet", false, "disable access logging")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,9 +92,6 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 	}
 	if len(peerList) > 0 && *self == "" {
 		return fmt.Errorf("-peers requires -self")
-	}
-	if *breakerThreshold != 0 && len(peerList) == 0 {
-		return fmt.Errorf("-breaker-threshold requires -peers")
 	}
 	if *repairInterval != 0 && (len(peerList) == 0 || *jobsDir == "") {
 		return fmt.Errorf("-repair-interval requires -peers and -jobs")
@@ -126,8 +122,6 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 		ClusterPeers:     peerList,
 		ClusterSelf:      *self,
 		ProbeInterval:    *probeInterval,
-		HedgeDelay:       *hedgeDelay,
-		BreakerThreshold: *breakerThreshold,
 		RepairInterval:   *repairInterval,
 		APIKeys:          apiKeys,
 		MemBudget:        *memBudget,

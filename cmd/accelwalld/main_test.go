@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"io"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -19,11 +24,13 @@ func TestRunFlagErrors(t *testing.T) {
 		args []string
 		want string
 	}{
-		"negative workers": {[]string{"-workers=-1"}, "-workers must be >= 0"},
-		"extra args":       {[]string{"serve", "now"}, "unexpected arguments"},
-		"unknown flag":     {[]string{"-frobnicate"}, "flag provided but not defined"},
-		"bad duration":     {[]string{"-timeout", "fast"}, "invalid value"},
-		"orphan max-jobs":  {[]string{"-max-jobs", "8"}, "-max-jobs requires -jobs"},
+		"negative workers":          {[]string{"-workers=-1"}, "-workers must be >= 0"},
+		"extra args":                {[]string{"serve", "now"}, "unexpected arguments"},
+		"unknown flag":              {[]string{"-frobnicate"}, "flag provided but not defined"},
+		"bad duration":              {[]string{"-timeout", "fast"}, "invalid value"},
+		"orphan max-jobs":           {[]string{"-max-jobs", "8"}, "-max-jobs requires -jobs"},
+		"removed hedge-delay":       {[]string{"-hedge-delay", "1s"}, "flag provided but not defined"},
+		"removed breaker-threshold": {[]string{"-breaker-threshold", "3"}, "flag provided but not defined"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(context.Background(), tc.args, io.Discard)
@@ -35,6 +42,37 @@ func TestRunFlagErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFlagTableMatchesUsage: the flag table in docs/API.md names exactly
+// the flags the daemon defines, so a flag added or removed without its
+// row fails here.
+func TestFlagTableMatchesUsage(t *testing.T) {
+	var usage bytes.Buffer
+	if err := run(context.Background(), []string{"-h"}, &usage); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section, _, _ := strings.Cut(string(doc), "**Graceful shutdown.**")
+	_, table, _ := strings.Cut(section, "| Flag |")
+	defined := flagNames(`(?m)^  (-[a-z-]+)`, usage.String())
+	documented := flagNames("(?m)^\\| `(-[a-z-]+)`", table)
+	if len(defined) == 0 || !slices.Equal(defined, documented) {
+		t.Fatalf("docs/API.md flag table drifted from accelwalld -h:\n  -h:    %v\n  table: %v", defined, documented)
+	}
+}
+
+// flagNames returns the sorted first submatches of pattern in text.
+func flagNames(pattern, text string) []string {
+	var names []string
+	for _, m := range regexp.MustCompile(pattern).FindAllStringSubmatch(text, -1) {
+		names = append(names, m[1])
+	}
+	slices.Sort(names)
+	return names
 }
 
 // TestRunBadJobsDir verifies an unusable -jobs path refuses to start the

@@ -13,12 +13,11 @@ import (
 	"time"
 
 	"accelwall/internal/faultinject"
-	"accelwall/internal/resilience"
 )
 
 // SiteSlice is the fault-injection seam on the peer side of the slice
 // exchange: chaos tests arm it to make a peer shed or fail slices so the
-// coordinator's stealing and hedging paths execute deterministically.
+// coordinator's stealing path executes deterministically.
 var SiteSlice = faultinject.Register("cluster.slice")
 
 // Transport seams: partition chaos arms these with faultinject
@@ -55,32 +54,12 @@ type Options struct {
 	// peer dead (<= 0: 3). A dead peer's keys and jobs move to ring
 	// successors; a probe success resurrects it.
 	DeathThreshold int
-	// HedgeDelay is how long the gather waits on a straggler slice before
-	// duplicating it on another peer (<= 0: 2s; duplicated work is
-	// bit-identical, so hedging is always safe).
-	HedgeDelay time.Duration
 	// SliceTimeout bounds one slice attempt end to end (<= 0: 60s).
 	SliceTimeout time.Duration
-	// BreakerThreshold is how many consecutive slice failures trip a
-	// peer's circuit breaker open (<= 0: 5). An open breaker removes
-	// the peer from candidate lists until the cooldown admits a
-	// half-open probe, so stealing skips it instead of burning a
-	// timeout. Sheds (429/503) do not count: a shedding peer is alive.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects before
-	// admitting its half-open probe (<= 0: 2s).
-	BreakerCooldown time.Duration
-	// WatchdogDeadline, when > 0, declares a remote slice attempt wedged
-	// once it has been in flight this long without answering: the peer's
-	// breaker is fed a failure immediately (instead of waiting out the
-	// full SliceTimeout), so candidate lists route around the wedged
-	// peer while the hedge/steal path re-runs the slice elsewhere. It
-	// should be set below SliceTimeout to have any effect.
-	WatchdogDeadline time.Duration
 	// OnDeath, when set, is called once per transition alive -> dead,
 	// from the prober goroutine. The server hooks job adoption here.
 	OnDeath func(peer string)
-	// Logger receives membership transitions and steal/hedge decisions;
+	// Logger receives membership transitions and steal decisions;
 	// nil silences logging.
 	Logger *log.Logger
 }
@@ -92,16 +71,12 @@ type Metrics struct {
 	SlicesLocal   atomic.Int64 // slices executed on this peer by its own coordinator
 	SliceErrors   atomic.Int64 // remote attempts that failed (shed, died, bad frame)
 	Steals        atomic.Int64 // slices reassigned after a shed or failure
-	Hedges        atomic.Int64 // duplicate slice attempts launched on stragglers
 	Scatters      atomic.Int64 // scatter-gather operations coordinated
 	ScatterFails  atomic.Int64 // scatters that exhausted every candidate
 	Deaths        atomic.Int64 // alive -> dead transitions observed
 	Resurrections atomic.Int64 // dead -> alive transitions observed
 	Adopted       atomic.Int64 // durable jobs adopted from dead peers
 
-	BreakerTrips     atomic.Int64 // breaker transitions to open (incl. half-open reopens)
-	BreakerSkips     atomic.Int64 // candidate peers skipped because their breaker was open
-	WatchdogFires    atomic.Int64 // remote slices declared wedged past the watchdog deadline
 	ReplicaPushFails atomic.Int64 // job-replica pushes that exhausted their retries
 	RepairRuns       atomic.Int64 // anti-entropy repair sweeps completed
 	RepairPushes     atomic.Int64 // replicas re-pushed or forwarded by the repair loop
@@ -115,16 +90,12 @@ func (m *Metrics) Snapshot(c *Cluster) map[string]any {
 		"slices_local":  m.SlicesLocal.Load(),
 		"slice_errors":  m.SliceErrors.Load(),
 		"steals":        m.Steals.Load(),
-		"hedges":        m.Hedges.Load(),
 		"scatters":      m.Scatters.Load(),
 		"scatter_fails": m.ScatterFails.Load(),
 		"deaths":        m.Deaths.Load(),
 		"resurrections": m.Resurrections.Load(),
 		"jobs_adopted":  m.Adopted.Load(),
 
-		"breaker_trips":      m.BreakerTrips.Load(),
-		"breaker_skips":      m.BreakerSkips.Load(),
-		"watchdog_fires":     m.WatchdogFires.Load(),
 		"replica_push_fails": m.ReplicaPushFails.Load(),
 		"repair_runs":        m.RepairRuns.Load(),
 		"repair_pushes":      m.RepairPushes.Load(),
@@ -134,7 +105,6 @@ func (m *Metrics) Snapshot(c *Cluster) map[string]any {
 		out["self"] = c.Self()
 		out["peers"] = len(c.ring.Peers())
 		out["alive"] = len(c.Alive())
-		out["breakers"] = c.BreakerStates()
 	}
 	return out
 }
@@ -147,11 +117,10 @@ type peerState struct {
 
 // Cluster is one peer's membership view plus the scatter-gather client.
 type Cluster struct {
-	opts     Options
-	ring     *Ring
-	http     *http.Client
-	Metrics  Metrics
-	breakers map[string]*resilience.Breaker // remote peer -> circuit breaker
+	opts    Options
+	ring    *Ring
+	http    *http.Client
+	Metrics Metrics
 
 	mu    sync.Mutex
 	state map[string]*peerState
@@ -181,17 +150,8 @@ func New(opts Options) (*Cluster, error) {
 	if opts.DeathThreshold <= 0 {
 		opts.DeathThreshold = 3
 	}
-	if opts.HedgeDelay <= 0 {
-		opts.HedgeDelay = 2 * time.Second
-	}
 	if opts.SliceTimeout <= 0 {
 		opts.SliceTimeout = 60 * time.Second
-	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 2 * time.Second
 	}
 	selfKnown := false
 	seen := make(map[string]bool, len(opts.Peers))
@@ -211,21 +171,16 @@ func New(opts Options) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: self %q is not in the peer list", opts.Self)
 	}
 	c := &Cluster{
-		opts:     opts,
-		ring:     NewRing(opts.Peers),
-		http:     &http.Client{},
-		breakers: make(map[string]*resilience.Breaker),
-		state:    make(map[string]*peerState),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
+		opts:  opts,
+		ring:  NewRing(opts.Peers),
+		http:  &http.Client{},
+		state: make(map[string]*peerState),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	for _, p := range opts.Peers {
 		if p != opts.Self {
 			c.state[p] = &peerState{}
-			c.breakers[p] = resilience.NewBreaker(resilience.BreakerOptions{
-				Threshold: opts.BreakerThreshold,
-				Cooldown:  opts.BreakerCooldown,
-			})
 		}
 	}
 	return c, nil
@@ -325,39 +280,6 @@ func (c *Cluster) Member(peer string) bool {
 	defer c.mu.Unlock()
 	_, ok := c.state[peer]
 	return ok
-}
-
-// BreakerStates renders every remote peer's breaker position for the
-// metrics snapshot.
-func (c *Cluster) BreakerStates() map[string]string {
-	out := make(map[string]string, len(c.breakers))
-	for p, b := range c.breakers {
-		out[p] = b.State().String()
-	}
-	return out
-}
-
-// breakerAllows is the non-consuming routing check used by candidates.
-func (c *Cluster) breakerAllows(peer string) bool {
-	b := c.breakers[peer]
-	return b == nil || b.Allows()
-}
-
-// noteSliceOutcome feeds one remote attempt's outcome into the peer's
-// breaker, counting trips.
-func (c *Cluster) noteSliceOutcome(peer string, ok bool) {
-	b := c.breakers[peer]
-	if b == nil {
-		return
-	}
-	if ok {
-		b.OnSuccess()
-		return
-	}
-	if b.OnFailure() {
-		c.Metrics.BreakerTrips.Add(1)
-		c.logf("cluster: breaker for %s tripped open", peer)
-	}
 }
 
 // reportFailure feeds a slice-level connection failure into the failure
@@ -460,19 +382,9 @@ func (c *Cluster) probe(peer string) bool {
 // feeding the failure detector.
 var errShed = errors.New("cluster: peer shed the slice")
 
-// errBreakerOpen marks a slice attempt rejected locally by the peer's
-// open breaker: no frame was sent, no timeout burned; the gather
-// steals the slice to the next candidate.
-var errBreakerOpen = errors.New("cluster: breaker open")
-
-// sendSlice performs one remote slice attempt: breaker admission, the
-// partition-chaos transport seam, then the HTTP exchange, with the
-// outcome fed back into the peer's breaker. Sheds count as successes
-// for the breaker — a shedding peer is alive and responsive.
+// sendSlice performs one remote slice attempt: the partition-chaos
+// transport seam, then the HTTP exchange.
 func (c *Cluster) sendSlice(ctx context.Context, peer string, frame []byte) (*SliceResponse, error) {
-	if b := c.breakers[peer]; b != nil && !b.Admit() {
-		return nil, fmt.Errorf("%w for %s", errBreakerOpen, peer)
-	}
 	op := faultinject.Transport(SiteTransportSlice, c.opts.Self+"->"+peer)
 	if op.Delay > 0 {
 		time.Sleep(op.Delay)
@@ -480,7 +392,6 @@ func (c *Cluster) sendSlice(ctx context.Context, peer string, frame []byte) (*Sl
 	if op.Drop {
 		c.Metrics.SlicesSent.Add(1)
 		c.reportFailure(peer)
-		c.noteSliceOutcome(peer, false)
 		return nil, fmt.Errorf("%w: slice %s->%s", faultinject.ErrPartitioned, c.opts.Self, peer)
 	}
 	if op.Duplicate {
@@ -489,32 +400,7 @@ func (c *Cluster) sendSlice(ctx context.Context, peer string, frame []byte) (*Sl
 		// the receiver needs no dedup for correctness.
 		c.postSlice(ctx, peer, frame) //nolint:errcheck // duplicate delivery
 	}
-	// The remote-slice watchdog: a peer that accepted the frame but
-	// never answers (wedged worker pool, half-open TCP connection) burns
-	// the full SliceTimeout before the breaker learns anything. With a
-	// deadline armed, the wedge is declared early and fed to the breaker
-	// so routing moves off the peer while this attempt keeps waiting.
-	var wdFired atomic.Bool
-	if d := c.opts.WatchdogDeadline; d > 0 {
-		wd := time.AfterFunc(d, func() {
-			wdFired.Store(true)
-			c.Metrics.WatchdogFires.Add(1)
-			c.noteSliceOutcome(peer, false)
-			c.logf("cluster: watchdog: slice to %s wedged past %s; counted a breaker failure", peer, d)
-		})
-		defer wd.Stop()
-	}
-	resp, err := c.postSlice(ctx, peer, frame)
-	switch {
-	case wdFired.Load():
-		// The breaker already absorbed this attempt as a failure; a
-		// late success must not erase evidence of the wedge.
-	case err == nil, errors.Is(err, errShed):
-		c.noteSliceOutcome(peer, true)
-	default:
-		c.noteSliceOutcome(peer, false)
-	}
-	return resp, err
+	return c.postSlice(ctx, peer, frame)
 }
 
 // postSlice is the raw HTTP slice exchange.
@@ -561,25 +447,13 @@ func sliceKey(key string, i int) string { return fmt.Sprintf("%s#%d", key, i) }
 
 // candidates returns the slice's attempt order: the ring owner of its
 // key first, then the remaining alive peers clockwise, self included.
-// Peers whose circuit breaker is open are skipped — the slice routes
-// around them without burning an attempt timeout. sendSlice re-checks
-// admission, so a peer that trips between planning and send is still
-// rejected cheaply.
 func (c *Cluster) candidates(key string, i int) []string {
 	all := c.ring.Successors(sliceKey(key, i), len(c.ring.Peers()))
 	out := make([]string, 0, len(all))
 	for _, p := range all {
-		if !c.alive(p) {
-			continue
+		if c.alive(p) {
+			out = append(out, p)
 		}
-		if p != c.opts.Self && !c.breakerAllows(p) {
-			c.Metrics.BreakerSkips.Add(1)
-			continue
-		}
-		out = append(out, p)
-	}
-	if len(out) == 0 {
-		out = append(out, c.opts.Self) // nobody admittable but us: compute locally
 	}
 	return out
 }
@@ -600,8 +474,7 @@ func (c *Cluster) runOn(ctx context.Context, peer string, req *SliceRequest, fra
 //
 // Per slice: the ring owner gets the first attempt; a shed (429/503),
 // death, or malformed frame moves the slice to the next alive candidate
-// (a steal); a straggler past HedgeDelay gets a duplicate attempt on the
-// next candidate (a hedge) and the first result wins. The returned error
+// (a steal). A slow peer is waited out, up to SliceTimeout. The returned error
 // is the first slice that exhausted every candidate — partial results
 // are never returned, because a merged response must be complete to be
 // byte-identical to a single-node run.
@@ -627,70 +500,27 @@ func (c *Cluster) Scatter(ctx context.Context, key string, reqs []*SliceRequest,
 	return out, nil
 }
 
-// gatherOne drives one slice to completion through steals and hedges.
+// gatherOne drives one slice to completion: it tries the candidates in
+// order and steals the slice to the next one after a failure or shed.
 func (c *Cluster) gatherOne(ctx context.Context, key string, i int, req *SliceRequest, local LocalFunc) (*SliceResponse, error) {
 	frame := EncodeRequest(req)
 	cands := c.candidates(key, i)
-
-	type attempt struct {
-		resp *SliceResponse
-		err  error
-		peer string
-	}
-	results := make(chan attempt, len(cands)+1)
-	launch := func(peer string) {
-		go func() {
-			resp, err := c.runOn(ctx, peer, req, frame, local)
-			results <- attempt{resp: resp, err: err, peer: peer}
-		}()
-	}
-
-	next := 0
-	inflight := 0
-	start := func() bool {
-		if next >= len(cands) {
-			return false
+	var err error
+	for n, peer := range cands {
+		if n > 0 {
+			c.Metrics.Steals.Add(1)
+			c.logf("cluster: stealing slice %s#%d from %s (%v) onto %s", key, i, cands[n-1], err, peer)
 		}
-		launch(cands[next])
-		next++
-		inflight++
-		return true
-	}
-	start()
-
-	hedge := time.NewTimer(c.opts.HedgeDelay)
-	defer hedge.Stop()
-	var lastErr error
-	for {
-		select {
-		case <-ctx.Done():
+		var resp *SliceResponse
+		if resp, err = c.runOn(ctx, peer, req, frame, local); err == nil && resp != nil {
+			return resp, nil
+		}
+		c.Metrics.SliceErrors.Add(1)
+		if ctx.Err() != nil {
 			return nil, ctx.Err()
-		case <-hedge.C:
-			// The straggler path: duplicate the slice on the next
-			// candidate. Both attempts keep running; first wins.
-			if start() {
-				c.Metrics.Hedges.Add(1)
-				c.logf("cluster: hedging slice %s#%d onto %s", key, i, cands[next-1])
-			}
-		case a := <-results:
-			inflight--
-			if a.err == nil && a.resp != nil {
-				return a.resp, nil
-			}
-			lastErr = a.err
-			c.Metrics.SliceErrors.Add(1)
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// Steal: move the slice to the next candidate.
-			if start() {
-				c.Metrics.Steals.Add(1)
-				c.logf("cluster: stealing slice %s#%d from %s (%v) onto %s", key, i, a.peer, a.err, cands[next-1])
-			} else if inflight == 0 {
-				return nil, fmt.Errorf("cluster: slice %s#%d failed on every candidate: %w", key, i, lastErr)
-			}
 		}
 	}
+	return nil, fmt.Errorf("cluster: slice %s#%d failed on every candidate: %w", key, i, err)
 }
 
 func (c *Cluster) logf(format string, args ...any) {

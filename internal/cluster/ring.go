@@ -1,15 +1,13 @@
 // Package cluster is the distribution layer of accelwalld: static peer
 // membership with failure detection, a consistent-hash ring assigning
 // engine-cache keys, request slices, and durable jobs to peers, and a
-// scatter–gather client with per-slice deadlines, hedged requests for
-// stragglers, and work-stealing reassignment when a peer sheds (429/503)
-// or dies.
+// scatter–gather client with per-slice deadlines and work-stealing
+// reassignment when a peer sheds (429/503) or dies.
 //
 // The design leans entirely on the determinism the compute engines
 // already guarantee: every slice is a pure function of (request, range),
-// so duplicated work from hedging or stealing is bit-identical and the
-// merged output matches a single-node run byte for byte at any shard
-// count.
+// so a stolen slice's work is bit-identical and the merged output
+// matches a single-node run byte for byte at any shard count.
 package cluster
 
 import (

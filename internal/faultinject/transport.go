@@ -14,7 +14,7 @@ var ErrPartitioned = errors.New("faultinject: frame dropped by partition rule")
 // The zero value delivers the frame untouched.
 type TransportOp struct {
 	// Drop discards the frame: the sender sees a connection-level
-	// failure (feeding breakers and the failure detector) and the
+	// failure (feeding the failure detector) and the
 	// receiver never sees the frame.
 	Drop bool
 	// Delay sleeps before the frame is sent (applies even when the

@@ -1,3 +1,6 @@
+// Package resilience provides bounded retries with seeded exponential
+// backoff over an injectable sleeper, so every retry schedule is
+// unit-testable without wall-clock sleeps.
 package resilience
 
 import (

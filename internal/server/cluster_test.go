@@ -262,9 +262,8 @@ func TestClusterMetricsExposed(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d", status)
 	}
-	for _, want := range []string{`"cluster"`, `"scatters"`, `"alive"`, `"slices_served"`, `"steals"`, `"hedges"`,
-		`"breaker_trips"`, `"breaker_skips"`, `"breakers"`, `"replica_push_fails"`,
-		`"repair_runs"`, `"repair_pushes"`, `"repair_gcs"`, `"degraded_served"`} {
+	for _, want := range []string{`"cluster"`, `"scatters"`, `"alive"`, `"slices_served"`, `"steals"`,
+		`"replica_push_fails"`, `"repair_runs"`, `"repair_pushes"`, `"repair_gcs"`, `"degraded_served"`} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("metrics missing %s", want)
 		}
@@ -361,7 +360,6 @@ func BenchmarkClusterSweep(b *testing.B) {
 			b.ReportMetric(float64(len(lats))/elapsed.Seconds(), "req/s")
 			b.ReportMetric(float64(p99.Microseconds())/1000, "p99_ms")
 			if peers[0].s.cluster != nil {
-				b.ReportMetric(float64(peers[0].s.cluster.Metrics.Hedges.Load()), "hedges")
 				b.ReportMetric(float64(peers[0].s.cluster.Metrics.Steals.Load()), "steals")
 			}
 		})

@@ -124,19 +124,6 @@ type Options struct {
 	// ProbeInterval is the peer health-probe cadence (<= 0: 500ms).
 	ProbeInterval time.Duration
 
-	// HedgeDelay is how long a scatter waits on a straggler slice before
-	// duplicating it on another peer (<= 0: 2s).
-	HedgeDelay time.Duration
-
-	// BreakerThreshold is how many consecutive slice failures trip a
-	// peer's circuit breaker open, removing it from scatter candidate
-	// lists until a half-open probe succeeds (<= 0: 5).
-	BreakerThreshold int
-
-	// BreakerCooldown is how long an open breaker rejects before
-	// admitting its half-open probe (<= 0: 2s).
-	BreakerCooldown time.Duration
-
 	// RepairInterval is the anti-entropy repair cadence: each tick
 	// re-replicates local jobs whose ring successor changed or whose
 	// last push failed, and garbage-collects replicas the ring no
@@ -160,9 +147,9 @@ type Options struct {
 	// 413 (<= 0: 8 MiB).
 	MaxBodyBytes int64
 
-	// WatchdogDeadline is how long a worker-pool chunk (or a remote
-	// cluster slice) may run without progress before the stuck-work
-	// watchdog dumps goroutine stacks and requeues it once
+	// WatchdogDeadline is how long a worker-pool chunk may run without
+	// progress before the stuck-work watchdog dumps goroutine stacks and
+	// requeues it once
 	// (0: 30 s; negative: watchdog disabled).
 	WatchdogDeadline time.Duration
 
@@ -262,16 +249,12 @@ func New(opts Options) (*Server, error) {
 	// The cluster layer comes before the job manager so jobs can derive
 	// their peer-unique id prefix and open the replica store.
 	cl, err := cluster.New(cluster.Options{
-		Self:             opts.ClusterSelf,
-		Peers:            opts.ClusterPeers,
-		ProbeInterval:    opts.ProbeInterval,
-		HedgeDelay:       opts.HedgeDelay,
-		SliceTimeout:     opts.RequestTimeout,
-		WatchdogDeadline: max(0, opts.WatchdogDeadline),
-		BreakerThreshold: opts.BreakerThreshold,
-		BreakerCooldown:  opts.BreakerCooldown,
-		OnDeath:          s.adoptFrom,
-		Logger:           opts.Logger,
+		Self:          opts.ClusterSelf,
+		Peers:         opts.ClusterPeers,
+		ProbeInterval: opts.ProbeInterval,
+		SliceTimeout:  opts.RequestTimeout,
+		OnDeath:       s.adoptFrom,
+		Logger:        opts.Logger,
 	})
 	if err != nil {
 		return nil, err

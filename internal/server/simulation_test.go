@@ -225,8 +225,7 @@ func newSimPlan(seed uint64) simPlan {
 
 // options configures one peer under the plan.
 func (p simPlan) options(o *Options, jobsDir string) {
-	o.JobsDir, o.RepairInterval, o.HedgeDelay = jobsDir, 50*time.Millisecond, 50*time.Millisecond
-	o.BreakerThreshold, o.BreakerCooldown = 2, 200*time.Millisecond
+	o.JobsDir, o.RepairInterval = jobsDir, 50*time.Millisecond
 	if p.faults&simWedge != 0 {
 		o.WatchdogDeadline = 300 * time.Millisecond
 	}
@@ -239,8 +238,8 @@ func (p simPlan) options(o *Options, jobsDir string) {
 }
 
 // injector arms the plan's rules and transport faults: the victim's first
-// inbound slice frames dropped (steals, breaker trips), later frames
-// duplicated or delayed past HedgeDelay (hedges), replica pushes dropped
+// inbound slice frames dropped (steals), later frames duplicated or
+// delayed 150 ms (a slow slice the gather waits out), replica pushes dropped
 // until the heal (repair), and probes into the victim dropped for a while
 // (a false death, then a resurrection).
 func (p simPlan) injector(peers []*clusterPeer) *faultinject.Injector {
@@ -349,7 +348,7 @@ func (r *simRun) await(cond func() bool, format string, args ...any) {
 // route, the corpus must drive: an oracle that holds while a mechanism
 // never fires proves nothing about it.
 var simMechanisms = []string{
-	"cluster.scatters", "cluster.hedges", "cluster.steals", "cluster.breaker_trips", "cluster.breaker_skips",
+	"cluster.scatters", "cluster.steals",
 	"cluster.replica_push_fails", "cluster.repair_pushes", "cluster.deaths", "cluster.resurrections",
 	"cluster.jobs_adopted", "overload.degraded_served", "overload.shed_429", "overload.shed_503",
 	"resources.mem_sheds", "resources.disk_mem_snapshots", "resources.watchdog_fires", "readyz disk-degraded",

@@ -114,4 +114,4 @@ bench BENCH_resources.json ./internal/server/ '^(BenchmarkSweepWarm|BenchmarkRes
   "Memory-budgeted admission overhead (internal/resources through internal/server): BenchmarkResources/ledger is one cost estimate plus a TryReserve/release round trip on the shared byte budget, everything admission adds to a costed request; BenchmarkSweepWarm/serial is the served warm sweep it guards. Target: admission_ledger_sweep < 0.01." \
   "admission_ledger_sweep BenchmarkResources/ledger BenchmarkSweepWarm/serial"
 bench BENCH_cluster.json ./internal/server/ '^BenchmarkClusterSweep$' \
-  "Sharded cluster scatter-gather (internal/cluster + internal/server): warm sweep requests round-robined by RunParallel clients across the peers of an in-process consistent-hash cluster, 1 peer vs 3, after warming every peer. peers=1 builds no cluster (the server's cluster is nil), so it runs the same single-node path as BenchmarkSweepWarm/parallel in BENCH_server.json. req/s is completed requests over wall time, p99_ms comes from per-request latencies, and hedges and steals (peers=3 only) from the coordinator's ring metrics. Responses are byte-identical to a single node at every shard count; aggregate req/s can rise with peers only when host.cpus >= peers."
+  "Sharded cluster scatter-gather (internal/cluster + internal/server): warm sweep requests round-robined by RunParallel clients across the peers of an in-process consistent-hash cluster, 1 peer vs 3, after warming every peer. peers=1 builds no cluster (the server's cluster is nil), so it runs the same single-node path as BenchmarkSweepWarm/parallel in BENCH_server.json. req/s is completed requests over wall time, p99_ms comes from per-request latencies, and steals (peers=3 only) from the coordinator's ring metrics. Responses are byte-identical to a single node at every shard count; aggregate req/s can rise with peers only when host.cpus >= peers."

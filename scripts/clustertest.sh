@@ -53,7 +53,7 @@ go build -o "$WORK/accelwall" ./cmd/accelwall
 start_peer() { # start_peer N PORT — pid lands in $STARTED_PID
   "$WORK/accelwalld" -addr "127.0.0.1:$2" -peers "$PEERS" \
     -self "http://127.0.0.1:$2" -jobs "$WORK/jobs$1" -probe-interval 100ms \
-    -breaker-threshold 3 -repair-interval 500ms \
+    -repair-interval 500ms \
     -quiet > "$WORK/peer$1.log" 2>&1 &
   STARTED_PID=$!
   disown "$STARTED_PID" # keep SIGKILL cleanup out of the job-control log
