@@ -25,6 +25,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +42,8 @@ import (
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
+	err := run(ctx, os.Args[1:], os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) { // -h already printed the usage
 		fmt.Fprintln(os.Stderr, "accelwalld:", err)
 		os.Exit(1)
 	}
@@ -72,7 +74,6 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 	apiKeysFile := fs.String("api-keys", "", "API key file (lines of name:key[:rps[:burst]]); enables per-tenant auth + quotas on heavy endpoints")
 	memBudget := fs.Int64("mem-budget", 0, "memory budget in bytes for admitted heavy requests and queued jobs (0 = half the Go memory limit, else 2 GiB; negative disables)")
 	maxBody := fs.Int64("max-body", 0, "max request body bytes before a 413 (0 = 8 MiB)")
-	watchdogDeadline := fs.Duration("watchdog-deadline", 0, "how long a worker-pool chunk may stall before the watchdog dumps stacks and requeues it once (0 = 30s; negative disables)")
 	quiet := fs.Bool("quiet", false, "disable access logging")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -107,27 +108,26 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 		logger = log.New(logDst, "accelwalld ", log.LstdFlags)
 	}
 	s, err := server.New(server.Options{
-		Seed:             *seed,
-		Published:        *published,
-		FullGrid:         *full,
-		Workers:          *workers,
-		RequestTimeout:   *timeout,
-		ShutdownTimeout:  *shutdownTimeout,
-		MaxInflight:      *maxInflight,
-		MaxQueue:         *maxQueue,
-		EngineCacheSize:  *cacheSize,
-		MaxGridPoints:    *maxGrid,
-		JobsDir:          *jobsDir,
-		MaxJobs:          *maxJobs,
-		ClusterPeers:     peerList,
-		ClusterSelf:      *self,
-		ProbeInterval:    *probeInterval,
-		RepairInterval:   *repairInterval,
-		APIKeys:          apiKeys,
-		MemBudget:        *memBudget,
-		MaxBodyBytes:     *maxBody,
-		WatchdogDeadline: *watchdogDeadline,
-		Logger:           logger,
+		Seed:            *seed,
+		Published:       *published,
+		FullGrid:        *full,
+		Workers:         *workers,
+		RequestTimeout:  *timeout,
+		ShutdownTimeout: *shutdownTimeout,
+		MaxInflight:     *maxInflight,
+		MaxQueue:        *maxQueue,
+		EngineCacheSize: *cacheSize,
+		MaxGridPoints:   *maxGrid,
+		JobsDir:         *jobsDir,
+		MaxJobs:         *maxJobs,
+		ClusterPeers:    peerList,
+		ClusterSelf:     *self,
+		ProbeInterval:   *probeInterval,
+		RepairInterval:  *repairInterval,
+		APIKeys:         apiKeys,
+		MemBudget:       *memBudget,
+		MaxBodyBytes:    *maxBody,
+		Logger:          logger,
 	})
 	if err != nil {
 		return err

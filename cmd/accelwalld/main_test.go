@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"slices"
@@ -31,6 +32,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"orphan max-jobs":           {[]string{"-max-jobs", "8"}, "-max-jobs requires -jobs"},
 		"removed hedge-delay":       {[]string{"-hedge-delay", "1s"}, "flag provided but not defined"},
 		"removed breaker-threshold": {[]string{"-breaker-threshold", "3"}, "flag provided but not defined"},
+		"removed watchdog-deadline": {[]string{"-watchdog-deadline", "1s"}, "flag provided but not defined"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(context.Background(), tc.args, io.Discard)
@@ -62,6 +64,27 @@ func TestFlagTableMatchesUsage(t *testing.T) {
 	documented := flagNames("(?m)^\\| `(-[a-z-]+)`", table)
 	if len(defined) == 0 || !slices.Equal(defined, documented) {
 		t.Fatalf("docs/API.md flag table drifted from accelwalld -h:\n  -h:    %v\n  table: %v", defined, documented)
+	}
+}
+
+// TestHelpExitsZero re-executes the test binary as the daemon with -h:
+// asking for the usage is not an error, so it prints only the usage and
+// exits 0.
+func TestHelpExitsZero(t *testing.T) {
+	if os.Getenv("ACCELWALLD_RUN_MAIN") == "1" {
+		os.Args = []string{"accelwalld", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+	cmd.Env = append(os.Environ(), "ACCELWALLD_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("accelwalld -h: %v\n%s", err, stderr.String())
+	}
+	if out := stderr.String(); !strings.Contains(out, "Usage of accelwalld") || strings.Contains(out, "help requested") {
+		t.Fatalf("accelwalld -h printed more than the usage:\n%s", out)
 	}
 }
 

@@ -58,6 +58,14 @@ func (s *Store) Stashed() int {
 	return len(s.stash)
 }
 
+// InMemory reports whether name's newest record lives only in the
+// in-memory stash, waiting for the disk to take it.
+func (s *Store) InMemory(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stash[name] != nil
+}
+
 // MemSaves reports how many snapshots have been diverted to memory over
 // the store's lifetime.
 func (s *Store) MemSaves() int64 {

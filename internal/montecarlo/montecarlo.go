@@ -400,8 +400,8 @@ func (e *Engine) replicateSafe(cfg Config, idx int, s *scratch) (out replicateOu
 // resources.RunChunks, reporting each completed slot to the (possibly
 // nil) checkpoint tracker. Slots below start must already hold restored
 // outputs; because every replicate owns an index-derived substream, the
-// work is identical no matter where the pool starts, which worker runs
-// it, or whether a watchdog rescue recomputed it.
+// work is identical no matter where the pool starts or which worker
+// runs it.
 //
 // A failed replicate leaves its slot ok=false; which replicates fail
 // depends only on their substreams, so the failure set is

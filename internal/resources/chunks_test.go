@@ -3,11 +3,11 @@ package resources
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"accelwall/internal/faultinject"
 	"accelwall/internal/leakcheck"
 )
 
@@ -95,76 +95,44 @@ func TestRunChunksCancelCommitsComputedPrefixes(t *testing.T) {
 	}
 }
 
-// TestRunChunksWatchdogRescueCommitsOnce: with the watchdog armed and one
-// item wedged, the wedged chunk is rescued exactly once on a fresh scratch
-// and every index is still committed exactly once — also after the wedged
-// original wakes up and loses the claim. The rescue releases the original
-// while it is still committing, so every worker exits before the rescue
-// finishes: RunChunks must still wait for the rescue's commits.
-func TestRunChunksWatchdogRescueCommitsOnce(t *testing.T) {
-	const n, wedged = 40, 19
-	commits := make([]atomic.Int32, n)
-	// Cleanups run last-registered first: leakcheck waits for the woken
-	// original worker to exit before the final commit counts are checked.
-	t.Cleanup(func() {
-		for i := range commits {
-			if got := commits[i].Load(); got != 1 {
-				t.Errorf("index %d committed %d times, want 1", i, got)
-			}
-		}
-	})
+// TestRunChunksWaitsOutStalledItem: one item stalled by an injected
+// delay holds the run until it is computed; nothing rescues or re-runs it,
+// so every index is still committed exactly once and no worker outlives
+// the run.
+func TestRunChunksWaitsOutStalledItem(t *testing.T) {
+	const n, stalled, delay = 40, 19, 100 * time.Millisecond
 	leakcheck.Check(t)
-	armWatchdog(t, 20*time.Millisecond)
+	const site = "resources.test.stall"
+	inj := faultinject.New(1).Set(site, faultinject.Rule{Mode: faultinject.ModeDelay, Every: 1, Delay: delay})
+	faultinject.Enable(inj)
+	t.Cleanup(faultinject.Disable)
 
-	type item struct{ rescued, fresh bool }
-	release := make(chan struct{})
-	var original atomic.Pointer[int] // the wedged worker's scratch
-	var releaseOnce sync.Once
+	commits := make([]atomic.Int32, n)
+	t0 := time.Now()
 	RunChunks(context.Background(), n, 0, 2,
-		func(i int, seen *int) item {
-			*seen++
-			if i/chunkSize != wedged/chunkSize {
-				return item{}
-			}
-			// Once the original wedges, only the rescue computes this
-			// chunk; a fresh scratch has seen exactly this chunk's items.
-			if w := original.Load(); w != nil && w != seen {
-				return item{rescued: true, fresh: *seen == i%chunkSize+1}
-			}
-			if i == wedged {
-				original.Store(seen)
-				select {
-				case <-release:
-				case <-time.After(10 * time.Second):
+		func(i int, _ *struct{}) int {
+			if i == stalled {
+				if err := faultinject.Hit(site); err != nil {
+					t.Error(err)
 				}
 			}
-			return item{}
+			return i
 		},
-		func(i int, r item) {
-			if r.rescued {
-				if !r.fresh {
-					t.Errorf("rescue computed index %d on a reused scratch", i)
-				}
-				releaseOnce.Do(func() {
-					close(release)
-					// Let the original lose the claim and every worker
-					// exit while this commit is still in flight.
-					time.Sleep(50 * time.Millisecond)
-				})
+		func(i, r int) {
+			if r != i {
+				t.Errorf("index %d committed result %d", i, r)
 			}
 			commits[i].Add(1)
 		})
-	select {
-	case <-release:
-	default:
-		t.Fatal("the wedged chunk was not committed by the rescue")
+	if elapsed := time.Since(t0); elapsed < delay {
+		t.Fatalf("RunChunks returned after %s, before the %s stall ended", elapsed, delay)
+	}
+	if got := inj.Fired(site); got != 1 {
+		t.Fatalf("stall fired %d times, want 1", got)
 	}
 	for i := range commits {
-		if commits[i].Load() != 1 {
-			t.Fatalf("RunChunks returned before index %d was committed", i)
+		if got := commits[i].Load(); got != 1 {
+			t.Fatalf("index %d committed %d times, want 1", i, got)
 		}
-	}
-	if got := WatchdogRequeues(); got != 1 {
-		t.Fatalf("requeues = %d, want exactly 1", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package resources is the daemon's resource-governance layer: a global
 // memory budget that admission checks projected request footprints
 // against, per-request cost estimators for the three heavy request
-// kinds, and a stuck-work watchdog for the chunked worker pools.
+// kinds, and the chunked worker pool the engines run on.
 //
 // The discipline mirrors the paper's own accounting: just as the wall
 // analysis normalizes specialization gains per unit of scarce silicon,

@@ -87,14 +87,13 @@ type job struct {
 	// refusing re-admission would strand durable work). Idempotent.
 	release func()
 
-	mu       sync.Mutex
-	state    string
-	errMsg   string
-	done     int  // completed work units per the newest snapshot
-	total    int  // work units overall (0 until known)
-	resumed  int  // work units restored from a snapshot instead of computed
-	degraded bool // newest snapshot was diverted to memory (disk full)
-	result   json.RawMessage
+	mu      sync.Mutex
+	state   string
+	errMsg  string
+	done    int // completed work units per the newest snapshot
+	total   int // work units overall (0 until known)
+	resumed int // work units restored from a snapshot instead of computed
+	result  json.RawMessage
 
 	// Replication tracking (cluster mode). A single worker goroutine
 	// per job drains replBody latest-wins, so snapshot pushes never
@@ -116,15 +115,6 @@ func (j *job) setProgress(done, total int) {
 func (j *job) setState(state string) {
 	j.mu.Lock()
 	j.state = state
-	j.mu.Unlock()
-}
-
-// setDegraded mirrors the checkpoint store's disk state onto the job
-// view, so job views surface "degraded": "disk" while their snapshots
-// live in memory only.
-func (j *job) setDegraded(degraded bool) {
-	j.mu.Lock()
-	j.degraded = degraded
 	j.mu.Unlock()
 }
 
@@ -164,11 +154,19 @@ func (j *job) json(withResult bool) jobJSON {
 		Resumed:       j.resumed,
 		Error:         j.errMsg,
 	}
-	if j.degraded {
-		out.Degraded = "disk"
-	}
 	if withResult {
 		out.Result = j.result
+	}
+	return out
+}
+
+// view is j as clients see it. Its "degraded": "disk" marker is read from
+// the checkpoint store: it is set exactly while the job's newest record
+// waits in memory for the disk, and clears with whichever write lands it.
+func (jm *jobManager) view(j *job, withResult bool) jobJSON {
+	out := j.json(withResult)
+	if jm.store.InMemory(logName(j.id)) {
+		out.Degraded = "disk"
 	}
 	return out
 }
@@ -549,17 +547,6 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	return j
 }
 
-// clearDegraded resets every job's degraded marker once the disk has
-// healed and the stash is flushed: their snapshots and results are
-// durable again, so the job views should stop advertising the outage.
-func (jm *jobManager) clearDegraded() {
-	jm.mu.Lock()
-	defer jm.mu.Unlock()
-	for _, j := range jm.jobs {
-		j.setDegraded(false)
-	}
-}
-
 // tracked reports whether id is a live (local) job without waiting for
 // recovery — the repair loop's cheap membership check.
 func (jm *jobManager) tracked(id string) bool {
@@ -651,7 +638,6 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 		// crash-resumable for the outage) and let the terminal record land
 		// via the store's in-memory stash.
 		jm.srv.logf("jobs: %s: job log unavailable (%v); running without durable progress", j.id, err)
-		j.setDegraded(true)
 		log = nil
 	default:
 		jm.fail(j, nil, err)
@@ -689,8 +675,8 @@ type jobSink struct {
 
 func (s *jobSink) Save(payload []byte) error {
 	// A nil log means the disk was too full to even create the job log;
-	// the job runs on without durable snapshots, already marked degraded
-	// by execute.
+	// the job runs on without durable snapshots, marked degraded while its
+	// submit record waits in memory.
 	if s.log != nil {
 		rec, err := s.j.record(jobRunning, "", payload)
 		if err == nil {
@@ -699,10 +685,6 @@ func (s *jobSink) Save(payload []byte) error {
 		if err != nil {
 			return err
 		}
-		// A disk-full save succeeds by diverting to memory; mirror the
-		// store's durability state so GET /v1/jobs shows "degraded": "disk"
-		// for exactly as long as snapshots are memory-only.
-		s.j.setDegraded(s.jm.store.Degraded())
 	}
 	s.jm.srv.metrics.JobSnapshots.Add(1)
 	if done, total, err := s.j.spec.progress(payload); err == nil {
@@ -738,7 +720,6 @@ func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage
 	j.finishProgress()
 	j.mu.Lock()
 	j.state, j.result, j.resumed = jobDone, result, resumed
-	j.degraded = jm.store.Degraded()
 	j.mu.Unlock()
 	jm.srv.metrics.JobsCompleted.Add(1)
 	jm.srv.replicateJob(j, nil)
@@ -792,7 +773,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobs.list()
 	out := make([]jobJSON, 0, len(jobs))
 	for _, j := range jobs {
-		out = append(out, j.json(false))
+		out = append(out, s.jobs.view(j, false))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
@@ -815,5 +796,5 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.json(true))
+	writeJSON(w, http.StatusOK, s.jobs.view(j, true))
 }

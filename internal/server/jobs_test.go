@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -806,5 +807,59 @@ func TestJobSubmitDrainingRetryAfter(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("submit while draining: %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+}
+
+// TestJobDegradedMarkerFollowsStore: a job's "degraded": "disk" marker
+// says its newest record lives only in memory. A job whose records hit
+// the full disk carries it until the heal loop flushes them. A job whose
+// records landed carries none, also while another log keeps the store
+// degraded, and after that log heals the store through its own save,
+// which leaves the heal loop nothing to do.
+func TestJobDegradedMarkerFollowsStore(t *testing.T) {
+	leakcheck.Check(t)
+	s := newTestServer(t, Options{JobsDir: t.TempDir()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	store := s.jobs.store
+	body := `{"kind": "uncertainty", "uncertainty": {"replicates": 10, "seed": 3}}`
+	full := func() {
+		faultinject.Enable(faultinject.New(1).Set(faultinject.SiteFSWrite,
+			faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC}))
+	}
+	defer faultinject.Disable()
+
+	// A job run on a full disk keeps its records in memory until the
+	// heal loop lands them once space returns.
+	full()
+	stashed := submitJob(t, ts.URL, body)
+	if j := waitForJob(t, ts.URL, stashed, terminal); j.State != jobDone || j.Degraded != "disk" {
+		t.Fatalf("job finished on a full disk: state %s, degraded %q; want done, disk", j.State, j.Degraded)
+	}
+	faultinject.Disable()
+	waitForJob(t, ts.URL, stashed, func(j jobJSON) bool { return j.Degraded == "" })
+
+	// Another log's save hits the full disk and degrades the store.
+	other, err := store.OpenLog("other")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	full()
+	if err := other.Save([]byte("stashed")); err != nil || !store.Degraded() {
+		t.Fatalf("save on a full disk: err %v, degraded %v", err, store.Degraded())
+	}
+	faultinject.Disable()
+	durable := submitJob(t, ts.URL, body)
+	if j := waitForJob(t, ts.URL, durable, terminal); j.State != jobDone || !store.Degraded() {
+		t.Fatalf("durable job: state %s, store degraded %v; want done, degraded", j.State, store.Degraded())
+	} else if j.Degraded != "" {
+		t.Errorf("durable job marked %q while another log degrades the store", j.Degraded)
+	}
+	if err := other.Save([]byte("landed")); err != nil || store.Degraded() {
+		t.Fatalf("save after the heal: err %v, degraded %v", err, store.Degraded())
+	}
+	if j := waitForJob(t, ts.URL, durable, terminal); j.Degraded != "" {
+		t.Errorf("durable job still marked %q after the store healed", j.Degraded)
 	}
 }

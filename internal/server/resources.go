@@ -18,7 +18,6 @@ import (
 
 	"accelwall/internal/chipdb"
 	"accelwall/internal/resilience"
-	"accelwall/internal/resources"
 )
 
 // uncertaintyCorpusChips memoizes the synthetic corpus size that every
@@ -52,16 +51,13 @@ func (s *Server) reserveMemory(w http.ResponseWriter, r *http.Request, cost int6
 }
 
 // resourcesSnapshot renders the /v1/metrics "resources" section: the
-// live memory-admission ledger, watchdog counters, and — when durable
-// jobs are enabled — the checkpoint store's disk-durability state.
+// live memory-admission ledger and, when durable jobs are enabled, the
+// checkpoint store's disk-durability state.
 func (s *Server) resourcesSnapshot() map[string]any {
 	out := map[string]any{
 		"mem_budget_bytes":   s.budget.Limit(),
 		"mem_inflight_bytes": s.budget.InFlight(),
 		"mem_sheds":          s.budget.Sheds(),
-		"watchdog_deadline":  resources.WatchdogDeadline().String(),
-		"watchdog_fires":     resources.WatchdogFires(),
-		"watchdog_requeues":  resources.WatchdogRequeues(),
 	}
 	if s.jobs != nil {
 		out["disk_degraded"] = s.jobs.store.Degraded()
@@ -104,7 +100,6 @@ func (s *Server) healLoop(ctx context.Context) {
 		case err != nil:
 			s.logf("checkpoint: disk still unavailable, snapshots staying in memory: %v", err)
 		default:
-			s.jobs.clearDegraded()
 			s.logf("checkpoint: disk durability restored, stashed snapshots flushed")
 		}
 	}

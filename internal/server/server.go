@@ -147,12 +147,6 @@ type Options struct {
 	// 413 (<= 0: 8 MiB).
 	MaxBodyBytes int64
 
-	// WatchdogDeadline is how long a worker-pool chunk may run without
-	// progress before the stuck-work watchdog dumps goroutine stacks and
-	// requeues it once
-	// (0: 30 s; negative: watchdog disabled).
-	WatchdogDeadline time.Duration
-
 	// Logger receives access logs and panics; nil silences logging.
 	Logger *log.Logger
 }
@@ -188,9 +182,6 @@ func (o *Options) normalize() {
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = defaultMaxBodyBytes
-	}
-	if o.WatchdogDeadline == 0 {
-		o.WatchdogDeadline = 30 * time.Second
 	}
 }
 
@@ -228,14 +219,6 @@ func New(opts Options) (*Server, error) {
 		metrics: NewMetrics(),
 		adm:     newAdmission(opts.MaxInflight, opts.MaxQueue),
 		budget:  resources.NewBudget(opts.MemBudget),
-	}
-	// The stuck-work watchdog is process-global (the worker pools consult
-	// it directly); the last server to configure it wins, which in the
-	// daemon is the only one.
-	if opts.WatchdogDeadline > 0 {
-		resources.EnableWatchdog(opts.WatchdogDeadline, s.logf)
-	} else {
-		resources.DisableWatchdog()
 	}
 	m := s.metrics
 	s.engines = newMemo[string, *sweep.Engine](opts.EngineCacheSize, &m.EngineHits, &m.EngineMisses, &m.EngineEvicted)

@@ -42,7 +42,6 @@ import (
 	"accelwall/internal/faultinject"
 	"accelwall/internal/leakcheck"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/resources"
 	"accelwall/internal/sweep"
 )
 
@@ -54,7 +53,7 @@ const (
 	simShed                            // cluster.slice sheds
 	simTransport                       // drop, duplicate or delay on the slice, replicate and probe links
 	simDisk                            // ENOSPC at fs.write, fs.fsync or fs.rename, healed before the end
-	simWedge                           // a chunk wedged past a short WatchdogDeadline
+	simWedge                           // a chunk stalled for a second, which its pool waits out
 	simMemory                          // a MemBudget one Monte Carlo run fills
 	simOverload                        // one execution slot, a one-deep queue, a short RequestTimeout
 	simKill                            // a job's owner killed mid-job and mid-wave, later restarted
@@ -226,9 +225,6 @@ func newSimPlan(seed uint64) simPlan {
 // options configures one peer under the plan.
 func (p simPlan) options(o *Options, jobsDir string) {
 	o.JobsDir, o.RepairInterval = jobsDir, 50*time.Millisecond
-	if p.faults&simWedge != 0 {
-		o.WatchdogDeadline = 300 * time.Millisecond
-	}
 	if p.faults&simMemory != 0 {
 		o.MemBudget = 1 << 20
 	}
@@ -351,7 +347,7 @@ var simMechanisms = []string{
 	"cluster.scatters", "cluster.steals",
 	"cluster.replica_push_fails", "cluster.repair_pushes", "cluster.deaths", "cluster.resurrections",
 	"cluster.jobs_adopted", "overload.degraded_served", "overload.shed_429", "overload.shed_503",
-	"resources.mem_sheds", "resources.disk_mem_snapshots", "resources.watchdog_fires", "readyz disk-degraded",
+	"resources.mem_sheds", "resources.disk_mem_snapshots", "readyz disk-degraded",
 	"jobs disk-degraded", "stale /v1/sweep", "stale /v1/uncertainty", "stale /v1/search", "stale on a full MemBudget",
 }
 
@@ -393,7 +389,6 @@ func simulate(t *testing.T, seed uint64) *simRun {
 	t.Logf("plan: cluster=%v faults=%09b rules=%v waves=%d", p.cluster, p.faults, p.rules, len(p.waves))
 	references(t)
 	leakcheck.Check(t)
-	resources.ResetWatchdogCounters()
 	r := &simRun{
 		t: t, client: &http.Client{Transport: &http.Transport{}, Timeout: 2 * time.Minute},
 		accepted: map[string]simRequest{}, final: map[string]string{}, views: map[string]jobJSON{},
@@ -440,7 +435,7 @@ func simulate(t *testing.T, seed uint64) *simRun {
 			}
 			r.metrics["readyz disk-degraded"]++
 			for _, j := range peer.s.jobs.list() {
-				if j.json(false).Degraded != "" {
+				if peer.s.jobs.view(j, false).Degraded != "" {
 					r.metrics["jobs disk-degraded"]++
 				}
 			}
@@ -459,7 +454,6 @@ func simulate(t *testing.T, seed uint64) *simRun {
 			}
 		}
 	}
-	r.metrics["resources.watchdog_fires"] = float64(resources.WatchdogFires())
 	t.Logf("%d responses, %d jobs accepted; counters: %v", len(r.responses), len(r.accepted), r.metrics)
 	simOracle(t, r)
 	return r
@@ -699,8 +693,7 @@ func (r *simRun) follow(url string) string {
 	return last.State
 }
 
-// collect adds one server instance's /v1/metrics counters to the run; the
-// watchdog's are process-wide and read once per seed instead.
+// collect adds one server instance's /v1/metrics counters to the run.
 func (r *simRun) collect(peer *clusterPeer) {
 	status, body := get(r.t, peer.url+"/v1/metrics")
 	var snap map[string]any
@@ -712,7 +705,7 @@ func (r *simRun) collect(peer *clusterPeer) {
 	for _, section := range []string{"cluster", "overload", "resources"} {
 		m, _ := snap[section].(map[string]any)
 		for k, v := range m {
-			if x, ok := v.(float64); ok && k != "watchdog_fires" {
+			if x, ok := v.(float64); ok {
 				r.metrics[section+"."+k] += x
 			}
 			routes, _ := v.(map[string]any)
