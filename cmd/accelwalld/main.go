@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 	probeInterval := fs.Duration("probe-interval", 0, "cluster peer health-probe cadence (0 = 500ms)")
 	repairInterval := fs.Duration("repair-interval", 0, "anti-entropy replica repair cadence (0 = 5s); requires -peers and -jobs")
 	apiKeysFile := fs.String("api-keys", "", "API key file (lines of name:key[:rps[:burst]]); enables per-tenant auth + quotas on heavy endpoints")
-	memBudget := fs.Int64("mem-budget", 0, "memory budget in bytes for admitted heavy requests and queued jobs (0 = half the Go memory limit, else 2 GiB; negative disables)")
 	maxBody := fs.Int64("max-body", 0, "max request body bytes before a 413 (0 = 8 MiB)")
 	quiet := fs.Bool("quiet", false, "disable access logging")
 	if err := fs.Parse(args); err != nil {
@@ -125,7 +124,6 @@ func run(ctx context.Context, args []string, logDst io.Writer) error {
 		ProbeInterval:   *probeInterval,
 		RepairInterval:  *repairInterval,
 		APIKeys:         apiKeys,
-		MemBudget:       *memBudget,
 		MaxBodyBytes:    *maxBody,
 		Logger:          logger,
 	})

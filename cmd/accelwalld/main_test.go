@@ -33,6 +33,7 @@ func TestRunFlagErrors(t *testing.T) {
 		"removed hedge-delay":       {[]string{"-hedge-delay", "1s"}, "flag provided but not defined"},
 		"removed breaker-threshold": {[]string{"-breaker-threshold", "3"}, "flag provided but not defined"},
 		"removed watchdog-deadline": {[]string{"-watchdog-deadline", "1s"}, "flag provided but not defined"},
+		"removed mem-budget":        {[]string{"-mem-budget", "1"}, "flag provided but not defined"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(context.Background(), tc.args, io.Discard)

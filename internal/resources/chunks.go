@@ -1,5 +1,6 @@
-// The chunked worker pool. RunChunks is the one pool under the sweep and
-// Monte Carlo engines (and, through the sweep engine, the search):
+// Package resources holds the chunked worker pool. RunChunks is the one
+// pool under the sweep and Monte Carlo engines (and, through the sweep
+// engine, the search):
 // workers claim fixed chunks of consecutive items, compute each chunk
 // into a chunk-local buffer, and commit it once the chunk ends.
 package resources

@@ -7,15 +7,12 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"accelwall/internal/resources"
 )
 
 // BenchmarkSweepWarm measures a served sweep once the engine is resident
 // and the grid memoized — the daemon's steady state — over one warmed
 // server: "serial" from one client, "parallel" from RunParallel's
-// GOMAXPROCS clients. scripts/bench.sh records both in BENCH_server.json
-// and divides BenchmarkResources/ledger by "serial" in BENCH_resources.json.
+// GOMAXPROCS clients. scripts/bench.sh records both in BENCH_server.json.
 func BenchmarkSweepWarm(b *testing.B) {
 	s, err := New(Options{})
 	if err != nil {
@@ -62,30 +59,6 @@ func BenchmarkSweepWarm(b *testing.B) {
 	if got := s.metrics.Compiles.Value(); got != 1 {
 		b.Fatalf("compiles = %d during steady state, want 1", got)
 	}
-}
-
-// BenchmarkResources quantifies the admission layer's price: "ledger" is
-// one cost-estimate + TryReserve/release round trip on the shared byte
-// budget — the only work memory-budgeted admission adds to a costed
-// request. scripts/bench.sh divides it by BenchmarkSweepWarm/serial, the
-// request it rides on, in BENCH_resources.json.
-func BenchmarkResources(b *testing.B) {
-	b.Run("ledger", func(b *testing.B) {
-		s, err := New(Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cost := resources.SweepCost(1056, 32)
-			release, ok := s.budget.TryReserve(cost)
-			if !ok {
-				b.Fatal("reserve refused on an idle budget")
-			}
-			release()
-		}
-	})
 }
 
 // BenchmarkCaseStudy measures a stateless analytical endpoint.

@@ -82,11 +82,6 @@ type job struct {
 	spec    kindSpec // req's body: the job's kind record
 	created time.Time
 
-	// release returns the job's memory-budget reservation; nil for
-	// recovered and adopted jobs (their memory is already committed —
-	// refusing re-admission would strand durable work). Idempotent.
-	release func()
-
 	mu      sync.Mutex
 	state   string
 	errMsg  string
@@ -116,14 +111,6 @@ func (j *job) setState(state string) {
 	j.mu.Lock()
 	j.state = state
 	j.mu.Unlock()
-}
-
-// releaseBudget returns the job's memory reservation; safe to call
-// multiple times and on jobs that never held one.
-func (j *job) releaseBudget() {
-	if j.release != nil {
-		j.release()
-	}
 }
 
 // jobJSON is the wire form of one job; Result rides along only on the
@@ -449,28 +436,16 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 
-	// Memory-budgeted admission: a queued job commits future working set
-	// just like a synchronous request commits present working set, so
-	// both draw on the same ledger. The reservation is held until the
-	// job reaches a terminal state.
-	release, ok := jm.srv.budget.TryReserve(spec.cost(jm.srv))
-	if !ok {
-		return nil, http.StatusTooManyRequests,
-			errors.New("memory budget exhausted; retry after a running request or job finishes")
-	}
-
 	<-jm.recovered // ids are allocated only once recovery has fixed the sequence
 	jm.mu.Lock()
 	if jm.ctx.Err() != nil { // draining
 		jm.mu.Unlock()
-		release()
 		return nil, http.StatusServiceUnavailable, errors.New("server is draining; job not accepted")
 	}
 	var evicted string
 	if len(jm.jobs) >= jm.max {
 		if evicted = jm.evictTerminalLocked(); evicted == "" {
 			jm.mu.Unlock()
-			release()
 			return nil, http.StatusTooManyRequests,
 				fmt.Errorf("job table full (%d jobs, none finished); retry after one completes", jm.max)
 		}
@@ -478,7 +453,7 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 	jm.seq++
 	id := fmt.Sprintf("job-%s%06d", jm.prefix, jm.seq)
 	total, _ := spec.units()
-	j := &job{id: id, req: req, spec: spec, created: time.Now(), state: jobPending, release: release, total: total}
+	j := &job{id: id, req: req, spec: spec, created: time.Now(), state: jobPending, total: total}
 	jm.mu.Unlock()
 	if evicted != "" {
 		// The victim left the table under the lock; its log goes after
@@ -492,7 +467,6 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 		err = jm.store.Write(logName(id), rec)
 	}
 	if err != nil {
-		release()
 		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job: %w", err)
 	}
 	jm.mu.Lock()
@@ -716,7 +690,6 @@ func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage
 		jm.fail(j, log, fmt.Errorf("persisting result: %w", err))
 		return
 	}
-	defer j.releaseBudget()
 	j.finishProgress()
 	j.mu.Lock()
 	j.state, j.result, j.resumed = jobDone, result, resumed
@@ -728,7 +701,6 @@ func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage
 
 // fail lands a failed record, then flips the job to failed.
 func (jm *jobManager) fail(j *job, log *checkpoint.Log, err error) {
-	defer j.releaseBudget()
 	if werr := jm.land(j, log, jobFailed, err.Error(), nil); werr != nil {
 		jm.srv.logf("jobs: %s: failure record write failed: %v", j.id, werr)
 	}

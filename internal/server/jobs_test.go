@@ -546,8 +546,7 @@ func TestReadyzStates(t *testing.T) {
 
 // TestJobRejectsWhatSyncRejects holds the two front ends to one check:
 // every sweep, uncertainty and search body the synchronous endpoint
-// answers 400 is a 400 on /v1/jobs too, before any budget is reserved or
-// manifest written. Jobs may reject more (design lists are sync-only),
+// answers 400 is a 400 on /v1/jobs too, before any manifest is written. Jobs may reject more (design lists are sync-only),
 // never less.
 func TestJobRejectsWhatSyncRejects(t *testing.T) {
 	dir := t.TempDir()

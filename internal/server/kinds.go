@@ -2,7 +2,7 @@
 // reach the server through four front ends — a synchronous endpoint, a
 // durable job, a cluster slice and the degraded stale-serving path. Every
 // front end dispatches through one record per kind, the request body
-// itself implementing kindSpec, so validation, pricing and the job
+// itself implementing kindSpec, so validation, caching and the job
 // lifecycle are written once per kind instead of once per front end.
 package server
 
@@ -26,8 +26,6 @@ type kindSpec interface {
 	// limits. A job additionally rejects what only the synchronous
 	// endpoint serves.
 	check(s *Server, job bool) error
-	// cost prices a checked request for memory-budgeted admission.
-	cost(s *Server) int64
 	// peek returns a finished cached answer without computing anything —
 	// the degraded path; ok is false when none is resident.
 	peek(s *Server) (body any, ok bool)
@@ -82,9 +80,8 @@ func (r *jobRequest) spec() (kindSpec, error) {
 	return spec, nil
 }
 
-// handleKind is the synchronous endpoint of one kind: decode, check,
-// reserve memory (serving stale on refusal), then compute on the shared
-// engines.
+// handleKind is the synchronous endpoint of one kind: decode, check, then
+// compute on the shared engines.
 func (s *Server) handleKind(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		spec, _ := (&jobRequest{Kind: kind}).spec() // routes name known kinds
@@ -96,11 +93,6 @@ func (s *Server) handleKind(kind string) http.HandlerFunc {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		release, ok := s.reserveMemory(w, r, spec.cost(s), func() bool { return s.serveStale(w, spec) })
-		if !ok {
-			return
-		}
-		defer release()
 		spec.serve(s, w, r)
 	}
 }
@@ -138,13 +130,6 @@ func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
 	if err != nil || decodeJSON(w, r, spec) != nil || spec.check(s, false) != nil {
 		return false
 	}
-	return s.serveStale(w, spec)
-}
-
-// serveStale writes a checked request's finished cached answer, marked
-// stale, and counts the rescue; it reports false, writing nothing, when
-// no answer is resident.
-func (s *Server) serveStale(w http.ResponseWriter, spec kindSpec) bool {
 	body, ok := spec.peek(s)
 	if !ok {
 		return false

@@ -10,7 +10,6 @@ import (
 
 	"accelwall/internal/checkpoint"
 	"accelwall/internal/core"
-	"accelwall/internal/resources"
 	"accelwall/internal/search"
 	"accelwall/internal/sweep"
 )
@@ -161,12 +160,6 @@ func (r *searchRequest) check(s *Server, job bool) error {
 		return err
 	}
 	return jobWorkload(job, r.Workload)
-}
-
-// cost prices a search by its evaluation budget: population ×
-// generations of memoized points.
-func (r *searchRequest) cost(*Server) int64 {
-	return resources.SearchCost(r.cfg.Population, r.cfg.Generations)
 }
 
 // key is the search-cache key of a checked request.

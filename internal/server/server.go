@@ -50,7 +50,6 @@ import (
 	"accelwall/internal/cluster"
 	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/resources"
 	"accelwall/internal/sweep"
 )
 
@@ -136,13 +135,6 @@ type Options struct {
 	// leaves them open.
 	APIKeys []APIKey
 
-	// MemBudget bounds the estimated peak working-set bytes of admitted
-	// heavy requests and queued jobs, summed; requests past it are offered
-	// to the degraded stale-serving path and otherwise shed with 429
-	// (0: half the Go runtime memory limit when one is set, else 2 GiB;
-	// negative: admission disabled, costs still tracked).
-	MemBudget int64
-
 	// MaxBodyBytes bounds every request body; larger bodies get a named
 	// 413 (<= 0: 8 MiB).
 	MaxBodyBytes int64
@@ -196,11 +188,10 @@ type Server struct {
 	uncertainty *memo[montecarlo.Config, core.UncertaintyJSON] // keyed by normalized config
 	searches    *memo[string, core.SearchJSON]                 // keyed by searchKey
 	adm         *admission
-	budget      *resources.Budget // memory-budgeted admission ledger
-	jobs        *jobManager       // nil unless Options.JobsDir is set
-	cluster     *cluster.Cluster  // nil unless Options.ClusterPeers has >= 2 entries
-	tenants     *tenantLimiter    // nil unless Options.APIKeys is set
-	draining    atomic.Bool       // set once a graceful drain begins; gates /readyz
+	jobs        *jobManager      // nil unless Options.JobsDir is set
+	cluster     *cluster.Cluster // nil unless Options.ClusterPeers has >= 2 entries
+	tenants     *tenantLimiter   // nil unless Options.APIKeys is set
+	draining    atomic.Bool      // set once a graceful drain begins; gates /readyz
 	handler     http.Handler
 
 	// Repair and heal loops share one server-lifetime context; stop ends it.
@@ -218,7 +209,6 @@ func New(opts Options) (*Server, error) {
 		opts:    opts,
 		metrics: NewMetrics(),
 		adm:     newAdmission(opts.MaxInflight, opts.MaxQueue),
-		budget:  resources.NewBudget(opts.MemBudget),
 	}
 	m := s.metrics
 	s.engines = newMemo[string, *sweep.Engine](opts.EngineCacheSize, &m.EngineHits, &m.EngineMisses, &m.EngineEvicted)

@@ -54,7 +54,7 @@ const (
 	simTransport                       // drop, duplicate or delay on the slice, replicate and probe links
 	simDisk                            // ENOSPC at fs.write, fs.fsync or fs.rename, healed before the end
 	simWedge                           // a chunk stalled for a second, which its pool waits out
-	simMemory                          // a MemBudget one Monte Carlo run fills
+	_                                  // retired (a memory budget); kept so seeds draw as before
 	simOverload                        // one execution slot, a one-deep queue, a short RequestTimeout
 	simKill                            // a job's owner killed mid-job and mid-wave, later restarted
 	simCrash                           // a fresh New over a copy of the jobs directory taken mid-job
@@ -114,9 +114,9 @@ type simPlan struct {
 }
 
 // newSimPlan derives a schedule from seed. The seed's residue picks the
-// primary fault, so seeds 0..simFaultKinds-1 arm every kind; each other
-// kind joins with probability 1/4 unless it cannot combine with the
-// primary.
+// primary fault, so seeds 0..simFaultKinds-1 arm every kind (seed 5 draws
+// the retired slot and arms no primary); each other kind joins with
+// probability 1/4 unless it cannot combine with the primary.
 func newSimPlan(seed uint64) simPlan {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	primary := simFault(1) << (seed % simFaultKinds)
@@ -128,9 +128,8 @@ func newSimPlan(seed uint64) simPlan {
 	}
 	// A crash runs on one node; the cluster faults need three. Records a
 	// full disk left in memory are lost to a kill or a crash by design,
-	// so neither runs with one. Overload's Monte Carlo openers would fill
-	// a Monte Carlo-sized MemBudget instead of the execution slot.
-	for _, c := range [][2]simFault{{simCrash, simShed | simTransport | simKill}, {simDisk, simKill | simCrash}, {simOverload, simMemory}} {
+	// so neither runs with one.
+	for _, c := range [][2]simFault{{simCrash, simShed | simTransport | simKill}, {simDisk, simKill | simCrash}} {
 		if p.faults&c[0] != 0 && p.faults&c[1] != 0 {
 			if primary&c[1] != 0 {
 				p.faults &^= c[0]
@@ -153,7 +152,7 @@ func newSimPlan(seed uint64) simPlan {
 		}
 	}
 	armed := simFault(0)
-	for _, f := range []simFault{primary, simEngine, simWedge, simOverload, simKill, simCrash, simMemory, simShed, simDisk} {
+	for _, f := range []simFault{primary, simEngine, simWedge, simOverload, simKill, simCrash, simShed, simDisk} {
 		if p.faults&f == 0 || armed&f != 0 {
 			continue
 		}
@@ -166,7 +165,7 @@ func newSimPlan(seed uint64) simPlan {
 			arm(faultinject.Rule{Mode: faultinject.ModeDelay, Every: 97, Delay: time.Second}, engine...)
 		case simOverload:
 			arm(faultinject.Rule{Mode: faultinject.ModeDelay, Every: 1, Delay: 3 * time.Millisecond}, sweep.SiteSimulate)
-		case simKill, simCrash, simMemory:
+		case simKill, simCrash:
 			arm(faultinject.Rule{Mode: faultinject.ModeDelay, Every: 1, Delay: 3 * time.Millisecond}, montecarlo.SiteReplicate)
 		case simShed:
 			arm(faultinject.Rule{Mode: faultinject.ModeError, P: 0.3}, cluster.SiteSlice)
@@ -189,9 +188,6 @@ func newSimPlan(seed uint64) simPlan {
 		waves = len(simMenu) - simOpener
 	}
 	p.event = 1 + rng.Intn(2)
-	if p.faults&simMemory != 0 {
-		p.event = 2
-	}
 	for w := 0; w < waves; w++ {
 		var wave []simStep
 		for i, n := 0, 1+rng.Intn(3); i < n && p.faults&simOverload == 0; i++ {
@@ -204,18 +200,8 @@ func newSimPlan(seed uint64) simPlan {
 			x := cacheable[w%3]
 			wave = []simStep{{req: simOpener + w, peer: hot}, {req: x, peer: hot}, {req: x, peer: hot}, {req: x, peer: hot}}
 		}
-		// Under memory pressure the first wave warms one Monte Carlo body,
-		// and the slow job's reservation then fills the budget: that body
-		// is served stale and a cold one sheds.
-		if w == 0 && p.faults&simMemory != 0 {
-			wave = append([]simStep{{req: simSlowJob + 1, peer: hot}}, wave...)
-		}
 		if w == p.event-1 {
-			first := []simStep{{req: simSlowJob, job: true, peer: hot}}
-			if p.faults&simMemory != 0 {
-				first = append(first, simStep{req: simSlowJob + 1, peer: hot}, simStep{req: len(simMenu) - 1, peer: hot})
-			}
-			wave = append(first, wave...)
+			wave = append([]simStep{{req: simSlowJob, job: true, peer: hot}}, wave...)
 		}
 		p.waves = append(p.waves, wave)
 	}
@@ -225,9 +211,6 @@ func newSimPlan(seed uint64) simPlan {
 // options configures one peer under the plan.
 func (p simPlan) options(o *Options, jobsDir string) {
 	o.JobsDir, o.RepairInterval = jobsDir, 50*time.Millisecond
-	if p.faults&simMemory != 0 {
-		o.MemBudget = 1 << 20
-	}
 	if p.faults&simOverload != 0 {
 		o.MaxInflight, o.MaxQueue, o.RequestTimeout = 1, 1, 1500*time.Millisecond
 	}
@@ -346,9 +329,9 @@ func (r *simRun) await(cond func() bool, format string, args ...any) {
 var simMechanisms = []string{
 	"cluster.scatters", "cluster.steals",
 	"cluster.replica_push_fails", "cluster.repair_pushes", "cluster.deaths", "cluster.resurrections",
-	"cluster.jobs_adopted", "overload.degraded_served", "overload.shed_429", "overload.shed_503",
-	"resources.mem_sheds", "resources.disk_mem_snapshots", "readyz disk-degraded",
-	"jobs disk-degraded", "stale /v1/sweep", "stale /v1/uncertainty", "stale /v1/search", "stale on a full MemBudget",
+	"cluster.jobs_adopted", "overload.degraded_served", "overload.shed_503",
+	"resources.disk_mem_snapshots", "readyz disk-degraded",
+	"jobs disk-degraded", "stale /v1/sweep", "stale /v1/uncertainty", "stale /v1/search",
 }
 
 // FuzzSimulation runs one seed per entry; a whole-corpus run also fails
@@ -381,6 +364,42 @@ func FuzzSimulation(f *testing.F) {
 			totals[m] += run.metrics[m]
 		}
 	})
+}
+
+// TestSimPinnedPlans pins the faults each pinned corpus entry's plan
+// arms, so retiring or reordering a simFault slot cannot silently change
+// what a pinned seed reproduces. A new pinned file needs its row here.
+func TestSimPinnedPlans(t *testing.T) {
+	want := map[uint64]simFault{
+		30:  0b000001001,
+		54:  0b000001001,
+		60:  0b001001001,
+		115: 0b010000101,
+		187: 0b010000100,
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzSimulation")
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seed uint64
+		if _, err := fmt.Sscanf(string(raw), "go test fuzz v1\nuint64(%d)", &seed); err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		faults, ok := want[seed]
+		if !ok {
+			t.Errorf("%s: seed %d has no pinned plan", e.Name(), seed)
+			continue
+		}
+		if got := newSimPlan(seed).faults; got != faults {
+			t.Errorf("%s: seed %d arms faults %09b, pinned %09b", e.Name(), seed, got, faults)
+		}
+	}
 }
 
 // simulate executes one seed's schedule and judges it.
@@ -449,9 +468,6 @@ func simulate(t *testing.T, seed uint64) *simRun {
 	for _, ob := range r.responses {
 		if ob.status == http.StatusOK && ob.header.Get("X-Accelwall-Degraded") != "" {
 			r.metrics["stale "+ob.req.path]++
-			if p.faults&simOverload == 0 {
-				r.metrics["stale on a full MemBudget"]++ // admission never sheds without overload
-			}
 		}
 	}
 	t.Logf("%d responses, %d jobs accepted; counters: %v", len(r.responses), len(r.accepted), r.metrics)

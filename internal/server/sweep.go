@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 
 	"accelwall/internal/checkpoint"
 	"accelwall/internal/core"
-	"accelwall/internal/resources"
 	"accelwall/internal/sweep"
 )
 
@@ -123,24 +121,6 @@ func (r *sweepRequest) check(s *Server, job bool) error {
 	return jobWorkload(job, r.Workload)
 }
 
-// workers is the pool width spelled out, as admission prices it.
-func (r *sweepRequest) workers(s *Server) int {
-	if w := s.poolWidth(r.Workers); w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// cost prices the sweep's peak working set: memo table growth plus
-// per-worker scratch.
-func (r *sweepRequest) cost(s *Server) int64 {
-	points := len(r.Designs)
-	if r.grid != nil {
-		points = gridPoints(*r.grid)
-	}
-	return resources.SweepCost(points, r.workers(s))
-}
-
 // respKey is the response-cache key of a grid sweep.
 func (r *sweepRequest) respKey() respKey {
 	return respKey{
@@ -241,7 +221,7 @@ func (r *sweepRequest) serve(s *Server, w http.ResponseWriter, req *http.Request
 			}
 		}
 	}
-	points, _, err := r.run(req.Context(), eng, r.workers(s), nil)
+	points, _, err := r.run(req.Context(), eng, s.poolWidth(r.Workers), nil)
 	if err != nil {
 		if s.cancelled(w, req, err) {
 			return
@@ -272,7 +252,7 @@ func (r *sweepRequest) runJob(ctx context.Context, s *Server, ck *checkpoint.Opt
 	if err != nil {
 		return nil, 0, err
 	}
-	points, resumed, err := r.run(ctx, eng, r.workers(s), ck)
+	points, resumed, err := r.run(ctx, eng, s.poolWidth(r.Workers), ck)
 	if err != nil {
 		return nil, 0, err
 	}

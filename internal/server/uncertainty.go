@@ -9,7 +9,6 @@ import (
 	"accelwall/internal/checkpoint"
 	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
-	"accelwall/internal/resources"
 )
 
 // maxServedReplicates bounds a single /v1/uncertainty request: Monte Carlo
@@ -56,14 +55,6 @@ func (r *uncertaintyRequest) resolve() error {
 
 // check: the replicate limit is a constant, so resolve holds it.
 func (r *uncertaintyRequest) check(*Server, bool) error { return r.resolve() }
-
-// cost prices Monte Carlo peak memory: one resampled corpus per worker
-// plus the replicate output table. The corpus size is fixed by the
-// synthetic generator, so admission prices a run without building one.
-func (r *uncertaintyRequest) cost(s *Server) int64 {
-	n, _ := r.units()
-	return resources.MonteCarloCost(n, uncertaintyCorpusChips())
-}
 
 // peek serves Monte Carlo bands from a completed uncertainty-cache entry.
 func (r *uncertaintyRequest) peek(s *Server) (any, bool) {

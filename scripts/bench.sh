@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# bench.sh — verify correctness, then regenerate the nine BENCH_*.json
+# bench.sh — verify correctness, then regenerate the eight BENCH_*.json
 # baselines from `go test -bench` output.
 #
 # Runs, in order:
@@ -110,8 +110,5 @@ bench BENCH_batch.json . '^BenchmarkBatch$' \
   "Per-design Compiled.Simulate with incremental re-simulation through the schedule-class summary cache: points/sec on the warm sequential path, and one cold full-grid pass whose reuse-% is the share of grid points served by an incremental schedule summary instead of a fresh scheduler walk. Cached results are bit-identical to fresh walks (internal/sweep/equivalence_test.go)."
 bench BENCH_search.json ./internal/search/ '^BenchmarkSearchTable3$' \
   "Guided design-space search (internal/search): the default NSGA-II run over the full Table III knob space on a cold engine, scored against the exhaustive grid frontier. coverage-% is recovered true-frontier points over the exhaustive frontier size (target >= 95); grid-evals-% is unique designs evaluated over unique grid points (target <= 25). Deterministic in the seed at any worker count."
-bench BENCH_resources.json ./internal/server/ '^(BenchmarkSweepWarm|BenchmarkResources)$/^(serial|ledger)$' \
-  "Memory-budgeted admission overhead (internal/resources through internal/server): BenchmarkResources/ledger is one cost estimate plus a TryReserve/release round trip on the shared byte budget, everything admission adds to a costed request; BenchmarkSweepWarm/serial is the served warm sweep it guards. Target: admission_ledger_sweep < 0.01." \
-  "admission_ledger_sweep BenchmarkResources/ledger BenchmarkSweepWarm/serial"
 bench BENCH_cluster.json ./internal/server/ '^BenchmarkClusterSweep$' \
   "Sharded cluster scatter-gather (internal/cluster + internal/server): warm sweep requests round-robined by RunParallel clients across the peers of an in-process consistent-hash cluster, 1 peer vs 3, after warming every peer. peers=1 builds no cluster (the server's cluster is nil), so it runs the same single-node path as BenchmarkSweepWarm/parallel in BENCH_server.json. req/s is completed requests over wall time, p99_ms comes from per-request latencies, and steals (peers=3 only) from the coordinator's ring metrics. Responses are byte-identical to a single node at every shard count; aggregate req/s can rise with peers only when host.cpus >= peers."
