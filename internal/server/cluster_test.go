@@ -263,7 +263,7 @@ func TestClusterMetricsExposed(t *testing.T) {
 		t.Fatalf("metrics: %d", status)
 	}
 	for _, want := range []string{`"cluster"`, `"scatters"`, `"alive"`, `"slices_served"`, `"steals"`,
-		`"replica_push_fails"`, `"repair_runs"`, `"repair_pushes"`, `"repair_gcs"`, `"degraded_served"`} {
+		`"replica_push_fails"`, `"repair_runs"`, `"repair_pushes"`, `"repair_gcs"`} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("metrics missing %s", want)
 		}

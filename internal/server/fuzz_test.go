@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"accelwall/internal/checkpoint"
+	"accelwall/internal/cmos"
 	"accelwall/internal/core"
 	"accelwall/internal/montecarlo"
 )
@@ -24,13 +25,15 @@ func decodeBody(v any, body []byte) error {
 
 // FuzzSweepRequestDecode hammers the sweep codec + validator: no input
 // may panic, and any body both accept must contain only finite, sanely
-// bounded numerics — the properties the compute path relies on.
+// bounded numerics, and only grid nodes the CMOS model covers — the
+// properties the compute path relies on.
 func FuzzSweepRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload": "S3D", "preset": "reduced"}`))
 	f.Add([]byte(`{"workload": "RED", "designs": [{"node_nm": 45, "partition": 1, "simplification": 1}]}`))
 	f.Add([]byte(`{"workload": "GEM", "grid": {"nodes": [45, 5], "partitions": [1], "simplifications": [1], "fusion": [false]}}`))
 	f.Add([]byte(`{"workload": "S3D", "designs": [{"node_nm": 1e309}]}`))
 	f.Add([]byte(`{"workload": "S3D", "workers": -1}`))
+	f.Add([]byte(`{"workload": "FFT", "grid": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req sweepRequest
 		if err := decodeBody(&req, body); err != nil {
@@ -46,7 +49,7 @@ func FuzzSweepRequestDecode(f *testing.F) {
 		}
 		if req.Grid != nil {
 			for i, nm := range req.Grid.Nodes {
-				if math.IsNaN(nm) || math.IsInf(nm, 0) || nm < 1 {
+				if _, err := cmos.Lookup(nm); err != nil || math.IsNaN(nm) || math.IsInf(nm, 0) || nm < 1 {
 					t.Fatalf("validate accepted bad grid node %d: %v", i, nm)
 				}
 			}
@@ -101,8 +104,9 @@ func FuzzUncertaintyRequestDecode(f *testing.F) {
 // FuzzSearchRequestDecode hammers the search codec + validator + config
 // mapping: no input may panic, and a body that clears the validator must
 // map to a search.Config that the engine's own Validate accepts, with a
-// bounded evaluation budget and only finite numerics — the invariants the
-// explorer relies on to terminate.
+// bounded evaluation budget, only finite numerics and only space nodes the
+// CMOS model covers — the invariants the explorer relies on to terminate
+// and to evaluate.
 func FuzzSearchRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload": "FFT", "population": 12, "generations": 4, "seed": 5}`))
 	f.Add([]byte(`{"workload": "S3D", "strategy": "halving", "objectives": ["delay", "energy"], "max_area": 50, "max_power_w": 5}`))
@@ -110,6 +114,7 @@ func FuzzSearchRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"workload": "FFT", "population": 1000, "generations": 1000}`))
 	f.Add([]byte(`{"workload": "FFT", "max_area": 1e309}`))
 	f.Add([]byte(`{"workload": "FFT", "space": {"nodes": [0]}}`))
+	f.Add([]byte(`{"workload": "FFT", "space": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var req searchRequest
 		if err := decodeBody(&req, body); err != nil {
@@ -136,7 +141,7 @@ func FuzzSearchRequestDecode(f *testing.F) {
 			}
 		}
 		for i, nm := range cfg.Space.Nodes {
-			if math.IsNaN(nm) || math.IsInf(nm, 0) || nm < 1 {
+			if _, err := cmos.Lookup(nm); err != nil || math.IsNaN(nm) || math.IsInf(nm, 0) || nm < 1 {
 				t.Fatalf("accepted space node %d: %v", i, nm)
 			}
 		}

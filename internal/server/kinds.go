@@ -1,9 +1,9 @@
 // The kind table: grid sweeps, Monte Carlo bands and Pareto searches each
-// reach the server through four front ends — a synchronous endpoint, a
-// durable job, a cluster slice and the degraded stale-serving path. Every
-// front end dispatches through one record per kind, the request body
-// itself implementing kindSpec, so validation, caching and the job
-// lifecycle are written once per kind instead of once per front end.
+// reach the server through three front ends — a synchronous endpoint, a
+// durable job and a cluster slice. Every front end dispatches through one
+// record per kind, the request body itself implementing kindSpec, so
+// validation, caching and the job lifecycle are written once per kind
+// instead of once per front end.
 package server
 
 import (
@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"accelwall/internal/checkpoint"
 )
@@ -26,9 +25,6 @@ type kindSpec interface {
 	// limits. A job additionally rejects what only the synchronous
 	// endpoint serves.
 	check(s *Server, job bool) error
-	// peek returns a finished cached answer without computing anything —
-	// the degraded path; ok is false when none is resident.
-	peek(s *Server) (body any, ok bool)
 	// serve computes a checked request on the server's shared engines and
 	// writes the response.
 	serve(s *Server, w http.ResponseWriter, r *http.Request)
@@ -104,43 +100,4 @@ func (s *Server) poolWidth(requested int) int {
 		return requested
 	}
 	return s.opts.Workers
-}
-
-// degradedWarning is the RFC 7234 Warning value attached to every
-// degraded response, alongside the x-header clients key off.
-const degradedWarning = `110 accelwalld "stale response served from cache under overload"`
-
-// serveDegraded tries to answer a request the admission queue is about to
-// shed from the warm caches. It reports whether the response was written;
-// on false nothing has been written and the caller sheds as usual. A
-// kind's synchronous route is "POST /v1/<kind>"; the body is decoded and
-// checked exactly as that handler would, so a body that would not reach
-// the cache lookup in the handler cannot reach it here either.
-//
-// Only finished cache entries qualify: the degraded path never compiles
-// an engine, never starts a run, and never joins an in-flight one, so it
-// costs one map lookup and cannot deepen the overload it is routing
-// around.
-func (s *Server) serveDegraded(w http.ResponseWriter, r *http.Request) bool {
-	kind, ok := strings.CutPrefix(routeOf(r.Context()), "POST /v1/")
-	if !ok {
-		return false
-	}
-	spec, err := (&jobRequest{Kind: kind}).spec()
-	if err != nil || decodeJSON(w, r, spec) != nil || spec.check(s, false) != nil {
-		return false
-	}
-	body, ok := spec.peek(s)
-	if !ok {
-		return false
-	}
-	w.Header().Set("Warning", degradedWarning)
-	w.Header().Set("X-Accelwall-Degraded", "stale")
-	s.metrics.Degraded.Add(1)
-	if raw, ok := body.([]byte); ok {
-		writeJSONBytes(w, http.StatusOK, raw)
-	} else {
-		writeJSON(w, http.StatusOK, body)
-	}
-	return true
 }

@@ -154,9 +154,10 @@ func (m *memo[K, V]) leave(e *memoEntry[K, V]) {
 	}
 }
 
-// peek returns a completed value without joining, loading, or counting —
-// the degraded serving path must never start, extend, or hold a stake in
-// a load. It does refresh k's LRU position.
+// peek returns a completed value without joining, loading, or counting.
+// It is how the sweep response cache's warm path (sweepRequest.serve)
+// reads the bodies put stores; that cache never loads. It does refresh
+// k's LRU position.
 func (m *memo[K, V]) peek(k K) (V, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

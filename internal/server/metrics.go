@@ -63,11 +63,6 @@ type Metrics struct {
 	Shed503 expvar.Int
 	Cancels expvar.Int
 
-	// Degraded-mode serving: requests the admission queue would have shed
-	// that were answered from a warm cache with stale-marking headers
-	// instead.
-	Degraded expvar.Int
-
 	LatencySumMS expvar.Float
 	latency      []expvar.Int // len(latencyBucketsMS)+1; last is +Inf
 
@@ -159,7 +154,6 @@ func (m *Metrics) Snapshot() map[string]any {
 			"shed_429":            m.Shed429.Value(),
 			"shed_503":            m.Shed503.Value(),
 			"cancelled":           m.Cancels.Value(),
-			"degraded_served":     m.Degraded.Value(),
 			"per_route_shed":      dump(m.perRouteShed),
 			"per_route_cancelled": dump(m.perRouteCancel),
 		},

@@ -98,12 +98,9 @@ func retrySeconds(d time.Duration) string {
 // execution slot, sheds the request (429 when its deadline cannot
 // survive the expected queue wait, 503 when the wait queue itself is
 // full — both with Retry-After), or observes the client abandoning the
-// queue. A request about to be shed is first offered to the degraded
-// serving path: if a byte-identical answer already sits complete in a
-// cache, it is served stale-marked instead of refused. The deadline also
-// propagates into the engines via the request context, so a request that
-// times out stops computing within one chunk instead of burning its
-// worker pool to completion.
+// queue. The deadline also propagates into the engines via the request
+// context, so a request that times out stops computing within one chunk
+// instead of burning its worker pool to completion.
 func (s *Server) limit(route string, h http.Handler) http.Handler {
 	limited := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		v := s.adm.admit(r.Context())
@@ -113,18 +110,12 @@ func (s *Server) limit(route string, h http.Handler) http.Handler {
 			defer func() { s.adm.release(time.Since(start)) }()
 			h.ServeHTTP(w, r)
 		case admitShedDeadline:
-			if s.serveDegraded(w, r) {
-				return
-			}
 			s.metrics.Shed(route, http.StatusTooManyRequests)
 			w.Header().Set("Retry-After", retrySeconds(v.retryAfter))
 			writeError(w, http.StatusTooManyRequests,
 				"expected queue wait %s exceeds the request deadline; retry after %ss",
 				v.retryAfter.Round(time.Millisecond), retrySeconds(v.retryAfter))
 		case admitShedSaturated:
-			if s.serveDegraded(w, r) {
-				return
-			}
 			s.metrics.Shed(route, http.StatusServiceUnavailable)
 			w.Header().Set("Retry-After", retrySeconds(v.retryAfter))
 			writeError(w, http.StatusServiceUnavailable,

@@ -132,11 +132,16 @@ func TestLimitReleasesSlotOnPanic(t *testing.T) {
 // TestShedResponsesOverHTTP drives the full middleware stack: with every
 // slot pinned, a deadline-doomed request gets 429 and a saturating
 // arrival gets 503, both carrying parseable Retry-After headers, and both
-// land in the overload metrics per route.
+// land in the overload metrics per route. A shed request is shed even
+// when its answer already sits in a cache: every 200 is a fresh answer.
 func TestShedResponsesOverHTTP(t *testing.T) {
 	s := newTestServer(t, Options{MaxInflight: 1, MaxQueue: 1, RequestTimeout: 200 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	const warm = `{"workload": "FFT", "preset": "reduced"}`
+	if code, body := post(t, ts.URL+"/v1/sweep", warm); code != http.StatusOK {
+		t.Fatalf("warming sweep: status %d: %s", code, body)
+	}
 	drain := occupySlots(t, s.adm)
 	defer drain()
 
@@ -183,20 +188,41 @@ func TestShedResponsesOverHTTP(t *testing.T) {
 	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
 		t.Errorf("503 Retry-After %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
 	}
+
+	// The warm sweep body is shed like any other: no stale 200.
+	resp, err = http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(warm))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("saturating warm sweep: status %d, want 503", resp.StatusCode)
+	}
+	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || sec < 1 {
+		t.Errorf("warm 503 Retry-After %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
+	}
+	for _, h := range []string{"Warning", "X-Accelwall-Degraded"} {
+		if v := resp.Header.Get(h); v != "" {
+			t.Errorf("warm 503 carries %s: %q", h, v)
+		}
+	}
 	drain() // free the slot so the parked request completes
 	<-queued
 
 	if got := s.metrics.Shed429.Value(); got != 1 {
 		t.Errorf("shed_429 = %d, want 1", got)
 	}
-	if got := s.metrics.Shed503.Value(); got != 1 {
-		t.Errorf("shed_503 = %d, want 1", got)
+	if got := s.metrics.Shed503.Value(); got != 2 {
+		t.Errorf("shed_503 = %d, want 2", got)
 	}
 	snap := s.metrics.Snapshot()
 	over := snap["overload"].(map[string]any)
 	perShed := over["per_route_shed"].(map[string]int64)
 	if perShed["GET /v1/cmos"] != 2 {
 		t.Errorf("per-route shed for GET /v1/cmos = %d, want 2", perShed["GET /v1/cmos"])
+	}
+	if perShed["POST /v1/sweep"] != 1 {
+		t.Errorf("per-route shed for POST /v1/sweep = %d, want 1", perShed["POST /v1/sweep"])
 	}
 }
 

@@ -167,11 +167,6 @@ func (r *searchRequest) key() string {
 	return searchKey(engineKey(r.Workload, r.Size), r.cfg)
 }
 
-// peek serves a Pareto frontier from a completed search-cache entry.
-func (r *searchRequest) peek(s *Server) (any, bool) {
-	return s.searches.peek(r.key())
-}
-
 // run searches cfg over eval at the given pool width, durably when ck is
 // set.
 func (r *searchRequest) run(ctx context.Context, eval search.Evaluator, cfg search.Config, workers int, ck *checkpoint.Options) (core.SearchJSON, int, error) {

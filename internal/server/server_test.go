@@ -9,6 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -619,5 +622,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if total < 2 {
 		t.Fatalf("latency buckets sum %d, want >= 2", total)
+	}
+}
+
+// TestMetricsDocKeys: every key the docs/API.md examples show under
+// "overload" and "resources" is one a jobs-enabled server's /v1/metrics
+// emits in that section, so a metric deleted without its doc line fails
+// here.
+func TestMetricsDocKeys(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]map[string]json.RawMessage{}
+	for _, block := range regexp.MustCompile("(?s)```json\n(.*?)```").FindAllSubmatch(doc, -1) {
+		var top map[string]json.RawMessage
+		if json.Unmarshal(block[1], &top) != nil {
+			continue
+		}
+		for _, section := range []string{"overload", "resources"} {
+			if raw, ok := top[section]; ok {
+				var keys map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &keys); err != nil {
+					t.Fatalf("docs/API.md %q example: %v", section, err)
+				}
+				documented[section] = keys
+			}
+		}
+	}
+
+	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
+	defer ts.Close()
+	status, body := get(t, ts.URL+"/v1/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("metrics: %d %s", status, body)
+	}
+	var live struct{ Overload, Resources map[string]json.RawMessage }
+	if err := json.Unmarshal(body, &live); err != nil {
+		t.Fatal(err)
+	}
+	for section, emitted := range map[string]map[string]json.RawMessage{"overload": live.Overload, "resources": live.Resources} {
+		if len(documented[section]) == 0 {
+			t.Errorf("docs/API.md has no %q metrics example", section)
+		}
+		for key := range documented[section] {
+			if _, ok := emitted[key]; !ok {
+				t.Errorf("docs/API.md documents %s.%s; /v1/metrics does not emit it", section, key)
+			}
+		}
 	}
 }

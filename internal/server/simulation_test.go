@@ -66,8 +66,8 @@ const (
 type simRequest struct{ path, body, kind string }
 
 // simMenu is small on purpose: bodies repeat within a seed, so warm
-// caches, stale serving and singleflight joins occur. From simOpener on,
-// each Monte Carlo body is asked at most once per seed.
+// caches and singleflight joins occur. From simOpener on, each Monte
+// Carlo body is asked at most once per seed.
 var simMenu = func() []simRequest {
 	menu := []simRequest{
 		{"/v1/sweep", clusterSweepBody, "sweep"},
@@ -181,8 +181,8 @@ func newSimPlan(seed uint64) simPlan {
 	waves, hot := 4+rng.Intn(3), rng.Intn(3)
 	// Under overload every wave goes to one peer: an opener holds its one
 	// execution slot, a cacheable body of one kind queues behind it and
-	// two more copies shed. The kinds take turns, so each is shed cold
-	// (503) and then warm (a stale serve).
+	// two more copies shed. The kinds take turns, so each is shed (503)
+	// both before and after its answer is cached.
 	cacheable := []int{rng.Intn(3), 4 + rng.Intn(2), 6 + rng.Intn(2)}
 	if p.faults&simOverload != 0 {
 		waves = len(simMenu) - simOpener
@@ -323,15 +323,15 @@ func (r *simRun) await(cond func() bool, format string, args ...any) {
 	}
 }
 
-// simMechanisms are the /v1/metrics counters, and the stale serves per
-// route, the corpus must drive: an oracle that holds while a mechanism
-// never fires proves nothing about it.
+// simMechanisms are the /v1/metrics counters the corpus must drive: an
+// oracle that holds while a mechanism never fires proves nothing about
+// it.
 var simMechanisms = []string{
 	"cluster.scatters", "cluster.steals",
 	"cluster.replica_push_fails", "cluster.repair_pushes", "cluster.deaths", "cluster.resurrections",
-	"cluster.jobs_adopted", "overload.degraded_served", "overload.shed_503",
+	"cluster.jobs_adopted", "overload.shed_503",
 	"resources.disk_mem_snapshots", "readyz disk-degraded",
-	"jobs disk-degraded", "stale /v1/sweep", "stale /v1/uncertainty", "stale /v1/search",
+	"jobs disk-degraded",
 }
 
 // FuzzSimulation runs one seed per entry; a whole-corpus run also fails
@@ -465,11 +465,6 @@ func simulate(t *testing.T, seed uint64) *simRun {
 		r.restart(killed)
 	}
 	r.quiesce()
-	for _, ob := range r.responses {
-		if ob.status == http.StatusOK && ob.header.Get("X-Accelwall-Degraded") != "" {
-			r.metrics["stale "+ob.req.path]++
-		}
-	}
 	t.Logf("%d responses, %d jobs accepted; counters: %v", len(r.responses), len(r.accepted), r.metrics)
 	simOracle(t, r)
 	return r
@@ -775,14 +770,10 @@ func matchesReference(got, ref []byte) bool {
 // simOracle is the harness's one oracle.
 //
 //   - Client routes: every 200 matches the fault-free single-node
-//     reference (matchesReference); a stale-marked 200 carries both
-//     markers and equals a body served before for the same request (or,
-//     when the client never saw that body, matches the reference); the
-//     stale 200s the client saw are exactly the degraded_served the
-//     servers counted, so no stale body goes out unmarked; every shed 429
-//     or 503 carries Retry-After, except the request-timeout 503 of
-//     http.TimeoutHandler; a request the generator built never gets a 4xx
-//     other than 429, and never goes unanswered.
+//     reference (matchesReference); every shed 429 or 503 carries
+//     Retry-After, except the request-timeout 503 of http.TimeoutHandler;
+//     a request the generator built never gets a 4xx other than 429, and
+//     never goes unanswered.
 //   - Jobs: every accepted job ends done exactly once across all peers:
 //     its SSE stream ends on done, GET returns done with the reference
 //     result, one server logged its completion, and no job log holds two
@@ -792,13 +783,7 @@ func matchesReference(got, ref []byte) bool {
 // Leakcheck, armed by simulate, fails the seed if a goroutine outlives it.
 func simOracle(t *testing.T, r *simRun) {
 	t.Helper()
-	served := map[string][][]byte{}
-	for _, ob := range r.responses {
-		if ob.status == http.StatusOK && ob.header.Get("X-Accelwall-Degraded") == "" {
-			served[ob.req.path+ob.req.body] = append(served[ob.req.path+ob.req.body], ob.body)
-		}
-	}
-	stale, sheds := 0, map[string]int{}
+	sheds := map[string]int{}
 	for _, ob := range r.responses {
 		what, ref := ob.req.path+" "+ob.req.body, simRefs.m[ob.req.path+ob.req.body]
 		if ob.job {
@@ -808,15 +793,6 @@ func simOracle(t *testing.T, r *simRun) {
 		case ob.err != nil:
 			t.Errorf("%s: no answer: %v", what, ob.err)
 		case ob.job && ob.status == http.StatusAccepted:
-		case ob.status == http.StatusOK && ob.header.Get("X-Accelwall-Degraded") != "":
-			stale++
-			if ob.header.Get("X-Accelwall-Degraded") != "stale" || !strings.HasPrefix(ob.header.Get("Warning"), "110 ") {
-				t.Errorf("%s: degraded 200 with markers %q / %q", what, ob.header.Get("X-Accelwall-Degraded"), ob.header.Get("Warning"))
-			}
-			seen := slices.ContainsFunc(served[ob.req.path+ob.req.body], func(b []byte) bool { return bytes.Equal(b, ob.body) })
-			if !seen && !matchesReference(ob.body, ref) {
-				t.Errorf("%s: stale 200 is no body served before:\n%s", what, ob.body)
-			}
 		case ob.status == http.StatusOK && (ob.job || !matchesReference(ob.body, ref)):
 			t.Errorf("%s: 200 diverges from the single-node reference:\n%s\nvs\n%s", what, ob.body, ref)
 		case ob.status == http.StatusServiceUnavailable && bytes.Contains(ob.body, []byte(`"request timed out"`)):
@@ -831,9 +807,6 @@ func simOracle(t *testing.T, r *simRun) {
 		case ob.status >= 400 && ob.status < 500:
 			t.Errorf("%s: %d to a valid request: %s", what, ob.status, ob.body)
 		}
-	}
-	if n := r.metrics["overload.degraded_served"]; float64(stale) != n {
-		t.Errorf("servers counted %v stale serves, the client saw %d marked ones", n, stale)
 	}
 	for _, path := range []string{"/v1/sweep", "/v1/uncertainty", "/v1/search"} {
 		if n := r.metrics["overload.per_route_shed POST "+path]; float64(sheds[path]) != n {

@@ -131,16 +131,6 @@ func (r *sweepRequest) respKey() respKey {
 	}
 }
 
-// peek serves a grid sweep from the marshaled response cache. Design-list
-// sweeps are never response-cached.
-func (r *sweepRequest) peek(s *Server) (any, bool) {
-	if r.grid == nil {
-		return nil, false
-	}
-	body, ok := s.responses.peek(r.respKey())
-	return body, ok
-}
-
 // run evaluates the request on eng: the grid (durable through ck) or the
 // design list.
 func (r *sweepRequest) run(ctx context.Context, eng *sweep.Engine, workers int, ck *checkpoint.Options) ([]sweep.Point, int, error) {

@@ -56,11 +56,6 @@ func (r *uncertaintyRequest) resolve() error {
 // check: the replicate limit is a constant, so resolve holds it.
 func (r *uncertaintyRequest) check(*Server, bool) error { return r.resolve() }
 
-// peek serves Monte Carlo bands from a completed uncertainty-cache entry.
-func (r *uncertaintyRequest) peek(s *Server) (any, bool) {
-	return s.uncertainty.peek(r.config().Normalized())
-}
-
 // serve computes Monte Carlo confidence bands over the full
 // accelerator-wall pipeline. Results are memoized on the normalized
 // configuration (worker count excluded — it never changes output), so

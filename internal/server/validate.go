@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"accelwall/internal/cmos"
 	"accelwall/internal/search"
 )
 
@@ -53,6 +54,18 @@ func finiteIn(field string, v, lo, hi float64) error {
 	return nil
 }
 
+// modeledNode rejects a feature size the CMOS scaling model does not
+// cover: the engines cannot evaluate it, so it is the client's error.
+func modeledNode(field string, nm float64) error {
+	if err := finiteIn(field, nm, 1, maxNodeNM); err != nil {
+		return err
+	}
+	if _, err := cmos.Lookup(nm); err != nil {
+		return badField(field, "%v", err)
+	}
+	return nil
+}
+
 // validate checks a sweep request's numeric fields before any engine work.
 func (r *sweepRequest) validate() error {
 	if r.Workers < 0 || r.Workers > maxWorkers {
@@ -63,8 +76,7 @@ func (r *sweepRequest) validate() error {
 	}
 	if r.Grid != nil {
 		for i, nm := range r.Grid.Nodes {
-			f := fmt.Sprintf("grid.nodes[%d]", i)
-			if err := finiteIn(f, nm, 1, maxNodeNM); err != nil {
+			if err := modeledNode(fmt.Sprintf("grid.nodes[%d]", i), nm); err != nil {
 				return err
 			}
 		}
@@ -145,7 +157,7 @@ func (r *searchRequest) validate() error {
 			}
 		}
 		for i, nm := range sp.Nodes {
-			if err := finiteIn(fmt.Sprintf("space.nodes[%d]", i), nm, 1, maxNodeNM); err != nil {
+			if err := modeledNode(fmt.Sprintf("space.nodes[%d]", i), nm); err != nil {
 				return err
 			}
 		}

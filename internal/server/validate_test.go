@@ -10,8 +10,10 @@ import (
 // TestValidationRejectsAbsurdNumerics drives the boundary validator over
 // HTTP: every body carries one bad numeric, and the 400 must name the
 // offending field so clients can fix their input without bisecting it.
+// A node the CMOS model does not cover is refused here too, by the sync
+// routes and at job submit alike.
 func TestValidationRejectsAbsurdNumerics(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, Options{}).Handler())
+	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
 	defer ts.Close()
 
 	cases := []struct {
@@ -21,6 +23,10 @@ func TestValidationRejectsAbsurdNumerics(t *testing.T) {
 		{"/v1/sweep", `{"workload": "S3D", "designs": [{"node_nm": 45, "partition": 1, "simplification": 1, "clock_ghz": -2}]}`, "designs[0].clock_ghz"},
 		{"/v1/sweep", `{"workload": "S3D", "preset": "reduced", "workers": 100000}`, "workers"},
 		{"/v1/sweep", `{"workload": "S3D", "grid": {"nodes": [0.5], "partitions": [1], "simplifications": [1], "fusion": [false]}}`, "grid.nodes[0]"},
+		{"/v1/sweep", `{"workload": "FFT", "grid": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}`, "grid.nodes[0]"},
+		{"/v1/search", `{"workload": "FFT", "space": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}`, "space.nodes[0]"},
+		{"/v1/jobs", `{"kind": "sweep", "sweep": {"workload": "FFT", "grid": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}}`, "grid.nodes[0]"},
+		{"/v1/jobs", `{"kind": "search", "search": {"workload": "FFT", "space": {"nodes": [205], "partitions": [1], "simplifications": [1], "fusion": [false]}}}`, "space.nodes[0]"},
 		{"/v1/uncertainty", `{"gain_target": 1e300}`, "gain_target"},
 		{"/v1/uncertainty", `{"replicates": -1}`, "replicates"},
 		{"/v1/uncertainty", `{"cmos_jitter": -0.5}`, "cmos_jitter"},
