@@ -27,8 +27,15 @@ type Miner struct {
 // the Bitcoin-wiki miner databases the paper scraped. Gain magnitudes match
 // the reported aggregates: ASIC performance per area ~600× across ASICs and
 // ~600,000× over the baseline CPU miner, with transistor performance
-// improving ~300× across ASICs (Figures 1 and 9).
-func Miners() []Miner {
+// improving ~300× across ASICs (Figures 1 and 9). The slice is built once
+// and shared: callers must not modify it.
+func Miners() []Miner { return miners }
+
+// miners is the mining dataset, built once from its literal.
+var miners = minerRecords()
+
+// minerRecords builds the mining dataset.
+func minerRecords() []Miner {
 	return []Miner{
 		{Name: "Athlon64-CPU", Kind: chipdb.CPU, Year: 2009.0, NodeNM: 130, FreqGHz: 2.0, PerfGHsMM2: 8e-6, EffGHsJ: 5e-6},
 		{Name: "HD5870-GPU", Kind: chipdb.GPU, Year: 2010.5, NodeNM: 40, FreqGHz: 0.85, PerfGHsMM2: 1e-3, EffGHsJ: 2e-3},

@@ -74,8 +74,24 @@ func (f FPGAImpl) Config() gains.Config {
 // needs ~20× the operations per image — improves only ~9× and ~7×. CSR
 // rises across the series (CNNs are an emerging domain where algorithmic
 // innovation still pays) but is flat-to-lower for the best chips, whose
-// edge is higher resource utilization.
+// edge is higher resource utilization. The slices are built once and
+// shared: callers must not modify them.
 func FPGAImpls(model CNNModel) []FPGAImpl {
+	if model == VGG16 {
+		return vgg16Impls
+	}
+	return alexNetImpls
+}
+
+// alexNetImpls and vgg16Impls are the FPGA CNN datasets, built once from
+// their literals.
+var (
+	alexNetImpls = fpgaRecords(AlexNet)
+	vgg16Impls   = fpgaRecords(VGG16)
+)
+
+// fpgaRecords builds the CNN implementation dataset for one model.
+func fpgaRecords(model CNNModel) []FPGAImpl {
 	if model == VGG16 {
 		return []FPGAImpl{
 			{Pub: "FPGA2016", Model: VGG16, Year: 2016.0, NodeNM: 28, FreqGHz: 0.10, GOPS: 80, GOPSJ: 4.0, UtilLUT: 55, UtilDSP: 50, UtilBRAM: 45},

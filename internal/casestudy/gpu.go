@@ -57,8 +57,15 @@ var gpuArchReturns = map[string]archReturn{
 
 // GPUChips returns the GPU dataset: flagship chips for every architecture
 // of Figures 6/7 (2008–2017) plus the mid-range parts that populate the
-// translucent markers of Figure 5.
-func GPUChips() []GPUChip {
+// translucent markers of Figure 5. The slice is built once and shared:
+// callers must not modify it.
+func GPUChips() []GPUChip { return gpuChips }
+
+// gpuChips is the GPU dataset, built once from its literal.
+var gpuChips = gpuRecords()
+
+// gpuRecords builds the GPU dataset.
+func gpuRecords() []GPUChip {
 	return []GPUChip{
 		{Name: "GTX 280", Arch: "Tesla", NodeNM: 65, Year: 2008.5, DieMM2: 576, TDPW: 236, FreqGHz: 0.60, HighEnd: true},
 		{Name: "GTX 285", Arch: "Tesla 2", NodeNM: 65, Year: 2008.8, DieMM2: 520, TDPW: 220, FreqGHz: 0.62, HighEnd: true},

@@ -41,8 +41,15 @@ func (d Decoder) HasHardwareData() bool { return d.CoreKGates > 0 && d.SRAMKb > 
 // gain magnitudes reproduce the paper's aggregates: up to 64× decoding
 // throughput and 34× energy efficiency over the ISSCC2006 baseline, with
 // specialization returns that peak mildly above 1 mid-decade and fall
-// below 1 for the best-performing chips.
-func Decoders() []Decoder {
+// below 1 for the best-performing chips. The slice is built once and
+// shared: callers must not modify it.
+func Decoders() []Decoder { return decoders }
+
+// decoders is the video decoder dataset, built once from its literal.
+var decoders = decoderRecords()
+
+// decoderRecords builds the video decoder dataset.
+func decoderRecords() []Decoder {
 	return []Decoder{
 		{Pub: "ISSCC2006", Year: 2006, NodeNM: 180, DieMM2: 7.7, FreqGHz: 0.10, PowerW: 0.35, MPixS: 30, MPixJ: 85, CoreKGates: 160, SRAMKb: 4.5},
 		{Pub: "ISSCC2007", Year: 2007, NodeNM: 130, DieMM2: 7.0, FreqGHz: 0.12, PowerW: 0.32, MPixS: 75, MPixJ: 238, CoreKGates: 252, SRAMKb: 16},

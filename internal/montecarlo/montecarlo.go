@@ -297,9 +297,10 @@ func targets() []gains.Target {
 	return []gains.Target{gains.TargetThroughput, gains.TargetEfficiency}
 }
 
-// scratch is one worker's reusable replicate buffers: the resample's
-// index draw and the fit's gather buffers.
+// scratch is one worker's reusable replicate state: the PRNG, re-seeded
+// per replicate, the resample's index draw and the fit's gather buffers.
 type scratch struct {
+	rng    *rand.Rand
 	sample []int
 	fit    budget.FitScratch
 }
@@ -309,10 +310,14 @@ type scratch struct {
 // worker identity. The resample is a case (bootstrap) resample drawn as
 // Len() chip indices with replacement.
 func (e *Engine) replicate(cfg Config, idx int, s *scratch) (replicateOut, error) {
-	rng := rand.New(rand.NewSource(substream(cfg.Seed, idx)))
-	if s.sample == nil {
+	// Seed resets the source to exactly the state NewSource gives the
+	// same seed, so reusing one *rand.Rand draws the same stream.
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(0))
 		s.sample = make([]int, e.n)
 	}
+	rng := s.rng
+	rng.Seed(substream(cfg.Seed, idx))
 	for i := range s.sample {
 		s.sample[i] = rng.Intn(e.n)
 	}

@@ -105,13 +105,19 @@ func RSquared(ys, yhat []float64) (float64, error) {
 		d := ys[i] - m
 		ssTot += d * d
 	}
+	return rSquared(ssRes, ssTot), nil
+}
+
+// rSquared is R² from the residual and total sums of squares, with
+// RSquared's zero-variance convention.
+func rSquared(ssRes, ssTot float64) float64 {
 	if ssTot == 0 {
 		if ssRes == 0 {
-			return 1, nil
+			return 1
 		}
-		return 0, nil
+		return 0
 	}
-	return 1 - ssRes/ssTot, nil
+	return 1 - ssRes/ssTot
 }
 
 // Linear is a fitted line y = Alpha*x + Beta.
@@ -149,11 +155,16 @@ func FitLinear(xs, ys []float64) (Linear, error) {
 	}
 	l := Linear{Alpha: sxy / sxx}
 	l.Beta = my - l.Alpha*mx
-	yhat := make([]float64, len(xs))
+	// R² without a prediction slice: RSquared's loop over l.Eval(xs[i]),
+	// in its summation order, so the value is bit-identical to it.
+	var ssRes, ssTot float64
 	for i, x := range xs {
-		yhat[i] = l.Eval(x)
+		r := ys[i] - l.Eval(x)
+		ssRes += r * r
+		d := ys[i] - my
+		ssTot += d * d
 	}
-	l.R2, _ = RSquared(ys, yhat)
+	l.R2 = rSquared(ssRes, ssTot)
 	return l, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,44 @@ func TestFitLinearRecoversLineProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FitLinear's R² is computed without a prediction slice; it must equal
+// RSquared over l.Eval predictions bit for bit, because the Monte Carlo
+// refits feed it into pinned digests. The inputs span noisy lines, exact
+// lines and constant ys (RSquared's zero-variance branch).
+func TestFitLinearR2MatchesRSquared(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(200)
+		scale := math.Pow(10, float64(rng.Intn(13)-6))
+		a, b := rng.NormFloat64()*scale, rng.NormFloat64()*scale
+		noise := []float64{0, 1e-9, 0.1, 10}[trial%4]
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * scale
+			ys[i] = a*xs[i] + b + rng.NormFloat64()*noise*scale
+			if trial%25 == 0 {
+				ys[i] = b
+			}
+		}
+		l, err := FitLinear(xs, ys)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		yhat := make([]float64, n)
+		for i, x := range xs {
+			yhat[i] = l.Eval(x)
+		}
+		want, err := RSquared(ys, yhat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(l.R2) != math.Float64bits(want) {
+			t.Fatalf("trial %d (n=%d): FitLinear R² = %v, RSquared = %v", trial, n, l.R2, want)
+		}
 	}
 }
 
