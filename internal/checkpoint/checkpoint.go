@@ -34,6 +34,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"accelwall/internal/faultinject"
 )
@@ -84,21 +85,21 @@ type Sink interface {
 	Save(payload []byte) error
 }
 
+// IsDiskFull reports whether err is a resource-exhaustion failure that
+// may pass once space returns: no space, quota, or an I/O error from a
+// dying device.
+func IsDiskFull(err error) bool {
+	return errors.Is(err, syscall.ENOSPC) ||
+		errors.Is(err, syscall.EDQUOT) ||
+		errors.Is(err, syscall.EIO)
+}
+
 // Store manages one directory of checkpoint files. The directory is
 // created 0700 on Open and probed for writability, so a misconfigured
 // path fails at startup instead of at the first snapshot minutes into a
 // run.
 type Store struct {
 	dir string
-
-	// Degraded-disk state (see degraded.go): while the disk refuses
-	// writes with ENOSPC/EIO, snapshots are diverted into per-name
-	// in-memory rings instead of failing the run.
-	mu       sync.Mutex
-	degraded bool
-	stash    map[string]*stashEntry
-	memSaves int64
-	wmu      sync.Mutex // orders Write against Flush, so a stale flush never lands over it
 }
 
 // Open creates (0700) and write-probes dir, returning a store over it.
@@ -116,7 +117,7 @@ func Open(dir string) (*Store, error) {
 	}
 	f.Close()
 	os.Remove(probe)
-	return &Store{dir: dir, stash: make(map[string]*stashEntry)}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's directory.
@@ -145,18 +146,16 @@ func (s *Store) List() ([]string, error) {
 }
 
 // Remove deletes the named snapshot logs (and any stray temp file a crash
-// left beside each), along with any in-memory snapshots stashed for them.
-// Missing files are not an error: Remove is the "run completed, forget
-// the progress" path and must be idempotent. Once at least one log is
-// gone, the directory is fsynced once for all of them — without it a
-// crash can resurrect a just-forgotten log, and a resurrected job log
-// brings an evicted job back. A stray temp file needs no fsync:
-// nothing reads one back.
+// left beside each). Missing files are not an error: Remove is the "run
+// completed, forget the progress" path and must be idempotent. Once at
+// least one log is gone, the directory is fsynced once for all of them —
+// without it a crash can resurrect a just-forgotten log, and a
+// resurrected job log brings an evicted job back. A stray temp file needs
+// no fsync: nothing reads one back.
 func (s *Store) Remove(names ...string) error {
 	var firstErr error
 	removed := false
 	for _, name := range names {
-		s.dropStash(name)
 		os.Remove(s.Path(name) + ".tmp")
 		switch err := os.Remove(s.Path(name)); {
 		case err == nil:
@@ -174,14 +173,9 @@ func (s *Store) Remove(names ...string) error {
 }
 
 // ReadLast returns the newest intact snapshot payload in the named log,
-// falling back across any torn or corrupt tail. While the store is
-// degraded, an in-memory snapshot for the name wins: it is by
-// construction newer than anything on the refusing disk. The error,
-// when non-nil, wraps one of the named causes above.
+// falling back across any torn or corrupt tail. The error, when non-nil,
+// wraps one of the named causes above.
 func (s *Store) ReadLast(name string) ([]byte, error) {
-	if p, ok := s.stashedPayload(name); ok {
-		return p, nil
-	}
 	b, err := os.ReadFile(s.Path(name))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -194,34 +188,11 @@ func (s *Store) ReadLast(name string) ([]byte, error) {
 
 // Write atomically replaces the named log with one holding only payload:
 // temp file (0600) + fsync + rename + directory fsync, the single-record
-// path for small atomic state like a job's submit record. A disk refusing
-// the write with ENOSPC/EIO does not fail the caller: the
-// payload is diverted to the in-memory stash, the store turns degraded,
-// and Flush lands it once space returns. If the rename never lands
-// (crash, or an injected fs.rename fault) the previous file remains
-// untouched and valid.
+// path for small atomic state like a job's submit record. A disk that
+// refuses the write fails it (IsDiskFull tells the caller it may pass
+// later). If the rename never lands (crash, or an injected fs.rename
+// fault) the previous file remains untouched and valid.
 func (s *Store) Write(name string, payload []byte) error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	err := s.writeDisk(name, payload)
-	switch {
-	case err == nil:
-		// The disk copy supersedes any stashed one.
-		s.dropStash(name)
-		return nil
-	case IsDiskFull(err):
-		s.degradeStash(name, payload, nil)
-		return nil
-	default:
-		return err
-	}
-}
-
-// writeDisk is the raw atomic-rewrite path: temp file + fsync + rename
-// + directory fsync, no degraded-mode diversion. Compaction and Flush
-// use it directly so a still-full disk surfaces as an error instead of
-// re-entering the stash.
-func (s *Store) writeDisk(name string, payload []byte) error {
 	path := s.Path(name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, FilePerm)
@@ -319,10 +290,10 @@ type Log struct {
 	f        *os.File
 	size     int64
 	maxBytes int64
-	// torn is set when an append failed partway: the tail may hold a
-	// partial frame, and any record appended after it would be stranded
+	// torn is set when an append or its fsync failed: the tail may hold
+	// a partial frame, and any record appended after it would be stranded
 	// behind the corruption (readers stop at the first bad frame). Once
-	// torn, saves go through the atomic rewrite until it heals.
+	// torn, saves go through the atomic rewrite until one lands.
 	torn bool
 }
 
@@ -346,17 +317,19 @@ func (s *Store) OpenLog(name string) (*Log, error) {
 		// on it: fsync the header AND the parent directory (the file's
 		// dirent is dir state — rename-path writes already sync it, but
 		// file creation needs the same treatment or a crash leaves a
-		// log that never existed).
-		if _, err := faultinject.WriteFile(f, appendHeader(nil)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: init log %s: %w", name, err)
+		// log that never existed). A failed init removes the file, so a
+		// retry initialises it afresh instead of trusting an unsynced
+		// header.
+		_, err := faultinject.WriteFile(f, appendHeader(nil))
+		if err == nil {
+			err = faultinject.SyncFile(f)
 		}
-		if err := faultinject.SyncFile(f); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint: init log %s: %w", name, err)
+		if err == nil {
+			err = syncDir(s.dir)
 		}
-		if err := syncDir(s.dir); err != nil {
+		if err != nil {
 			f.Close()
+			os.Remove(path)
 			return nil, fmt.Errorf("checkpoint: init log %s: %w", name, err)
 		}
 		size = headerLen
@@ -380,77 +353,47 @@ func (s *Store) OpenLog(name string) (*Log, error) {
 
 // Save appends one snapshot record and fsyncs it durable. Once the log
 // outgrows its size bound it is compacted (atomically) to just this
-// newest record. A disk-full failure does not error: the snapshot is
-// stashed in the store's memory ring and the log turns torn, routing
-// subsequent saves through the atomic rewrite until the disk heals. Any
-// other error means the snapshot may not be durable; the log itself
-// remains valid — prior records are untouched.
+// newest record; a compaction the disk refuses is retried at the next
+// Save, since the append is already durable. A failed append or fsync
+// returns the error and turns the log torn, so the next Save rewrites it
+// atomically to just its payload, dropping the suspect tail. A failure
+// never touches the prior records.
 func (l *Log) Save(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return fmt.Errorf("checkpoint: log %s is closed", l.name)
 	}
-	if l.torn || l.store.Degraded() {
-		return l.saveDegradedLocked(payload)
+	if l.torn {
+		if err := l.compactLocked(payload); err != nil {
+			return err
+		}
+		l.torn = false
+		return nil
 	}
 	rec := appendFrame(nil, payload)
 	if _, err := faultinject.WriteFile(l.f, rec); err != nil {
-		if IsDiskFull(err) {
-			l.torn = true
-			l.store.degradeStash(l.name, payload, l)
-			return nil
-		}
+		l.torn = true
 		return fmt.Errorf("checkpoint: append %s: %w", l.name, err)
 	}
 	l.size += int64(len(rec))
 	if err := faultinject.SyncFile(l.f); err != nil {
-		if IsDiskFull(err) {
-			l.torn = true
-			l.store.degradeStash(l.name, payload, l)
-			return nil
-		}
+		l.torn = true
 		return fmt.Errorf("checkpoint: fsync %s: %w", l.name, err)
 	}
 	if l.size > l.maxBytes {
-		if err := l.compactLocked(payload); err != nil {
-			if IsDiskFull(err) {
-				// The append above IS durable; only the compaction was
-				// refused. Stash so the heal path rewrites (and shrinks)
-				// the log once space returns.
-				l.store.degradeStash(l.name, payload, l)
-				return nil
-			}
+		if err := l.compactLocked(payload); err != nil && !IsDiskFull(err) {
 			return err
 		}
 	}
 	return nil
 }
 
-// saveDegradedLocked is Save while the disk is (or was) refusing
-// writes: try the atomic rewrite — which both proves the disk healed
-// and repairs a torn tail in one stroke — and fall back to the memory
-// stash while it keeps refusing.
-func (l *Log) saveDegradedLocked(payload []byte) error {
-	if err := l.compactLocked(payload); err != nil {
-		if IsDiskFull(err) {
-			l.store.degradeStash(l.name, payload, l)
-			return nil
-		}
-		return err
-	}
-	l.torn = false
-	l.store.healName(l.name)
-	return nil
-}
-
-// compactLocked rewrites the log to just payload via the raw atomic
-// rewrite and reopens the handle. On failure the grown (still valid)
-// log stays in place. It bypasses the store's degraded diversion: a
-// compaction the disk refuses must surface as an error, not silently
-// claim durability.
+// compactLocked rewrites the log to just payload via the atomic rewrite
+// and reopens the handle. On failure the grown (still valid) log stays in
+// place.
 func (l *Log) compactLocked(payload []byte) error {
-	if err := l.store.writeDisk(l.name, payload); err != nil {
+	if err := l.store.Write(l.name, payload); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(l.store.Path(l.name), os.O_RDWR, FilePerm)

@@ -528,7 +528,7 @@ func (s *Server) handleInternalJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.view(j, true))
+	writeJSON(w, http.StatusOK, j.json(true))
 }
 
 // remoteJob asks every other alive peer for the job and returns the

@@ -55,17 +55,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "recovering persisted jobs")
 		return
 	}
-	// Degraded-disk durability stays 200: the process serves and computes
-	// correctly, it merely runs without crash-durability until the disk
-	// heals, and restarting it (what a failing readyz invites) would LOSE
-	// the in-memory snapshots a healthy restart preserves.
-	if s.jobs != nil && s.jobs.store.Degraded() {
-		writeJSON(w, http.StatusOK, map[string]string{
-			"status":   "ready",
-			"degraded": "disk",
-		})
-		return
-	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
@@ -84,7 +73,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	snap["engines"] = engines
-	snap["resources"] = s.resourcesSnapshot()
 	if s.cluster != nil {
 		cl := s.cluster.Metrics.Snapshot(s.cluster)
 		cl["slices_served"] = s.metrics.ClusterSlicesServed.Value()

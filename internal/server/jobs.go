@@ -11,8 +11,9 @@
 // its newest intact record, so submit writes the first record
 // atomically, the engine's snapshots append through a sink that also
 // feeds the live progress counters, finishing or failing appends one
-// record (the in-memory state flips only once it is durable), and
-// eviction removes the one file. On startup the manager reads each log's
+// record (the in-memory state flips only once it is durable: a full disk
+// keeps the job running until the record lands), and eviction removes
+// the one file. On startup the manager reads each log's
 // newest record before serving readiness: finished jobs are re-listed
 // with their results, and pending or running ones are re-queued with the
 // record's snapshot — a snapshot that fails to decode just demotes the
@@ -123,7 +124,6 @@ type jobJSON struct {
 	ProgressDone  int             `json:"progress_done"`
 	ProgressTotal int             `json:"progress_total"`
 	Resumed       int             `json:"resumed,omitempty"`
-	Degraded      string          `json:"degraded,omitempty"` // "disk": snapshots in memory only
 	Error         string          `json:"error,omitempty"`
 	Result        json.RawMessage `json:"result,omitempty"`
 }
@@ -143,17 +143,6 @@ func (j *job) json(withResult bool) jobJSON {
 	}
 	if withResult {
 		out.Result = j.result
-	}
-	return out
-}
-
-// view is j as clients see it. Its "degraded": "disk" marker is read from
-// the checkpoint store: it is set exactly while the job's newest record
-// waits in memory for the disk, and clears with whichever write lands it.
-func (jm *jobManager) view(j *job, withResult bool) jobJSON {
-	out := j.json(withResult)
-	if jm.store.InMemory(logName(j.id)) {
-		out.Degraded = "disk"
 	}
 	return out
 }
@@ -380,7 +369,7 @@ func (j *job) finishProgress() {
 func (jm *jobManager) recover(names []string) {
 	defer jm.wg.Done()
 	defer close(jm.recovered)
-	queued := 0
+	recovered, queued := 0, 0
 	for _, name := range names {
 		id, ok := strings.CutSuffix(name, ".job")
 		if !ok {
@@ -411,7 +400,11 @@ func (jm *jobManager) recover(names []string) {
 				continue
 			}
 		}
+		// The repair loop's tracked and adoption read the table meanwhile.
+		jm.mu.Lock()
 		jm.jobs[id] = j
+		jm.mu.Unlock()
+		recovered++
 		if resume != nil {
 			jm.srv.metrics.JobsResumed.Add(1)
 		}
@@ -420,8 +413,8 @@ func (jm *jobManager) recover(names []string) {
 			jm.run(j, resume)
 		}
 	}
-	if len(jm.jobs) > 0 {
-		jm.srv.logf("jobs: recovered %d job(s), %d to resume", len(jm.jobs), queued)
+	if recovered > 0 {
+		jm.srv.logf("jobs: recovered %d job(s), %d to resume", recovered, queued)
 	}
 }
 
@@ -466,7 +459,10 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 	if err == nil {
 		err = jm.store.Write(logName(id), rec)
 	}
-	if err != nil {
+	switch {
+	case checkpoint.IsDiskFull(err):
+		return nil, http.StatusServiceUnavailable, fmt.Errorf("disk full; job not accepted: %w", err)
+	case err != nil:
 		return nil, http.StatusInternalServerError, fmt.Errorf("persisting job: %w", err)
 	}
 	jm.mu.Lock()
@@ -481,7 +477,8 @@ func (jm *jobManager) submit(req jobRequest) (*job, int, error) {
 // adopt registers a dead peer's replicated job as this peer's own:
 // terminal jobs are re-listed with their result, interrupted ones re-run
 // from the last replicated snapshot. Returns nil when the id is
-// already tracked (a duplicate death notification).
+// already tracked (a duplicate death notification), or when the job's
+// record does not reach the disk.
 func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	// A replica frame carries a result only once its job is done.
 	payload := rep.Snapshot
@@ -510,7 +507,13 @@ func (jm *jobManager) adopt(id string, rep jobReplica) *job {
 	jm.mu.Unlock()
 
 	if err := jm.store.Write(logName(id), rec); err != nil {
-		jm.srv.logf("jobs: %s: adopted record write failed: %v", id, err)
+		// Untracked again, the job keeps its replica, which the repair
+		// loop offers for adoption at its next pass.
+		jm.mu.Lock()
+		delete(jm.jobs, id)
+		jm.mu.Unlock()
+		jm.srv.logf("jobs: %s: adopted record write failed, adoption deferred: %v", id, err)
+		return nil
 	}
 	if j.state == jobPending {
 		if resume != nil {
@@ -602,19 +605,18 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 	// exactly like a running one. Replicas still learn the state.
 	j.setState(jobRunning)
 	jm.srv.replicateJob(j, resume)
-	log, err := jm.store.OpenLog(logName(j.id))
+	var log *checkpoint.Log
+	err := jm.waitDisk(j, jobRunning, func() (err error) {
+		log, err = jm.store.OpenLog(logName(j.id))
+		return err
+	})
 	switch {
 	case err == nil:
 		defer log.Close()
-	case checkpoint.IsDiskFull(err):
-		// The disk was too full to land even the submit record, so the log
-		// does not exist yet. Run without durable progress (the job is not
-		// crash-resumable for the outage) and let the terminal record land
-		// via the store's in-memory stash.
-		jm.srv.logf("jobs: %s: job log unavailable (%v); running without durable progress", j.id, err)
-		log = nil
+	case jm.ctx.Err() != nil:
+		return // drained while the disk was full; still resumable
 	default:
-		jm.fail(j, nil, err)
+		jm.fail(j, func(rec []byte) error { return jm.store.Write(logName(j.id), rec) }, err)
 		return
 	}
 	ck := &checkpoint.Options{
@@ -635,7 +637,7 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 		// Drain: the engine already appended its parting snapshot, which
 		// the next process resumes from.
 	default:
-		jm.fail(j, log, err)
+		jm.fail(j, log.Save, err)
 	}
 }
 
@@ -648,17 +650,12 @@ type jobSink struct {
 }
 
 func (s *jobSink) Save(payload []byte) error {
-	// A nil log means the disk was too full to even create the job log;
-	// the job runs on without durable snapshots, marked degraded while its
-	// submit record waits in memory.
-	if s.log != nil {
-		rec, err := s.j.record(jobRunning, "", payload)
-		if err == nil {
-			err = s.log.Save(rec)
-		}
-		if err != nil {
-			return err
-		}
+	rec, err := s.j.record(jobRunning, "", payload)
+	if err == nil {
+		err = s.log.Save(rec)
+	}
+	if err != nil {
+		return err
 	}
 	s.jm.srv.metrics.JobSnapshots.Add(1)
 	if done, total, err := s.j.spec.progress(payload); err == nil {
@@ -668,29 +665,51 @@ func (s *jobSink) Save(payload []byte) error {
 	return nil
 }
 
-// land makes one terminal record durable: appended to the job's open log,
-// or written atomically when the disk was too full to open it (a full
-// disk then stashes it in memory until space returns).
-func (jm *jobManager) land(j *job, log *checkpoint.Log, state, errMsg string, payload []byte) error {
-	rec, err := j.record(state, errMsg, payload)
-	switch {
-	case err != nil:
-		return err
-	case log != nil:
-		return log.Save(rec)
-	default:
-		return jm.store.Write(logName(j.id), rec)
+// diskRetry is how often a job retries a write the disk refused as full.
+const diskRetry = 100 * time.Millisecond
+
+// waitDisk runs write, and while the disk refuses it as full retries it
+// every diskRetry until it lands or the manager is interrupted. The
+// error is write's last one. The job stays in its state meanwhile, so no
+// client sees a state that its record does not back.
+func (jm *jobManager) waitDisk(j *job, state string, write func() error) error {
+	err := write()
+	if checkpoint.IsDiskFull(err) {
+		jm.srv.logf("jobs: %s: disk full, %s record waiting: %v", j.id, state, err)
 	}
+	for checkpoint.IsDiskFull(err) {
+		select {
+		case <-jm.ctx.Done():
+			return err
+		case <-time.After(diskRetry):
+		}
+		err = write()
+	}
+	return err
+}
+
+// land makes one terminal record durable through save, waiting out a
+// full disk.
+func (jm *jobManager) land(j *job, save func([]byte) error, state, errMsg string, payload []byte) error {
+	rec, err := j.record(state, errMsg, payload)
+	if err != nil {
+		return err
+	}
+	return jm.waitDisk(j, state, func() error { return save(rec) })
 }
 
 // finish lands the done record and only then flips the job to done, so
-// no client sees a result that a crash could take back.
+// no client sees a result that a crash could take back. While a full disk
+// holds the record back, the job reads running with all its work done; a
+// drain meanwhile leaves it to resume in the next process.
 func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage, resumed int) {
-	if err := jm.land(j, log, jobDone, "", result); err != nil {
-		jm.fail(j, log, fmt.Errorf("persisting result: %w", err))
+	j.finishProgress()
+	if err := jm.land(j, log.Save, jobDone, "", result); err != nil {
+		if jm.ctx.Err() == nil {
+			jm.fail(j, log.Save, fmt.Errorf("persisting result: %w", err))
+		}
 		return
 	}
-	j.finishProgress()
 	j.mu.Lock()
 	j.state, j.result, j.resumed = jobDone, result, resumed
 	j.mu.Unlock()
@@ -699,9 +718,14 @@ func (jm *jobManager) finish(j *job, log *checkpoint.Log, result json.RawMessage
 	jm.srv.logf("jobs: %s done", j.id)
 }
 
-// fail lands a failed record, then flips the job to failed.
-func (jm *jobManager) fail(j *job, log *checkpoint.Log, err error) {
-	if werr := jm.land(j, log, jobFailed, err.Error(), nil); werr != nil {
+// fail lands a failed record through save, then flips the job to failed.
+// A record that cannot land for any cause but a full disk is logged and
+// the job still fails: a re-run would fail the same way.
+func (jm *jobManager) fail(j *job, save func([]byte) error, err error) {
+	if werr := jm.land(j, save, jobFailed, err.Error(), nil); werr != nil {
+		if jm.ctx.Err() != nil {
+			return // drained before the record landed; still resumable
+		}
 		jm.srv.logf("jobs: %s: failure record write failed: %v", j.id, werr)
 	}
 	j.mu.Lock()
@@ -745,7 +769,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobs.list()
 	out := make([]jobJSON, 0, len(jobs))
 	for _, j := range jobs {
-		out = append(out, s.jobs.view(j, false))
+		out = append(out, j.json(false))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": out})
 }
@@ -768,5 +792,5 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobs.view(j, true))
+	writeJSON(w, http.StatusOK, j.json(true))
 }

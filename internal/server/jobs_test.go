@@ -1,17 +1,21 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -809,56 +813,122 @@ func TestJobSubmitDrainingRetryAfter(t *testing.T) {
 	}
 }
 
-// TestJobDegradedMarkerFollowsStore: a job's "degraded": "disk" marker
-// says its newest record lives only in memory. A job whose records hit
-// the full disk carries it until the heal loop flushes them. A job whose
-// records landed carries none, also while another log keeps the store
-// degraded, and after that log heals the store through its own save,
-// which leaves the heal loop nothing to do.
-func TestJobDegradedMarkerFollowsStore(t *testing.T) {
+// waitLine signals once a server log line contains want.
+type waitLine struct {
+	want string
+	seen chan struct{}
+	once sync.Once
+}
+
+func (w *waitLine) Write(b []byte) (int, error) {
+	if strings.Contains(string(b), w.want) {
+		w.once.Do(func() { close(w.seen) })
+	}
+	return len(b), nil
+}
+
+// TestJobTerminalRecordWaitsForDisk: a job whose compute finishes on a
+// full disk stays running, on GET and on its SSE stream, until its done
+// record lands, and a submit meanwhile gets 503 with Retry-After. Once
+// space returns the job turns done, and the done record is already on
+// disk when the stream's terminal frame arrives.
+func TestJobTerminalRecordWaitsForDisk(t *testing.T) {
 	leakcheck.Check(t)
-	s := newTestServer(t, Options{JobsDir: t.TempDir()})
+	waiting := &waitLine{want: "disk full, done record waiting", seen: make(chan struct{})}
+	s := newTestServer(t, Options{JobsDir: t.TempDir(), Logger: log.New(waiting, "", 0)})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	store := s.jobs.store
-	body := `{"kind": "uncertainty", "uncertainty": {"replicates": 10, "seed": 3}}`
-	full := func() {
-		faultinject.Enable(faultinject.New(1).Set(faultinject.SiteFSWrite,
-			faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC}))
-	}
+	// Slowed replicates keep the job computing until the disk is full.
+	inj := faultinject.New(1).Set(montecarlo.SiteReplicate, faultinject.Rule{
+		Mode: faultinject.ModeDelay, Every: 1, Delay: 10 * time.Millisecond,
+	})
+	faultinject.Enable(inj)
 	defer faultinject.Disable()
+	body := `{"kind": "uncertainty", "uncertainty": {"replicates": 10, "seed": 3, "workers": 1}}`
+	id := submitJob(t, ts.URL, body)
+	inj.Set(faultinject.SiteFSWrite, faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC})
 
-	// A job run on a full disk keeps its records in memory until the
-	// heal loop lands them once space returns.
-	full()
-	stashed := submitJob(t, ts.URL, body)
-	if j := waitForJob(t, ts.URL, stashed, terminal); j.State != jobDone || j.Degraded != "disk" {
-		t.Fatalf("job finished on a full disk: state %s, degraded %q; want done, disk", j.State, j.Degraded)
-	}
-	faultinject.Disable()
-	waitForJob(t, ts.URL, stashed, func(j jobJSON) bool { return j.Degraded == "" })
-
-	// Another log's save hits the full disk and degrades the store.
-	other, err := store.OpenLog("other")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer other.Close()
-	full()
-	if err := other.Save([]byte("stashed")); err != nil || !store.Degraded() {
-		t.Fatalf("save on a full disk: err %v, degraded %v", err, store.Degraded())
+	defer resp.Body.Close()
+	frames := make(chan jobJSON, 64) // room for every frame one short job sends, so the reader never blocks
+	go func() {
+		defer close(frames)
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			var f jobJSON
+			if data, ok := strings.CutPrefix(sc.Text(), "data: "); ok && json.Unmarshal([]byte(data), &f) == nil {
+				frames <- f
+			}
+		}
+	}()
+	select {
+	case <-waiting.seen:
+	case <-time.After(60 * time.Second):
+		t.Fatal("the done record never hit the full disk")
+	}
+	time.Sleep(3 * diskRetry) // a few retries the disk refuses
+	if j := waitForJob(t, ts.URL, id, func(jobJSON) bool { return true }); j.State != jobRunning || j.Result != nil || j.ProgressDone != j.ProgressTotal {
+		t.Fatalf("job whose done record waits for the disk: state %s, progress %d/%d, %d result bytes; want running, all work done, no result",
+			j.State, j.ProgressDone, j.ProgressTotal, len(j.Result))
+	}
+	for pending := len(frames); pending > 0; pending-- {
+		if f := <-frames; terminal(f) {
+			t.Fatalf("SSE sent a terminal frame %+v while the done record waits for the disk", f)
+		}
+	}
+	sub, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := io.ReadAll(sub.Body)
+	sub.Body.Close()
+	if sub.StatusCode != http.StatusServiceUnavailable || sub.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit on a full disk: %d %s, Retry-After %q; want 503 with Retry-After", sub.StatusCode, out, sub.Header.Get("Retry-After"))
+	}
+
+	faultinject.Disable()
+	var last jobJSON
+	for f := range frames {
+		if last = f; terminal(f) {
+			rec, err := s.jobs.store.ReadLast(logName(id))
+			if m, _, derr := decodeRecord(rec); err != nil || derr != nil || m.State != jobDone {
+				t.Fatalf("terminal frame %+v arrived before the done record landed: disk holds %q (%v, %v)", f, m.State, err, derr)
+			}
+		}
+	}
+	if last.State != jobDone {
+		t.Fatalf("stream ended on %+v; want done", last)
+	}
+	if j := waitForJob(t, ts.URL, id, terminal); j.State != jobDone || j.Result == nil {
+		t.Fatalf("job after space returned: %+v; want done with a result", j)
+	}
+}
+
+// TestJobAdoptDiskFullDeferred: a replica whose record the full disk
+// refuses is not adopted, so no peer lists a done job that only memory
+// holds; once space returns the same replica is adopted done.
+func TestJobAdoptDiskFullDeferred(t *testing.T) {
+	s := newTestServer(t, Options{JobsDir: t.TempDir()})
+	rep := jobReplica{
+		Owner:    "http://127.0.0.1:1",
+		Manifest: json.RawMessage(`{"id": "job-p1-000001", "kind": "uncertainty", "state": "done", "created": "2026-01-01T00:00:00Z", "request": {"kind": "uncertainty", "uncertainty": {"replicates": 10, "seed": 3}}}`),
+		Result:   json.RawMessage(`{"replicates": 10}`),
+	}
+	faultinject.Enable(faultinject.New(1).Set(faultinject.SiteFSWrite,
+		faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC}))
+	defer faultinject.Disable()
+	if j := s.jobs.adopt("job-p1-000001", rep); j != nil || s.jobs.tracked("job-p1-000001") {
+		t.Fatalf("adopted a job whose record the full disk refused: %+v", j)
 	}
 	faultinject.Disable()
-	durable := submitJob(t, ts.URL, body)
-	if j := waitForJob(t, ts.URL, durable, terminal); j.State != jobDone || !store.Degraded() {
-		t.Fatalf("durable job: state %s, store degraded %v; want done, degraded", j.State, store.Degraded())
-	} else if j.Degraded != "" {
-		t.Errorf("durable job marked %q while another log degrades the store", j.Degraded)
+	if j := s.jobs.adopt("job-p1-000001", rep); j == nil || j.json(false).State != jobDone {
+		t.Fatalf("adopt after space returned: %+v; want the done job", j)
 	}
-	if err := other.Save([]byte("landed")); err != nil || store.Degraded() {
-		t.Fatalf("save after the heal: err %v, degraded %v", err, store.Degraded())
-	}
-	if j := waitForJob(t, ts.URL, durable, terminal); j.Degraded != "" {
-		t.Errorf("durable job still marked %q after the store healed", j.Degraded)
+	if rec, err := s.jobs.store.ReadLast(logName("job-p1-000001")); err != nil {
+		t.Fatalf("adopted job has no record on disk: %v", err)
+	} else if m, _, err := decodeRecord(rec); err != nil || m.State != jobDone {
+		t.Fatalf("adopted job's record: state %q, %v; want done", m.State, err)
 	}
 }

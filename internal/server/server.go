@@ -194,7 +194,7 @@ type Server struct {
 	draining    atomic.Bool      // set once a graceful drain begins; gates /readyz
 	handler     http.Handler
 
-	// Repair and heal loops share one server-lifetime context; stop ends it.
+	// The repair loop runs on a server-lifetime context; stop ends it.
 	cancel context.CancelFunc
 	loops  sync.WaitGroup
 }
@@ -249,15 +249,11 @@ func New(opts Options) (*Server, error) {
 		s.loops.Add(1)
 		go s.repairLoop(ctx)
 	}
-	if s.jobs != nil {
-		s.loops.Add(1)
-		go s.healLoop(ctx)
-	}
 	return s, nil
 }
 
-// stop, shared by Close and Serve, halts and waits out the background
-// loops, stops the prober, then interrupts running jobs. Idempotent.
+// stop, shared by Close and Serve, halts and waits out the repair loop,
+// stops the prober, then interrupts running jobs. Idempotent.
 func (s *Server) stop() {
 	s.cancel()
 	s.loops.Wait()

@@ -626,29 +626,25 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsDocKeys: every key the docs/API.md examples show under
-// "overload" and "resources" is one a jobs-enabled server's /v1/metrics
-// emits in that section, so a metric deleted without its doc line fails
-// here.
+// "overload" is one a jobs-enabled server's /v1/metrics emits in that
+// section, so a metric deleted without its doc line fails here.
 func TestMetricsDocKeys(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "API.md"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	documented := map[string]map[string]json.RawMessage{}
+	var documented map[string]json.RawMessage
 	for _, block := range regexp.MustCompile("(?s)```json\n(.*?)```").FindAllSubmatch(doc, -1) {
-		var top map[string]json.RawMessage
-		if json.Unmarshal(block[1], &top) != nil {
+		var top struct{ Overload json.RawMessage }
+		if json.Unmarshal(block[1], &top) != nil || top.Overload == nil {
 			continue
 		}
-		for _, section := range []string{"overload", "resources"} {
-			if raw, ok := top[section]; ok {
-				var keys map[string]json.RawMessage
-				if err := json.Unmarshal(raw, &keys); err != nil {
-					t.Fatalf("docs/API.md %q example: %v", section, err)
-				}
-				documented[section] = keys
-			}
+		if err := json.Unmarshal(top.Overload, &documented); err != nil {
+			t.Fatalf("docs/API.md overload example: %v", err)
 		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("docs/API.md has no overload metrics example")
 	}
 
 	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
@@ -657,18 +653,13 @@ func TestMetricsDocKeys(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, body)
 	}
-	var live struct{ Overload, Resources map[string]json.RawMessage }
+	var live struct{ Overload map[string]json.RawMessage }
 	if err := json.Unmarshal(body, &live); err != nil {
 		t.Fatal(err)
 	}
-	for section, emitted := range map[string]map[string]json.RawMessage{"overload": live.Overload, "resources": live.Resources} {
-		if len(documented[section]) == 0 {
-			t.Errorf("docs/API.md has no %q metrics example", section)
-		}
-		for key := range documented[section] {
-			if _, ok := emitted[key]; !ok {
-				t.Errorf("docs/API.md documents %s.%s; /v1/metrics does not emit it", section, key)
-			}
+	for key := range documented {
+		if _, ok := live.Overload[key]; !ok {
+			t.Errorf("docs/API.md documents overload.%s; /v1/metrics does not emit it", key)
 		}
 	}
 }

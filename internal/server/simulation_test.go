@@ -52,7 +52,7 @@ const (
 	simEngine     simFault = 1 << iota // panic, error or delay at sweep.simulate or montecarlo.replicate
 	simShed                            // cluster.slice sheds
 	simTransport                       // drop, duplicate or delay on the slice, replicate and probe links
-	simDisk                            // ENOSPC at fs.write, fs.fsync or fs.rename, healed before the end
+	simDisk                            // ENOSPC at fs.write, fs.fsync or fs.rename from the event wave, healed before the end
 	simWedge                           // a chunk stalled for a second, which its pool waits out
 	_                                  // retired (a memory budget); kept so seeds draw as before
 	simOverload                        // one execution slot, a one-deep queue, a short RequestTimeout
@@ -108,9 +108,10 @@ type simPlan struct {
 	faults  simFault
 	cluster bool
 	rules   map[string]faultinject.Rule
-	victim  int // peer whose inbound links the transport faults cut
+	disk    map[string]faultinject.Rule // armed at the event wave, so jobs meet the full disk mid-run
+	victim  int                         // peer whose inbound links the transport faults cut
 	waves   [][]simStep
-	event   int // the wave a kill strikes during, or a crash before
+	event   int // the wave a kill strikes during, a crash strikes before, or the disk fills before
 }
 
 // newSimPlan derives a schedule from seed. The seed's residue picks the
@@ -120,15 +121,15 @@ type simPlan struct {
 func newSimPlan(seed uint64) simPlan {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	primary := simFault(1) << (seed % simFaultKinds)
-	p := simPlan{seed: seed, faults: primary, rules: map[string]faultinject.Rule{}, victim: rng.Intn(3)}
+	p := simPlan{seed: seed, faults: primary, rules: map[string]faultinject.Rule{}, disk: map[string]faultinject.Rule{}, victim: rng.Intn(3)}
 	for f := simFault(1); f < 1<<simFaultKinds; f <<= 1 {
 		if rng.Intn(4) == 0 {
 			p.faults |= f
 		}
 	}
-	// A crash runs on one node; the cluster faults need three. Records a
-	// full disk left in memory are lost to a kill or a crash by design,
-	// so neither runs with one.
+	// A crash runs on one node; the cluster faults need three. A full disk
+	// never joins a kill or a crash: the exclusion predates the disk wait
+	// and stays so that every seed draws the plan it always drew.
 	for _, c := range [][2]simFault{{simCrash, simShed | simTransport | simKill}, {simDisk, simKill | simCrash}} {
 		if p.faults&c[0] != 0 && p.faults&c[1] != 0 {
 			if primary&c[1] != 0 {
@@ -171,7 +172,7 @@ func newSimPlan(seed uint64) simPlan {
 			arm(faultinject.Rule{Mode: faultinject.ModeError, P: 0.3}, cluster.SiteSlice)
 		case simDisk:
 			site := []string{faultinject.SiteFSWrite, faultinject.SiteFSSync, faultinject.SiteFSRename}[rng.Intn(3)]
-			arm(faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC}, site)
+			p.disk[site] = faultinject.Rule{Mode: faultinject.ModeError, Every: 1, Err: syscall.ENOSPC}
 		}
 	}
 
@@ -288,14 +289,19 @@ type simRun struct {
 	breaches    []string              // durability and liveness breaches found on the way
 }
 
-// completionLog counts a server's job completions from its log lines.
+// completionLog counts a server's job completions, and the records a
+// full disk kept waiting, from its log lines.
 type completionLog struct{ r *simRun }
 
 func (c completionLog) Write(b []byte) (int, error) {
-	if id, ok := strings.CutPrefix(strings.TrimSpace(string(b)), "jobs: "); ok && strings.HasSuffix(id, " done") {
-		c.r.mu.Lock()
-		c.r.completions[strings.TrimSuffix(id, " done")]++
-		c.r.mu.Unlock()
+	line, ok := strings.CutPrefix(strings.TrimSpace(string(b)), "jobs: ")
+	c.r.mu.Lock()
+	defer c.r.mu.Unlock()
+	switch {
+	case ok && strings.HasSuffix(line, " done"):
+		c.r.completions[strings.TrimSuffix(line, " done")]++
+	case ok && strings.Contains(line, ": disk full, "):
+		c.r.metrics["jobs disk-wait"]++
 	}
 	return len(b), nil
 }
@@ -330,8 +336,7 @@ var simMechanisms = []string{
 	"cluster.scatters", "cluster.steals",
 	"cluster.replica_push_fails", "cluster.repair_pushes", "cluster.deaths", "cluster.resurrections",
 	"cluster.jobs_adopted", "overload.shed_503",
-	"resources.disk_mem_snapshots", "readyz disk-degraded",
-	"jobs disk-degraded",
+	"jobs disk-wait",
 }
 
 // FuzzSimulation runs one seed per entry; a whole-corpus run also fails
@@ -405,7 +410,7 @@ func TestSimPinnedPlans(t *testing.T) {
 // simulate executes one seed's schedule and judges it.
 func simulate(t *testing.T, seed uint64) *simRun {
 	p := newSimPlan(seed)
-	t.Logf("plan: cluster=%v faults=%09b rules=%v waves=%d", p.cluster, p.faults, p.rules, len(p.waves))
+	t.Logf("plan: cluster=%v faults=%09b rules=%v disk=%v waves=%d", p.cluster, p.faults, p.rules, p.disk, len(p.waves))
 	references(t)
 	leakcheck.Check(t)
 	r := &simRun{
@@ -422,7 +427,8 @@ func simulate(t *testing.T, seed uint64) *simRun {
 		p.options(o, t.TempDir())
 		o.Logger = log.New(completionLog{r}, "", 0)
 	})
-	faultinject.Enable(p.injector(r.peers))
+	inj := p.injector(r.peers)
+	faultinject.Enable(inj)
 	t.Cleanup(faultinject.Disable)
 	t.Cleanup(r.idle)
 
@@ -430,6 +436,11 @@ func simulate(t *testing.T, seed uint64) *simRun {
 	for w, wave := range p.waves {
 		if w == p.event && p.faults&simCrash != 0 {
 			r.crash(crashDir)
+		}
+		if w == p.event {
+			for site, rule := range p.disk {
+				inj.Set(site, rule)
+			}
 		}
 		var victim *clusterPeer
 		if w == p.event && p.faults&simKill != 0 {
@@ -445,19 +456,6 @@ func simulate(t *testing.T, seed uint64) *simRun {
 		if w == p.event+2 && killed != nil {
 			r.restart(killed)
 			killed = nil
-		}
-	}
-	for _, peer := range r.peers {
-		if peer.s.jobs.store.Degraded() {
-			if _, body := get(t, peer.url+"/readyz"); peer.s.jobs.store.Degraded() && !bytes.Contains(body, []byte(`"degraded": "disk"`)) {
-				r.breach("%s runs on a full disk but /readyz says %s", peer.url, body)
-			}
-			r.metrics["readyz disk-degraded"]++
-			for _, j := range peer.s.jobs.list() {
-				if peer.s.jobs.view(j, false).Degraded != "" {
-					r.metrics["jobs disk-degraded"]++
-				}
-			}
 		}
 	}
 	faultinject.Disable() // heal: every fault is lifted before quiescence
@@ -623,16 +621,10 @@ func (r *simRun) boot(peer *clusterPeer, addr string, opts Options) {
 	}(peer.done)
 }
 
-// quiesce waits out the heal, follows every accepted job's SSE stream to
-// its end on the peer tracking it, reads the job back through a peer not
+// quiesce follows every accepted job's SSE stream to its end on the peer
+// tracking it, reads the job back through a peer not
 // tracking it (the cluster proxy), and checks the ring and the standbys.
 func (r *simRun) quiesce() {
-	for _, peer := range r.peers {
-		r.await(func() bool { return !peer.s.jobs.store.Degraded() }, "%s never flushed its stashed records after the disk healed", peer.url)
-		if _, body := get(r.t, peer.url+"/readyz"); bytes.Contains(body, []byte("degraded")) {
-			r.breach("%s still reports a degraded disk after the heal: %s", peer.url, body)
-		}
-	}
 	for id := range r.accepted {
 		for deadline := time.Now().Add(60 * time.Second); r.final[id] == "" && time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 			for _, peer := range r.peers {
@@ -713,7 +705,7 @@ func (r *simRun) collect(peer *clusterPeer) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, section := range []string{"cluster", "overload", "resources"} {
+	for _, section := range []string{"cluster", "overload"} {
 		m, _ := snap[section].(map[string]any)
 		for k, v := range m {
 			if x, ok := v.(float64); ok {
@@ -771,9 +763,12 @@ func matchesReference(got, ref []byte) bool {
 //
 //   - Client routes: every 200 matches the fault-free single-node
 //     reference (matchesReference); every shed 429 or 503 carries
-//     Retry-After, except the request-timeout 503 of http.TimeoutHandler;
-//     a request the generator built never gets a 4xx other than 429, and
-//     never goes unanswered.
+//     Retry-After, except the request-timeout 503 of http.TimeoutHandler
+//     (a job refused on a full disk is a 503 with Retry-After too); every
+//     other 5xx names an injected fault as its cause, and is never the
+//     answer to a job submit; a request the
+//     generator built never gets a 4xx other than 429, and never goes
+//     unanswered.
 //   - Jobs: every accepted job ends done exactly once across all peers:
 //     its SSE stream ends on done, GET returns done with the reference
 //     result, one server logged its completion, and no job log holds two
@@ -806,6 +801,10 @@ func simOracle(t *testing.T, r *simRun) {
 			}
 		case ob.status >= 400 && ob.status < 500:
 			t.Errorf("%s: %d to a valid request: %s", what, ob.status, ob.body)
+		case ob.status >= 500 && ob.job:
+			t.Errorf("%s: %d to a job submit: %s", what, ob.status, ob.body)
+		case ob.status >= 500 && !bytes.Contains(ob.body, []byte("faultinject: injected")):
+			t.Errorf("%s: %d not caused by an injected fault: %s", what, ob.status, ob.body)
 		}
 	}
 	for _, path := range []string{"/v1/sweep", "/v1/uncertainty", "/v1/search"} {
@@ -823,9 +822,8 @@ func simOracle(t *testing.T, r *simRun) {
 		if n := r.completions[id]; n != 1 {
 			t.Errorf("job %s completed %d times across the peers, want exactly once", id, n)
 		}
-		durable := slices.ContainsFunc(r.onDisk[id], func(b []byte) bool { return matchesReference(b, ref) })
-		if v.Degraded != "" || !durable {
-			t.Errorf("job %s: degraded %q, reference result on disk %v, after the heal", id, v.Degraded, durable)
+		if !slices.ContainsFunc(r.onDisk[id], func(b []byte) bool { return matchesReference(b, ref) }) {
+			t.Errorf("job %s: no reference result on disk after the heal", id)
 		}
 	}
 	for _, b := range r.breaches {

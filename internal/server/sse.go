@@ -62,7 +62,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		// Progress frames omit the result payload (which can be large);
 		// the terminal frame tells the client to fetch GET /v1/jobs/{id}.
-		cur := s.jobs.view(j, false)
+		cur := j.json(false)
 		changed := first || cur.State != last.State ||
 			cur.ProgressDone != last.ProgressDone || cur.ProgressTotal != last.ProgressTotal
 		if changed {
