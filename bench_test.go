@@ -103,6 +103,36 @@ func BenchmarkTable3(b *testing.B) {
 	}
 }
 
+// BenchmarkSweepCold is the cold served sweep: a fresh engine (compile
+// included) runs the full Table III grid on one worker, so every point
+// pays a schedule-summary lookup or walk plus finishResult and nothing is
+// served from a memo filled by an earlier op.
+func BenchmarkSweepCold(b *testing.B) {
+	p := sweep.Default()
+	for _, abbrev := range []string{"FFT", "AES", "S3D"} {
+		b.Run(abbrev, func(b *testing.B) {
+			spec, err := workloads.ByAbbrev(abbrev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g, err := spec.Build(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng, err := sweep.NewEngine(g)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := eng.RunContext(context.Background(), p, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // benchGridDesigns enumerates the raw Table III lattice (3,640 points) for
 // BenchmarkBatch, mirroring the sweep's axis nesting.
 func benchGridDesigns(p sweep.Params) []aladdin.Design {

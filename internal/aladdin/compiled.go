@@ -72,12 +72,16 @@ type Compiled struct {
 	// Schedule-class cache (see schedcache.go): the scheduling walk
 	// depends on the design only through its schedKey, and the saturation
 	// argument in schedSummary.matches lets one walk stand in for every
-	// lane-capacity plateau above its high-water occupancy. Summaries are
-	// immutable once stored; the slice is guarded by schedMu and bounded
-	// by maxSchedSummaries with round-robin replacement.
+	// lane-capacity plateau above its high-water occupancy. A summary's
+	// walk outcome is immutable once stored; the slice is guarded by
+	// schedMu and bounded by maxSchedSummaries with round-robin
+	// replacement. unchained is the dynamic-energy memo every summary
+	// without a chained operation shares (see energyMemo); a summary with
+	// one carries its own.
 	schedMu    sync.RWMutex
 	scheds     []*schedSummary
 	schedClock int
+	unchained  energyMemo
 
 	schedWalks atomic.Uint64 // full scheduling walks executed
 	schedHits  atomic.Uint64 // designs served from a cached/reused summary
@@ -493,6 +497,11 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 	for i := 0; i < c.n; i++ {
 		sum.chained[i] = chain[i] > 0
 	}
+	if fusedOps == 0 {
+		sum.energy = &c.unchained
+	} else {
+		sum.energy = new(energyMemo)
+	}
 
 	var slots []OpSlot
 	if capture {
@@ -513,22 +522,11 @@ func (c *Compiled) walk(key schedKey, s *scratch, capture bool) (*schedSummary, 
 	return sum, slots
 }
 
-// finishResult derives one design point's metrics from its schedule-class
-// summary. The ClockGHz default must already be applied to d. Every float
-// operation here replays the pre-split engine's exact sequence — in
-// particular the dynamic-energy summation iterates nodes in ID order with
-// the per-node fused discount, never a pre-aggregated sum — so a summary
-// hit is bit-identical to a fresh walk.
-func (c *Compiled) finishResult(d Design, node cmos.Node, sum *schedSummary) Result {
-	banks := d.MemoryBanks
-	if banks == 0 {
-		banks = d.Partition
-	}
-	maxCycle := sum.cycles
-
-	// Energy, area, power from the schedule. The summation iterates nodes
-	// in ID order, matching the pre-compiled engine bit for bit.
-	eScale := energyScale(d.Simplification) * node.DynEnergy()
+// sumEnergy is a schedule's dynamic energy at energy scale eScale. The
+// summation iterates nodes in ID order with the per-node fused discount,
+// never a pre-aggregated sum, matching the pre-compiled engine bit for
+// bit.
+func (c *Compiled) sumEnergy(sum *schedSummary, eScale float64) float64 {
 	var dynEnergy float64
 	for i := 0; i < c.n; i++ {
 		if !c.isCompute[i] {
@@ -540,6 +538,23 @@ func (c *Compiled) finishResult(d Design, node cmos.Node, sum *schedSummary) Res
 		}
 		dynEnergy += e
 	}
+	return dynEnergy
+}
+
+// finishResult derives one design point's metrics from its schedule-class
+// summary. The ClockGHz default must already be applied to d. Every float
+// operation here replays the pre-split engine's exact sequence, and the
+// dynamic energy is sumEnergy's (memoized per chained flags and scale),
+// so a summary hit is bit-identical to a fresh walk.
+func (c *Compiled) finishResult(d Design, node cmos.Node, sum *schedSummary) Result {
+	banks := d.MemoryBanks
+	if banks == 0 {
+		banks = d.Partition
+	}
+	maxCycle := sum.cycles
+
+	// Energy, area, power from the schedule.
+	dynEnergy := c.dynEnergy(sum, energyScale(d.Simplification)*node.DynEnergy())
 	// Lane area: each lane carries the workload's average functional-unit
 	// mix; storage covers the largest working set.
 	area := (float64(d.Partition)*c.mixArea + float64(banks)*bankArea + float64(c.stats.MaxWS)*regArea) * areaScale(d.Simplification)

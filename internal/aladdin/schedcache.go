@@ -1,12 +1,34 @@
 package aladdin
 
-import "accelwall/internal/cmos"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+
+	"accelwall/internal/cmos"
+)
 
 // maxSchedSummaries bounds the per-Compiled schedule-class cache. Table III
 // style lattices collapse to on the order of a hundred classes, so 256
 // keeps every class of a realistic sweep resident while bounding memory on
 // adversarial design streams; replacement is round-robin.
 const maxSchedSummaries = 256
+
+// maxEnergySums bounds each energyMemo. The dynamic-energy sum depends on
+// the design only through the energy scale energyScale(simplification) ×
+// node.DynEnergy() and on the summary only through its chained flags. A
+// summary serves one pipeline-depth class, i.e. at most four
+// simplification degrees, so over a Table III grid's seven nodes a memo
+// sees at most 28 scales and 32 keeps every scale of a full grid. Scales
+// past the bound are summed on every call and not stored.
+//
+// Memory: a memo is a 24 B header plus a slab that doubles from 4 sums of
+// 16 B up to 32, so at the bound it holds 24 + 24 + 512 = 560 B. Every
+// summary without a chained operation shares its Compiled's one memo, so
+// a Compiled holds at most 1 + maxSchedSummaries memos: 141 KiB at the
+// bound, 4.4 MiB over a 32-engine cache. The reduced Table III grid
+// leaves about 30 memos of 1–4 sums per Compiled (3–4 KiB).
+const maxEnergySums = 32
 
 // schedKey identifies a schedule class: the complete set of design knobs
 // the scheduling walk can observe. Metrics knobs (NodeNM except through
@@ -32,7 +54,8 @@ type schedKey struct {
 // where the datapath branch never fired (dpSkipped false) would replay
 // move-for-move under ANY partition ≥ its high-water per-cycle lane
 // occupancy maxLane, because no probe ever observed the capacity; likewise
-// for banks/maxMem independently. Summaries are immutable once built.
+// for banks/maxMem independently. A summary's walk outcome is immutable
+// once built; only its dynamic-energy memo grows, up to maxEnergySums.
 type schedSummary struct {
 	key         schedKey
 	cycles      int
@@ -43,6 +66,25 @@ type schedSummary struct {
 	dpSkipped   bool
 	bankSkipped bool
 	chained     []bool
+	energy      *energyMemo // shared by every summary with no chained op
+}
+
+// energyMemo memoizes dynamic-energy sums per energy scale for summaries
+// with identical chained flags. Entries are append-only: (*slab)[:n] holds
+// the sums stored so far. A writer (serialized by mu) publishes a grown
+// slab before the count that needs it and writes an entry before the
+// count that covers it, so a reader that loads n and then slab may read
+// the entries below n without a lock.
+type energyMemo struct {
+	mu   sync.Mutex
+	n    atomic.Int32
+	slab atomic.Pointer[[]energySum]
+}
+
+// energySum is one memoized sum.
+type energySum struct {
+	scale uint64 // math.Float64bits of the energy scale
+	sum   float64
 }
 
 // matches reports whether a walk under k would be move-for-move identical
@@ -60,6 +102,47 @@ func (s *schedSummary) matches(k schedKey) bool {
 		return false
 	}
 	return true
+}
+
+// dynEnergy returns the dynamic energy of sum's schedule at energy scale
+// eScale through the summary's memo. A stored sum is the value sumEnergy
+// returned for the same scale bits on the same chained flags, so a memo
+// hit is bit-identical to a fresh sum.
+func (c *Compiled) dynEnergy(sum *schedSummary, eScale float64) float64 {
+	m, bits := sum.energy, math.Float64bits(eScale)
+	n := int(m.n.Load())
+	if n > 0 {
+		for _, s := range (*m.slab.Load())[:n] {
+			if s.scale == bits {
+				return s.sum
+			}
+		}
+	}
+	e := c.sumEnergy(sum, eScale)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	stored := int(m.n.Load())
+	var slab []energySum
+	if p := m.slab.Load(); p != nil {
+		slab = *p
+	}
+	for _, s := range slab[n:stored] {
+		if s.scale == bits {
+			return e // another goroutine stored this scale meanwhile
+		}
+	}
+	if stored == maxEnergySums {
+		return e
+	}
+	if stored == len(slab) {
+		grown := make([]energySum, max(4, 2*len(slab)))
+		copy(grown, slab)
+		m.slab.Store(&grown)
+		slab = grown
+	}
+	slab[stored] = energySum{scale: bits, sum: e}
+	m.n.Store(int32(stored + 1))
+	return e
 }
 
 // walkKey derives the schedule class of a design. d must already carry its

@@ -236,6 +236,18 @@ func appendFrame(buf, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// FrameLen is the headroom SaveFrame needs in front of a record's
+// payload: the frame's length and CRC32C words.
+const FrameLen = frameLen
+
+// putFrame writes the frame header of rec's payload, rec[FrameLen:], into
+// rec[:FrameLen]: the bytes appendFrame(nil, rec[FrameLen:]) returns.
+func putFrame(rec []byte) {
+	payload := rec[frameLen:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, castagnoli))
+}
+
 // DecodeLast scans a raw checkpoint log and returns the newest intact
 // record, implementing the torn/corrupt-tail fallback: scanning stops at
 // the first record whose frame is short, whose length is absurd, or whose
@@ -359,6 +371,21 @@ func (s *Store) OpenLog(name string) (*Log, error) {
 // atomically to just its payload, dropping the suspect tail. A failure
 // never touches the prior records.
 func (l *Log) Save(payload []byte) error {
+	return l.save(appendFrame(nil, payload))
+}
+
+// SaveFrame is Save for a record its caller built with FrameLen bytes of
+// headroom, rec[FrameLen:] being the payload: the frame header is written
+// into rec[:FrameLen] in place, so the payload is not copied again. The
+// bytes on disk are Save(rec[FrameLen:])'s.
+func (l *Log) SaveFrame(rec []byte) error {
+	putFrame(rec)
+	return l.save(rec)
+}
+
+// save appends the framed record rec; see Save.
+func (l *Log) save(rec []byte) error {
+	payload := rec[frameLen:]
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
@@ -371,7 +398,6 @@ func (l *Log) Save(payload []byte) error {
 		l.torn = false
 		return nil
 	}
-	rec := appendFrame(nil, payload)
 	if _, err := faultinject.WriteFile(l.f, rec); err != nil {
 		l.torn = true
 		return fmt.Errorf("checkpoint: append %s: %w", l.name, err)

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // BenchmarkSweepWarm measures a served sweep once the engine is resident
@@ -81,5 +83,56 @@ func BenchmarkCaseStudy(b *testing.B) {
 		if resp.StatusCode != http.StatusOK {
 			b.Fatalf("status %d", resp.StatusCode)
 		}
+	}
+}
+
+// BenchmarkJobRoundTrip is one durable job from submit to done through the
+// handler: POST /v1/jobs, then GET /v1/jobs/{id} until the job reads done.
+// The bodies are the durable perfbench stream's. A first job warms the
+// server, so an op is what a repeat job costs: its run on a private memo
+// over the resident compiled graph (sweep and search), its fsynced
+// snapshot and terminal records, and the polls.
+func BenchmarkJobRoundTrip(b *testing.B) {
+	for _, c := range []struct{ name, body string }{
+		{"sweep", `{"kind": "sweep", "checkpoint_every": 64, "sweep": {"workload": "FFT", "preset": "reduced"}}`},
+		{"search", `{"kind": "search", "checkpoint_every": 2, "search": {"workload": "FFT", "population": 24, "generations": 8, "seed": 5}}`},
+		{"uncertainty", `{"kind": "uncertainty", "checkpoint_every": 4, "uncertainty": {"replicates": 10, "seed": 5}}`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := New(Options{JobsDir: b.TempDir()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			h := s.Handler()
+			serve := func(method, path, body string) (int, []byte) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+				return rec.Code, rec.Body.Bytes()
+			}
+			roundTrip := func() {
+				status, resp := serve(http.MethodPost, "/v1/jobs", c.body)
+				var j jobJSON
+				if status != http.StatusAccepted || json.Unmarshal(resp, &j) != nil {
+					b.Fatalf("submit: %d %s", status, resp)
+				}
+				for j.State != jobDone {
+					if j.State == jobFailed {
+						b.Fatalf("job failed: %+v", j)
+					}
+					time.Sleep(50 * time.Microsecond)
+					status, resp = serve(http.MethodGet, "/v1/jobs/"+j.ID, "")
+					if status != http.StatusOK || json.Unmarshal(resp, &j) != nil {
+						b.Fatalf("poll: %d %s", status, resp)
+					}
+				}
+			}
+			roundTrip()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				roundTrip()
+			}
+		})
 	}
 }

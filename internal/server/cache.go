@@ -35,6 +35,18 @@ func (s *Server) engine(workload string, size int) (*sweep.Engine, error) {
 	})
 }
 
+// jobEngine returns a durable job's engine: a Private engine over the
+// workload's shared compiled graph (looked up, and compiled on a miss,
+// through the engine cache like any request), with its own point memo, so
+// a job never grows the shared engine's memo.
+func (s *Server) jobEngine(workload string, size int) (*sweep.Engine, error) {
+	eng, err := s.engine(workload, size)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Private(), nil
+}
+
 // buildWorkload builds a kernel's DFG by any registry name
 // (workloads.Lookup) at the given problem size (<= 0 selects the kernel
 // default).

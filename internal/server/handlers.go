@@ -59,8 +59,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the operational counters, plus a per-resident-
-// engine block: each cached engine's schedule-reuse counters and memoized
-// design-point count, keyed by "workload@size".
+// engine block: each cached engine's schedule-reuse counters, memoized
+// design-point count and memo resets, keyed by "workload@size".
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.Snapshot()
 	engines := make(map[string]any)
@@ -70,6 +70,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"schedule_walks": walks,
 			"schedule_hits":  hits,
 			"cached_points":  eng.CachedPoints(),
+			"memo_resets":    eng.MemoResets(),
 		}
 	})
 	snap["engines"] = engines

@@ -22,6 +22,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -261,14 +262,17 @@ func (jm *jobManager) drain(ctx context.Context) error {
 // logName maps a job id onto its store name.
 func logName(id string) string { return id + ".job" }
 
-// encodeRecord frames one job-log record: the manifest behind its u32
-// length, then payload.
+// appendRecord appends one job-log record to buf: the manifest behind its
+// u32 length, then payload.
+func appendRecord(buf, manifest, payload []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(manifest)))
+	buf = append(buf, manifest...)
+	return append(buf, payload...)
+}
+
+// encodeRecord is one job-log record in a buffer of its own.
 func encodeRecord(manifest, payload []byte) []byte {
-	w := checkpoint.NewWriter(4 + len(manifest) + len(payload))
-	w.U32(uint32(len(manifest)))
-	w.Raw(manifest)
-	w.Raw(payload)
-	return w.Bytes()
+	return appendRecord(make([]byte, 0, 4+len(manifest)+len(payload)), manifest, payload)
 }
 
 // manifest marshals the job's durable identity in the given state.
@@ -619,8 +623,13 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 		jm.fail(j, func(rec []byte) error { return jm.store.Write(logName(j.id), rec) }, err)
 		return
 	}
+	running, err := j.manifest(jobRunning, "")
+	if err != nil {
+		jm.fail(j, log.Save, err)
+		return
+	}
 	ck := &checkpoint.Options{
-		Sink: &jobSink{jm: jm, j: j, log: log}, Every: j.req.CheckpointEvery, Resume: resume,
+		Sink: &jobSink{jm: jm, j: j, log: log, running: running}, Every: j.req.CheckpointEvery, Resume: resume,
 		OnError: func(err error) { jm.srv.logf("jobs: %s: snapshot save failed, continuing without: %v", j.id, err) },
 	}
 	result, resumed, err := j.spec.runJob(jm.ctx, jm.srv, ck)
@@ -642,19 +651,19 @@ func (jm *jobManager) execute(j *job, resume []byte) {
 }
 
 // jobSink appends engine snapshots to the job log as progress records and
-// mirrors their progress counters into the live job view.
+// mirrors their progress counters into the live job view. running is the
+// job's running-state manifest, marshaled once per run: each record is
+// framed in one buffer around it and the snapshot.
 type jobSink struct {
-	jm  *jobManager
-	j   *job
-	log *checkpoint.Log
+	jm      *jobManager
+	j       *job
+	log     *checkpoint.Log
+	running []byte
 }
 
 func (s *jobSink) Save(payload []byte) error {
-	rec, err := s.j.record(jobRunning, "", payload)
-	if err == nil {
-		err = s.log.Save(rec)
-	}
-	if err != nil {
+	rec := make([]byte, checkpoint.FrameLen, checkpoint.FrameLen+4+len(s.running)+len(payload))
+	if err := s.log.SaveFrame(appendRecord(rec, s.running, payload)); err != nil {
 		return err
 	}
 	s.jm.srv.metrics.JobSnapshots.Add(1)

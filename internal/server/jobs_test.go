@@ -613,43 +613,84 @@ func TestJobRejectsWhatSyncRejects(t *testing.T) {
 	}
 }
 
-// TestJobUsesPrivateEngine pins why durable jobs build their own engine
-// instead of sharing the server's memo: a finished sweep or search job
-// leaves the engine cache's hits, misses and compiles untouched, so no
-// warmed engine stays resident on a job's behalf.
-func TestJobUsesPrivateEngine(t *testing.T) {
-	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
-	defer ts.Close()
-	engineCache := func() map[string]int64 {
-		status, body := get(t, ts.URL+"/v1/metrics")
+// TestJobSharesCompiledGraph pins the job-engine rule: a durable sweep
+// or search job runs on a private point memo over the shared compiled
+// graph. Jobs leave a resident engine's cached_points unchanged, compile
+// each (workload, size) at most once through the engine cache, and
+// return the same bytes as on a fresh server, reporting cached_points 0.
+func TestJobSharesCompiledGraph(t *testing.T) {
+	type engineStats struct {
+		CachedPoints int `json:"cached_points"`
+	}
+	metrics := func(base string) (cache map[string]int64, engines map[string]engineStats) {
+		status, body := get(t, base+"/v1/metrics")
 		if status != http.StatusOK {
 			t.Fatalf("metrics: %d %s", status, body)
 		}
 		var m struct {
-			EngineCache map[string]int64 `json:"engine_cache"`
+			EngineCache map[string]int64       `json:"engine_cache"`
+			Engines     map[string]engineStats `json:"engines"`
 		}
 		if err := json.Unmarshal(body, &m); err != nil {
 			t.Fatal(err)
 		}
-		return m.EngineCache
+		return m.EngineCache, m.Engines
 	}
-	before := engineCache()
-	for _, body := range []string{
+	jobs := []string{
 		`{"kind": "sweep", "sweep": {"workload": "FFT", "preset": "reduced"}}`,
 		`{"kind": "search", "search": {"workload": "FFT", "population": 12, "generations": 3}}`,
-	} {
-		id := submitJob(t, ts.URL, body)
-		if j := waitForJob(t, ts.URL, id, terminal); j.State != jobDone {
+		`{"kind": "sweep", "sweep": {"workload": "RED", "preset": "reduced"}}`,
+		`{"kind": "search", "search": {"workload": "RED", "population": 12, "generations": 3}}`,
+	}
+	run := func(base, body string) json.RawMessage {
+		t.Helper()
+		j := waitForJob(t, base, submitJob(t, base, body), terminal)
+		if j.State != jobDone {
 			t.Fatalf("%s: %+v", body, j)
 		}
+		return j.Result
 	}
-	after := engineCache()
-	for _, k := range []string{"hits", "misses", "compiles"} {
-		if _, ok := after[k]; !ok {
-			t.Fatalf("metrics engine_cache lacks %q: %v", k, after)
+
+	ts := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
+	defer ts.Close()
+	// FFT is resident and warm before the jobs run; RED is not compiled.
+	if status, body := post(t, ts.URL+"/v1/sweep", `{"workload": "FFT", "preset": "reduced"}`); status != http.StatusOK {
+		t.Fatalf("warm-up sweep: %d %s", status, body)
+	}
+	before, engBefore := metrics(ts.URL)
+	if engBefore["FFT@0"].CachedPoints == 0 {
+		t.Fatalf("warm-up sweep memoized nothing: %+v", engBefore)
+	}
+	results := make([]json.RawMessage, len(jobs))
+	for i, body := range jobs {
+		results[i] = run(ts.URL, body)
+	}
+	after, engAfter := metrics(ts.URL)
+	if got, want := after["compiles"]-before["compiles"], int64(1); got != want {
+		t.Errorf("jobs compiled %d graphs, want %d (RED only: FFT was resident)", got, want)
+	}
+	if got, want := after["hits"]+after["misses"]-before["hits"]-before["misses"], int64(len(jobs)); got != want {
+		t.Errorf("jobs made %d engine_cache lookups, want %d", got, want)
+	}
+	for key, st := range engAfter {
+		if st.CachedPoints != engBefore[key].CachedPoints {
+			t.Errorf("engine %s cached_points %d -> %d: a job filled the shared memo", key, engBefore[key].CachedPoints, st.CachedPoints)
 		}
-		if before[k] != after[k] {
-			t.Errorf("engine_cache.%s moved %d -> %d: a job touched the shared engine memo", k, before[k], after[k])
+	}
+
+	fresh := httptest.NewServer(newTestServer(t, Options{JobsDir: t.TempDir()}).Handler())
+	defer fresh.Close()
+	for i, body := range jobs {
+		if want := run(fresh.URL, body); !bytes.Equal(results[i], want) {
+			t.Errorf("%s: result on a warm server differs from a fresh server's:\n%s\n%s", body, results[i], want)
+		}
+		if strings.Contains(body, `"sweep"`) {
+			var out struct {
+				Cached *int `json:"cached_points"`
+			}
+			if err := json.Unmarshal(results[i], &out); err != nil || out.Cached == nil || *out.Cached != 0 {
+				t.Errorf("%s: cached_points %v (err %v), want 0", body, out.Cached, err)
+			}
 		}
 	}
 }
@@ -930,5 +971,85 @@ func TestJobAdoptDiskFullDeferred(t *testing.T) {
 		t.Fatalf("adopted job has no record on disk: %v", err)
 	} else if m, _, err := decodeRecord(rec); err != nil || m.State != jobDone {
 		t.Fatalf("adopted job's record: state %q, %v; want done", m.State, err)
+	}
+}
+
+// TestJobSnapshotRecordBytes pins the one-buffer snapshot record: for
+// every job kind, jobSink.Save writes the bytes the per-snapshot encoder
+// it replaced wrote (the request and manifest marshaled afresh, framed by
+// Log.Save), so logs stay readable across the change in both directions.
+func TestJobSnapshotRecordBytes(t *testing.T) {
+	s := newTestServer(t, Options{JobsDir: t.TempDir()})
+	oldRecord := func(j *job, payload []byte) []byte {
+		reqRaw, err := json.Marshal(j.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := json.Marshal(jobManifest{
+			ID: j.id, Kind: j.req.Kind, State: jobRunning,
+			Created: j.created.UTC().Format(time.RFC3339), Request: reqRaw,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := checkpoint.NewWriter(4 + len(m) + len(payload))
+		w.U32(uint32(len(m)))
+		w.Raw(m)
+		w.Raw(payload)
+		return w.Bytes()
+	}
+	for i, body := range []string{
+		`{"kind": "sweep", "sweep": {"workload": "FFT", "preset": "reduced"}, "checkpoint_every": 64}`,
+		`{"kind": "search", "search": {"workload": "S3D", "population": 12, "generations": 3}}`,
+		`{"kind": "uncertainty", "uncertainty": {"replicates": 40, "seed": 7}}`,
+	} {
+		var req jobRequest
+		if err := json.Unmarshal([]byte(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		spec, err := req.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &job{id: fmt.Sprintf("job-%06d", i+1), req: req, spec: spec, created: time.Unix(1700000000, 0)}
+		running, err := j.manifest(jobRunning, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		newLog, err := s.jobs.store.OpenLog("new")
+		if err != nil {
+			t.Fatal(err)
+		}
+		oldLog, err := s.jobs.store.OpenLog("old")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := &jobSink{jm: s.jobs, j: j, log: newLog, running: running}
+		for _, payload := range [][]byte{nil, []byte("snapshot one"), bytes.Repeat([]byte{0xa5}, 300)} {
+			if err := sink.Save(payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := oldLog.Save(oldRecord(j, payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		newLog.Close()
+		oldLog.Close()
+		got, err := os.ReadFile(s.jobs.store.Path("new"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(s.jobs.store.Path("old"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s kind: snapshot log bytes differ from the old encoder's\n got %q\nwant %q", req.Kind, got, want)
+		}
+		for _, name := range []string{"new", "old"} {
+			if err := s.jobs.store.Remove(name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"accelwall/internal/checkpoint"
 	"accelwall/internal/core"
 	"accelwall/internal/search"
-	"accelwall/internal/sweep"
 )
 
 // maxSearchEvaluations bounds a search request's evaluation budget —
@@ -212,11 +211,7 @@ func (r *searchRequest) serve(s *Server, w http.ResponseWriter, req *http.Reques
 }
 
 func (r *searchRequest) runJob(ctx context.Context, s *Server, ck *checkpoint.Options) (json.RawMessage, int, error) {
-	g, err := buildWorkload(r.Workload, r.Size)
-	if err != nil {
-		return nil, 0, err
-	}
-	eng, err := sweep.NewEngine(g)
+	eng, err := s.jobEngine(r.Workload, r.Size)
 	if err != nil {
 		return nil, 0, err
 	}

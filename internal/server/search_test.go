@@ -200,9 +200,10 @@ func TestMetricsEnginesBlock(t *testing.T) {
 	}
 	var snap struct {
 		Engines map[string]struct {
-			ScheduleWalks int `json:"schedule_walks"`
-			ScheduleHits  int `json:"schedule_hits"`
-			CachedPoints  int `json:"cached_points"`
+			ScheduleWalks int  `json:"schedule_walks"`
+			ScheduleHits  int  `json:"schedule_hits"`
+			CachedPoints  int  `json:"cached_points"`
+			MemoResets    *int `json:"memo_resets"`
 		} `json:"engines"`
 		SearchCache map[string]int64 `json:"search_cache"`
 	}
@@ -215,6 +216,9 @@ func TestMetricsEnginesBlock(t *testing.T) {
 	}
 	if e.CachedPoints == 0 || e.ScheduleWalks == 0 {
 		t.Errorf("engine stats empty after a search: %+v", e)
+	}
+	if e.MemoResets == nil || *e.MemoResets != 0 {
+		t.Errorf("memo_resets %v after one search far below the memo bound, want 0", e.MemoResets)
 	}
 	if snap.SearchCache["runs"] != 1 {
 		t.Errorf("search_cache runs = %d, want 1", snap.SearchCache["runs"])

@@ -161,7 +161,7 @@ type sweepResponse struct {
 }
 
 // response renders evaluated points; cached is the engine's memo size
-// (a job's private engine reports 0).
+// (a job reports 0).
 func (r *sweepRequest) response(points []sweep.Point, cached int) sweepResponse {
 	resp := sweepResponse{Workload: r.Workload, Objective: core.ObjectiveName(r.objective), Evaluated: len(points), Cached: cached}
 	if best, err := sweep.Best(points, r.objective); err == nil {
@@ -234,11 +234,7 @@ func (r *sweepRequest) serve(s *Server, w http.ResponseWriter, req *http.Request
 }
 
 func (r *sweepRequest) runJob(ctx context.Context, s *Server, ck *checkpoint.Options) (json.RawMessage, int, error) {
-	g, err := buildWorkload(r.Workload, r.Size)
-	if err != nil {
-		return nil, 0, err
-	}
-	eng, err := sweep.NewEngine(g)
+	eng, err := s.jobEngine(r.Workload, r.Size)
 	if err != nil {
 		return nil, 0, err
 	}

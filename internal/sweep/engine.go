@@ -21,17 +21,32 @@ import (
 // Each operation is one ctx-taking method: EvaluateContext for a single
 // point, EvaluateBatchContext for a population, RunCheckpointed (and
 // RunContext) for a grid, Attribute for the Figure 14 decomposition and
-// Fig13 for the Figure 13 cloud. The memo persists across calls, so
-// repeated sweeps over overlapping grids (the serving workload) only
-// simulate the points they have never seen; a one-shot sweep simply
-// builds an engine and drops it.
+// Fig13 for the Figure 13 cloud. The memo persists across calls, up to
+// MaxMemoPoints, so repeated sweeps over overlapping grids (the serving
+// workload) only simulate the points they have never seen; a one-shot
+// sweep simply builds an engine and drops it. Private hands out an engine
+// that shares the compiled graph but keeps its own memo.
 type Engine struct {
 	c    *aladdin.Compiled
 	maxP int
 
-	mu    sync.RWMutex
-	cache map[aladdin.Design]aladdin.Result
+	mu     sync.RWMutex
+	cache  map[aladdin.Design]aladdin.Result
+	resets int // memo resets (see MaxMemoPoints); guarded by mu
 }
+
+// MaxMemoPoints bounds an engine's memo: 1× the daemon's default
+// per-request grid cap (65,536 points, server Options.MaxGridPoints). A
+// run (a grid, a batch or a single point) that starts on a memo which its
+// unmemoized points would push past the bound first resets the memo, so
+// after a run the memo holds at most MaxMemoPoints points, or that run's
+// own when it alone is larger, plus what runs still in flight add.
+// Resets happen only when a run starts, after it has copied the memoized
+// points it needs (Prime'd scatter results included), and every run
+// assembles from its own results, so a reset never changes or re-runs
+// any work of a run in flight. A memoized point holds about 350 B of
+// heap, so the bound is about 23 MB per engine.
+const MaxMemoPoints = 1 << 16
 
 // NewEngine compiles the graph and returns an empty-cache engine.
 func NewEngine(g *dfg.Graph) (*Engine, error) {
@@ -47,6 +62,15 @@ func NewEngine(g *dfg.Graph) (*Engine, error) {
 		maxP = 1
 	}
 	return &Engine{c: c, maxP: maxP, cache: make(map[aladdin.Design]aladdin.Result)}, nil
+}
+
+// Private returns an engine over e's compiled graph with its own empty
+// memo. It shares the graph and its warm schedule-class and energy caches
+// (*aladdin.Compiled is safe for concurrent use), but its runs never read
+// or fill e's memo: a durable job runs on one, so it neither pays a
+// compile nor leaves points resident after it finishes.
+func (e *Engine) Private() *Engine {
+	return &Engine{c: e.c, maxP: e.maxP, cache: make(map[aladdin.Design]aladdin.Result)}
 }
 
 // Stats returns the compiled graph's structural statistics.
@@ -78,6 +102,13 @@ func (e *Engine) CachedPoints() int {
 	return len(e.cache)
 }
 
+// MemoResets reports how many times the memo was reset at MaxMemoPoints.
+func (e *Engine) MemoResets() int {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.resets
+}
+
 // EvaluateContext simulates one design point, serving it from the memo
 // table when its normalized key has been simulated before. The returned
 // result carries the caller's design spelling (not the normalized key).
@@ -98,6 +129,7 @@ func (e *Engine) EvaluateContext(ctx context.Context, d aladdin.Design) (aladdin
 			return aladdin.Result{}, err
 		}
 		e.mu.Lock()
+		e.boundLocked(1)
 		e.cache[key] = res
 		e.mu.Unlock()
 	}
@@ -118,19 +150,13 @@ func (e *Engine) EvaluateContext(ctx context.Context, d aladdin.Design) (aladdin
 // before the pool quiesced are kept in the memo table (bit-identical to an
 // uncancelled run's), so an abandoned generation still warms its re-run.
 func (e *Engine) EvaluateBatchContext(ctx context.Context, designs []aladdin.Design, workers int) ([]aladdin.Result, error) {
-	if _, err := e.warm(ctx, designs, workers, nil); err != nil {
+	pl, _, err := e.warm(ctx, designs, workers, nil)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]aladdin.Result, len(designs))
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	for i, d := range designs {
-		res, ok := e.cache[normalizeKey(e.maxP, d)]
-		if !ok {
-			return nil, errors.New("sweep: batch result missing after simulation")
-		}
-		res.Design = d
-		out[i] = res
+		out[i] = pl.result(i, d)
 	}
 	return out, nil
 }
@@ -144,8 +170,9 @@ func (e *Engine) RunContext(ctx context.Context, p Params, workers int) ([]Point
 // RunCheckpointed sweeps the grid and returns every design point in the
 // deterministic (node, fusion, simplification, partition) order. The
 // grid's unmemoized unique points are simulated on a worker pool first
-// (workers <= 0 selects GOMAXPROCS); the assembly is then a pure memo
-// walk, so results never depend on pool width or chunk order.
+// (workers <= 0 selects GOMAXPROCS); the assembly then reads the run's
+// unique results in grid order, so results never depend on pool width or
+// chunk order.
 //
 // A non-nil ck makes the sweep durable: the completed prefix of the grid's
 // unique-design list is persisted through ck.Sink at the configured
@@ -153,7 +180,7 @@ func (e *Engine) RunContext(ctx context.Context, p Params, workers int) ([]Point
 // ck.Resume restores a previous sweep's prefix instead of resimulating it.
 // The second return is how many unique designs were restored rather than
 // simulated (0 for cold runs). A checkpointed sweep snapshots the whole
-// unique list, so it belongs on a fresh engine.
+// unique list, so it belongs on a fresh or Private engine.
 //
 // A cancelled ctx stops the pool within one chunk and returns ctx.Err();
 // the points that completed are kept in the memo table.
@@ -162,17 +189,13 @@ func (e *Engine) RunCheckpointed(ctx context.Context, p Params, workers int, ck 
 		return nil, 0, err
 	}
 	designs := p.enumerate()
-	resumed, err := e.warm(ctx, designs, workers, ck)
+	pl, resumed, err := e.warm(ctx, designs, workers, ck)
 	if err != nil {
 		return nil, 0, err
 	}
-	out := make([]Point, 0, len(designs))
-	for _, d := range designs {
-		res, err := e.EvaluateContext(ctx, d)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = append(out, Point{Design: d, Result: res})
+	out := make([]Point, len(designs))
+	for i, d := range designs {
+		out[i] = Point{Design: d, Result: pl.result(i, d)}
 	}
 	return out, resumed, nil
 }
@@ -207,18 +230,24 @@ func (e *Engine) Fig13(ctx context.Context, p Params, workers int, ck *Checkpoin
 
 // Attribute runs the cumulative-knob decomposition of Figure 14 for the
 // engine's workload. The grid's unique points are simulated on the worker
-// pool first, so every stage of the scan reads the memo table; running
+// pool first, so every stage of the scan reads the run's results; running
 // both objectives on one engine simulates the grid once. A cancelled ctx
 // stops the pool within one chunk and the scan between simulations.
 func (e *Engine) Attribute(ctx context.Context, app string, p Params, o Objective, workers int) (Attribution, error) {
 	if err := p.Validate(); err != nil {
 		return Attribution{}, err
 	}
-	if _, err := e.warm(ctx, p.enumerate(), workers, nil); err != nil {
+	pl, _, err := e.warm(ctx, p.enumerate(), workers, nil)
+	if err != nil {
 		return Attribution{}, err
 	}
 	return attribute(ctx, app, func(d aladdin.Design) (aladdin.Result, error) {
-		return e.EvaluateContext(ctx, d)
+		if i, ok := pl.slot[normalizeKey(e.maxP, d)]; ok {
+			res := pl.results[i]
+			res.Design = d
+			return res, nil
+		}
+		return e.EvaluateContext(ctx, d) // the baseline may lie off the grid
 	}, p, o)
 }
 

@@ -10,6 +10,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"accelwall/internal/aladdin"
 )
@@ -23,19 +24,26 @@ func (e *Engine) UniqueDesigns(p Params) ([]aladdin.Design, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return e.keys(p.enumerate(), false), nil
+	return e.plan(p.enumerate()).keys, nil
 }
 
 // MissingFrom filters designs down to those whose normalized keys are not
 // yet memoized, deduplicated, preserving first-seen order. Coordinators
 // use it to scatter only the work their own memo table cannot serve.
 func (e *Engine) MissingFrom(designs []aladdin.Design) []aladdin.Design {
-	return e.keys(designs, true)
+	keys := e.plan(designs).keys
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return slices.DeleteFunc(keys, func(k aladdin.Design) bool {
+		_, ok := e.cache[k]
+		return ok
+	})
 }
 
 // Prime inserts externally computed results into the memo table under
-// their designs' normalized keys, without simulating anything. Existing
-// entries win: the simulator is deterministic, so a remote result for an
+// their designs' normalized keys, without simulating anything, and never
+// resets the memo: the run that assembles the scatter copies them out
+// before it holds the bound (see MaxMemoPoints). Existing entries win: the simulator is deterministic, so a remote result for an
 // already-memoized key is bit-identical and dropping it is safe. The
 // caller vouches that results[i] is the simulation of designs[i] on this
 // same workload — Prime is the trust boundary of distributed sweeps, and

@@ -94,16 +94,16 @@ bench() {
   echo "wrote $file"
 }
 
-bench BENCH_sweep.json ". ./internal/aladdin/" '^(BenchmarkTable3|BenchmarkFig13|BenchmarkSimulate|BenchmarkCompile|BenchmarkScheduleWalk)$' \
-  "Compiled-graph simulation engine (internal/aladdin Compile + Compiled.Simulate): the Table III and Figure 13 sweeps, per-design Simulate on the warm path (a schedule-summary hit plus the per-design metrics), Compile per workload, and cold scheduler walks over every schedule class of the reduced grid (ns/node is walk time per graph vertex). Results are bit-identical to the per-call reference scheduler (internal/aladdin/compiled_test.go, internal/sweep/equivalence_test.go)."
+bench BENCH_sweep.json ". ./internal/aladdin/" '^(BenchmarkTable3|BenchmarkSweepCold|BenchmarkFig13|BenchmarkSimulate|BenchmarkCompile|BenchmarkScheduleWalk)$' \
+  "Compiled-graph simulation engine (internal/aladdin Compile + Compiled.Simulate): the Table III and Figure 13 sweeps, the cold full Table III grid on one worker (BenchmarkSweepCold: a fresh engine per op, so every point pays a schedule-summary lookup or walk plus its metrics, the dynamic-energy sum served by the per-summary energy memo after its first use), per-design Simulate on the warm path (a schedule-summary hit plus the per-design metrics), Compile per workload, and cold scheduler walks over every schedule class of the reduced grid (ns/node is walk time per graph vertex). Results are bit-identical to the per-call reference scheduler (internal/aladdin/compiled_test.go, internal/sweep/equivalence_test.go)."
 bench BENCH_server.json ./internal/server/ '^(BenchmarkSweepWarm|BenchmarkCaseStudy)$' \
   "Served throughput of accelwalld (internal/server) over httptest. BenchmarkSweepWarm is a steady-state POST /v1/sweep against one warmed server (engine compiled, grid memoized): serial from one client, parallel from GOMAXPROCS clients through RunParallel. BenchmarkCaseStudy is GET /v1/casestudy/bitcoin, a stateless analytical endpoint."
 bench BENCH_uncertainty.json ./internal/montecarlo/ '^(BenchmarkUncertainty|BenchmarkUncertaintyServedMiss)$' \
   "Monte Carlo uncertainty engine (internal/montecarlo). BenchmarkUncertainty scales a shared engine over pool widths 1, 4 and 8: one op is a full 40-replicate run, each replicate resampling the corpus, refitting the Figure 3b/3c budget, jittering the CMOS table and projecting the wall for every (domain, target) pair; engine construction is left out. BenchmarkUncertaintyServedMiss is what POST /v1/uncertainty pays per memo miss: one op is the one-shot RunCheckpointed, a fresh engine (corpus generation, compile, base fit and projections) plus 10 replicates on a GOMAXPROCS-wide pool. Results are bit-identical at every pool width."
 bench BENCH_cancel.json "./internal/sweep/ ./internal/montecarlo/" '^BenchmarkCancelLatency$' \
   "Cancellation latency of the parallel compute engines: ns_op is the delay from cancelling a mid-flight run (layer internal/sweep: a sweep grid; layer internal/montecarlo: a Monte Carlo replicate set) to full worker-pool quiescence. It is bounded by one chunk of work per worker, not by the remaining grid size."
-bench BENCH_checkpoint.json ./internal/montecarlo/ '^(BenchmarkCheckpointOverhead|BenchmarkSnapshotSave|BenchmarkResume)$' \
-  "Crash-safe checkpointing through the Monte Carlo engine (internal/checkpoint, internal/montecarlo): a full run with fsynced snapshots at the default cadence (on) and without (off), the fsynced write of one snapshot, and resuming a half-complete run (half) against recomputing it cold. Resumed runs are bit-identical to uninterrupted ones. Targets: checkpoint_on_off <= 1.05 (a 5% budget), resume_half_cold < 0.6." \
+bench BENCH_checkpoint.json "./internal/montecarlo/ ./internal/server/" '^(BenchmarkCheckpointOverhead|BenchmarkSnapshotSave|BenchmarkResume|BenchmarkJobRoundTrip)$' \
+  "Crash-safe checkpointing through the Monte Carlo engine (internal/checkpoint, internal/montecarlo): a full run with fsynced snapshots at the default cadence (on) and without (off), the fsynced write of one snapshot, and resuming a half-complete run (half) against recomputing it cold. Resumed runs are bit-identical to uninterrupted ones. BenchmarkJobRoundTrip (internal/server) is one durable accelwalld job per kind, submit to done through the handler on a warm server, with the durable perfbench stream's bodies: sweep and search jobs run on a private memo over the resident compiled graph. Targets: checkpoint_on_off <= 1.05 (a 5% budget), resume_half_cold < 0.6." \
   "checkpoint_on_off BenchmarkCheckpointOverhead/on BenchmarkCheckpointOverhead/off" \
   "resume_half_cold BenchmarkResume/half BenchmarkResume/cold"
 bench BENCH_batch.json . '^BenchmarkBatch$' \
